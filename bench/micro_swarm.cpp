@@ -137,6 +137,37 @@ void BM_SwarmRoundHuge(benchmark::State& state) {
 }
 BENCHMARK(BM_SwarmRoundHuge)->Arg(100000)->Iterations(3)->Unit(benchmark::kMillisecond);
 
+// Set-up path: the capacity sample every swarm driver and benchmark
+// workload builds first, then the constructor it feeds (overlay, slot
+// pool, Bernoulli piece fill, ranks) on the BM_SwarmRoundHuge config.
+void BM_RepresentativeSample(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const bt::BandwidthModel model = bt::BandwidthModel::saroiu2002();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.representative_sample(n));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_RepresentativeSample)->Arg(1000)->Arg(100000)->Unit(benchmark::kMillisecond);
+
+void BM_SwarmConstruct(benchmark::State& state) {
+  const auto peers = static_cast<std::size_t>(state.range(0));
+  const std::vector<double> capacities =
+      bt::BandwidthModel::saroiu2002().representative_sample(peers);
+  std::optional<bt::Swarm> swarm;
+  for (auto _ : state) {
+    graph::Rng rng(1);
+    swarm.emplace(round_config(peers), capacities, rng);
+    benchmark::DoNotOptimize(swarm->live_peer_count());
+    // Tear-down is not construction.
+    state.PauseTiming();
+    swarm.reset();
+    state.ResumeTiming();
+  }
+}
+BENCHMARK(BM_SwarmConstruct)->Arg(100000)->Unit(benchmark::kMillisecond);
+
 // The pre-rewrite unordered_map data plane, same workload: the
 // BM_SwarmRound/5000 vs BM_ReferenceSwarmRound/5000 ratio is the
 // speedup the CSR layout buys.

@@ -52,12 +52,15 @@ done
 # throughput plus barrier/shard/imbalance ms) and the shards=1
 # overhead gate pair BM_TrackerClosedRounds vs
 # BM_SerialSwarmLoopRounds (tracker layer within 10% of a plain
-# serial Swarm loop on the same closed 100-swarm workload).
+# serial Swarm loop on the same closed 100-swarm workload). The set-up
+# path rides along too: BM_RepresentativeSample (the capacity sample at
+# 10^3 and 10^5 peers) and BM_SwarmConstruct/100000 (the constructor it
+# feeds), a micro-level before/after for set-up outside perfbench.
 micro_swarm="${build_dir}/bench/micro_swarm"
 if [[ -x "${micro_swarm}" ]]; then
   echo "== micro_swarm -> BENCH_swarm.json"
   "${micro_swarm}" \
-    --benchmark_filter='BM_SwarmRound/.*|BM_SwarmRoundThreads/.*|BM_SwarmChurnRound/.*|BM_SwarmFaults/.*|BM_SwarmLongChurn/.*|BM_SwarmSnapshot/.*|BM_ReferenceSwarmRound/.*|BM_ScenarioReplications/.*|BM_ChurnScenarioReplications/.*|BM_TrackerSimShards/.*|BM_TrackerClosedRounds.*|BM_SerialSwarmLoopRounds.*' \
+    --benchmark_filter='BM_SwarmRound/.*|BM_SwarmRoundThreads/.*|BM_SwarmChurnRound/.*|BM_SwarmFaults/.*|BM_SwarmLongChurn/.*|BM_SwarmSnapshot/.*|BM_ReferenceSwarmRound/.*|BM_ScenarioReplications/.*|BM_ChurnScenarioReplications/.*|BM_TrackerSimShards/.*|BM_TrackerClosedRounds.*|BM_SerialSwarmLoopRounds.*|BM_RepresentativeSample/.*|BM_SwarmConstruct/.*' \
     --benchmark_min_time=0.05 \
     --benchmark_out="${out_dir}/BENCH_swarm.json" \
     --benchmark_out_format=json > /dev/null

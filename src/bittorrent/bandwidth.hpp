@@ -31,7 +31,7 @@ class BandwidthModel {
  public:
   /// Builds from components. Throws std::invalid_argument if weights do
   /// not sum to 1 (1e-9 tolerance), any weight/median/sigma is
-  /// non-positive, or the list is empty.
+  /// non-finite or non-positive, or the list is empty.
   explicit BandwidthModel(std::vector<BandwidthComponent> components);
 
   /// The 2002-era preset approximating Saroiu et al.'s Figure 10.
@@ -47,8 +47,11 @@ class BandwidthModel {
   /// Probability density at kbps (w.r.t. linear kbps).
   [[nodiscard]] double pdf(double kbps) const;
 
-  /// Inverse CDF by bisection; q in (0, 1). Throws std::invalid_argument
-  /// outside that range.
+  /// Inverse CDF by geometric bisection over [1e-3, 1e9] kbps; q in
+  /// (0, 1). Throws std::invalid_argument outside that range. The result
+  /// is the bisection's fixed point: the loop stops once the midpoint
+  /// rounds onto an end of the bracket (at most ~58 steps), from where
+  /// further steps could no longer move any bit of the answer.
   [[nodiscard]] double quantile(double q) const;
 
   /// One random draw.
@@ -57,11 +60,30 @@ class BandwidthModel {
   /// Deterministic representative sample: quantiles at (i+0.5)/n,
   /// sorted descending (best peer first) — the ranking convention of
   /// the efficiency model. Values are nudged to be strictly distinct so
-  /// they can serve as strict global-ranking scores.
+  /// they can serve as strict global-ranking scores. Each entry is
+  /// bitwise what quantile() returns: consecutive q values walk the
+  /// same top of the bisection tree, so the shared prefix of the
+  /// previous path is replayed from its cached cdf() values instead of
+  /// being re-evaluated.
   [[nodiscard]] std::vector<double> representative_sample(std::size_t n) const;
 
  private:
+  /// One visited bisection step: the bracket it started from and cdf()
+  /// at the bracket's geometric midpoint.
+  struct BisectionStep {
+    double lo = 0.0;
+    double hi = 0.0;
+    double cdf_mid = 0.0;
+  };
+
+  /// The quantile bisection shared by quantile() and
+  /// representative_sample(). `path` holds the steps of the previous
+  /// call by depth; a step whose bracket matches reuses its cdf(), and
+  /// every evaluated step overwrites its depth.
+  [[nodiscard]] double bisect(double q, std::vector<BisectionStep>& path) const;
+
   std::vector<BandwidthComponent> components_;
+  std::vector<double> log10_median_;  // log10(median_kbps) per component
 };
 
 }  // namespace strat::bt

@@ -1,5 +1,6 @@
 #include "bittorrent/piece_picker.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 
@@ -51,6 +52,19 @@ Bitfield Bitfield::from_words(std::size_t bits, std::vector<std::uint64_t> words
     out.count_ += static_cast<std::size_t>(std::popcount(w));
   }
   return out;
+}
+
+Bitfield Bitfield::random(std::size_t bits, double p, graph::Rng& rng) {
+  std::vector<std::uint64_t> words((bits + 63) / 64);
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    const std::size_t width = std::min<std::size_t>(64, bits - w * 64);
+    std::uint64_t word = 0;
+    for (std::size_t b = 0; b < width; ++b) {
+      word |= static_cast<std::uint64_t>(rng.bernoulli(p)) << b;
+    }
+    words[w] = word;
+  }
+  return from_words(bits, std::move(words));
 }
 
 bool Bitfield::interested_in(const Bitfield& other) const {

@@ -49,6 +49,13 @@ class Bitfield {
   /// recomputed, never trusted from the caller.
   [[nodiscard]] static Bitfield from_words(std::size_t bits, std::vector<std::uint64_t> words);
 
+  /// Holds each piece independently with probability p — the
+  /// post-flash-crowd and arrival-completion fill. Draws exactly one
+  /// rng.bernoulli(p) per piece in piece order, so the bits and the RNG
+  /// stream match a per-piece `if (rng.bernoulli(p)) set(i)` loop. It
+  /// draws even at p = 0: whether to draw at all is the caller's call.
+  [[nodiscard]] static Bitfield random(std::size_t bits, double p, graph::Rng& rng);
+
  private:
   std::size_t bits_ = 0;
   std::size_t count_ = 0;

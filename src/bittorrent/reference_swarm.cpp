@@ -19,6 +19,12 @@ ReferenceSwarm::ReferenceSwarm(const SwarmConfig& config, std::vector<double> up
   if (upload_kbps.size() != config.num_peers) {
     throw std::invalid_argument("ReferenceSwarm: one upload capacity per leecher required");
   }
+  for (const double kbps : upload_kbps) {
+    detail::require_capacity(kbps, "ReferenceSwarm", /*allow_zero=*/true);
+  }
+  if (!std::isfinite(config.seed_upload_kbps)) {
+    throw std::invalid_argument("ReferenceSwarm: seed_upload_kbps must be finite");
+  }
   if (config.num_peers < 2) throw std::invalid_argument("ReferenceSwarm: need at least 2 peers");
   if (config.num_pieces == 0 || config.piece_kb <= 0.0) {
     throw std::invalid_argument("ReferenceSwarm: pieces must be positive");
@@ -94,24 +100,16 @@ ReferenceSwarm::ReferenceSwarm(const SwarmConfig& config, std::vector<double> up
     stats_[p].seed = is_seed;
     stats_[p].upload_kbps = is_seed ? seed_capacity : upload_kbps[p];
     if (is_seed) {
-      for (PieceId piece = 0; piece < config.num_pieces; ++piece) {
-        have_[p].set(piece);
-        picker_.add_availability(piece);
-      }
-      stats_[p].pieces = config.num_pieces;
+      for (PieceId piece = 0; piece < config.num_pieces; ++piece) have_[p].set(piece);
       stats_[p].completion_round = 0.0;
     } else if (config.post_flashcrowd) {
-      for (PieceId piece = 0; piece < config.num_pieces; ++piece) {
-        if (rng.bernoulli(config.initial_completion)) {
-          have_[p].set(piece);
-          picker_.add_availability(piece);
-        }
-      }
-      stats_[p].pieces = have_[p].count();
-      if (have_[p].complete()) {
-        stats_[p].completion_round = 0.0;
-        if (!config.stay_as_seed) depart_peer(static_cast<core::PeerId>(p), 0.0);
-      }
+      have_[p] = Bitfield::random(config.num_pieces, config.initial_completion, rng);
+    }
+    picker_.add_bitfield(have_[p]);
+    stats_[p].pieces = have_[p].count();
+    if (!is_seed && have_[p].complete()) {
+      stats_[p].completion_round = 0.0;
+      if (!config.stay_as_seed) depart_peer(static_cast<core::PeerId>(p), 0.0);
     }
   }
   leechers_ = detail::rebuild_bandwidth_ranks(stats_, bandwidth_rank_);
@@ -190,9 +188,7 @@ core::PeerId ReferenceSwarm::join(double upload_kbps, const Bitfield& have) {
   if (have.size() != config_.num_pieces) {
     throw std::invalid_argument("ReferenceSwarm::join: bitfield size mismatch");
   }
-  if (upload_kbps <= 0.0) {
-    throw std::invalid_argument("ReferenceSwarm::join: capacity must be positive");
-  }
+  detail::require_capacity(upload_kbps, "ReferenceSwarm::join");
   const core::PeerId p = overlay_.grow(1);
   stats_.emplace_back();
   stats_[p].upload_kbps = upload_kbps;
@@ -257,10 +253,7 @@ void ReferenceSwarm::set_upload_capacity(core::PeerId p, double kbps) {
   if (p >= stats_.size()) {
     throw std::out_of_range("ReferenceSwarm::set_upload_capacity: unknown peer");
   }
-  if (!(kbps > 0.0)) {
-    throw std::invalid_argument(
-        "ReferenceSwarm::set_upload_capacity: capacity must be positive");
-  }
+  detail::require_capacity(kbps, "ReferenceSwarm::set_upload_capacity");
   if (departed_.at(p)) return;
   if (stats_[p].upload_kbps == kbps) return;
   stats_[p].upload_kbps = kbps;

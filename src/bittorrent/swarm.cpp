@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <type_traits>
 
 #include "graph/erdos_renyi.hpp"
@@ -29,6 +30,17 @@ double seconds_since(std::chrono::steady_clock::time_point start,
 }
 }  // namespace
 
+namespace detail {
+
+void require_capacity(double kbps, const char* where, bool allow_zero) {
+  if (!std::isfinite(kbps) || kbps < 0.0 || (kbps == 0.0 && !allow_zero)) {
+    throw std::invalid_argument(std::string(where) + ": capacity must be finite and " +
+                                (allow_zero ? "non-negative" : "positive"));
+  }
+}
+
+}  // namespace detail
+
 Swarm::Swarm(const SwarmConfig& config, std::vector<double> upload_kbps, graph::Rng& rng)
     : config_(config),
       rng_(rng),
@@ -37,6 +49,12 @@ Swarm::Swarm(const SwarmConfig& config, std::vector<double> upload_kbps, graph::
       leechers_(config.num_peers) {
   if (upload_kbps.size() != config.num_peers) {
     throw std::invalid_argument("Swarm: one upload capacity per leecher required");
+  }
+  for (const double kbps : upload_kbps) {
+    detail::require_capacity(kbps, "Swarm", /*allow_zero=*/true);
+  }
+  if (!std::isfinite(config.seed_upload_kbps)) {
+    throw std::invalid_argument("Swarm: seed_upload_kbps must be finite");
   }
   if (config.num_peers < 2) throw std::invalid_argument("Swarm: need at least 2 peers");
   if (config.num_pieces == 0 || config.piece_kb <= 0.0) {
@@ -89,10 +107,15 @@ Swarm::Swarm(const SwarmConfig& config, std::vector<double> upload_kbps, graph::
       edge_peer_.push_back(nbr_[p][i]);
     }
   }
+  // The overlay is simple and undirected with sorted rows, so walking p
+  // ascending meets each row q's entries in ascending order: the next
+  // unmatched entry of q is p itself, and no slot_of() search is needed.
   mirror_.resize(edge_peer_.size());
+  std::vector<std::size_t> matched(total, 0);
   for (std::size_t p = 0; p < total; ++p) {
     for (std::size_t i = 0; i < nbr_[p].size(); ++i) {
-      mirror_[nslot_[p][i]] = slot_of(static_cast<Row>(nbr_[p][i]), static_cast<core::PeerId>(p));
+      const core::PeerId q = nbr_[p][i];
+      mirror_[nslot_[p][i]] = nslot_[q][matched[q]++];
     }
   }
   slot_gen_.assign(edge_peer_.size(), 0);
@@ -146,27 +169,19 @@ Swarm::Swarm(const SwarmConfig& config, std::vector<double> upload_kbps, graph::
     stats_[r].seed = is_seed;
     stats_[r].upload_kbps = is_seed ? seed_capacity : upload_kbps[p];
     if (is_seed) {
-      for (PieceId piece = 0; piece < config.num_pieces; ++piece) {
-        have_[r].set(piece);
-        picker_.add_availability(piece);
-      }
-      stats_[r].pieces = config.num_pieces;
+      for (PieceId piece = 0; piece < config.num_pieces; ++piece) have_[r].set(piece);
       stats_[r].completion_round = 0.0;
     } else if (config.post_flashcrowd) {
-      for (PieceId piece = 0; piece < config.num_pieces; ++piece) {
-        if (rng.bernoulli(config.initial_completion)) {
-          have_[r].set(piece);
-          picker_.add_availability(piece);
-        }
-      }
-      stats_[r].pieces = have_[r].count();
-      if (have_[r].complete()) {
-        // The Bernoulli draws can complete a leecher outright; treat it
-        // like a round-0 completion so it never divides by the full run
-        // length in leech_download_kbps() and departs consistently.
-        stats_[r].completion_round = 0.0;
-        if (!config.stay_as_seed) depart_peer(id, 0.0);
-      }
+      have_[r] = Bitfield::random(config.num_pieces, config.initial_completion, rng);
+    }
+    picker_.add_bitfield(have_[r]);
+    stats_[r].pieces = have_[r].count();
+    if (!is_seed && have_[r].complete()) {
+      // The Bernoulli draws can complete a leecher outright; treat it
+      // like a round-0 completion so it never divides by the full run
+      // length in leech_download_kbps() and departs consistently.
+      stats_[r].completion_round = 0.0;
+      if (!config.stay_as_seed) depart_peer(id, 0.0);
     }
   }
   refresh_ranks_force();
@@ -330,7 +345,7 @@ core::PeerId Swarm::join(double upload_kbps, const Bitfield& have) {
   if (have.size() != config_.num_pieces) {
     throw std::invalid_argument("Swarm::join: bitfield size mismatch");
   }
-  if (upload_kbps <= 0.0) throw std::invalid_argument("Swarm::join: capacity must be positive");
+  detail::require_capacity(upload_kbps, "Swarm::join");
   const auto p = static_cast<core::PeerId>(table_.id_space());
   const Row r = table_.add(p);
   stats_.emplace_back();
@@ -399,10 +414,7 @@ void Swarm::set_upload_capacity(core::PeerId p, double kbps) {
   if (p >= table_.id_space()) {
     throw std::out_of_range("Swarm::set_upload_capacity: unknown peer");
   }
-  if (!(kbps > 0.0)) {
-    throw std::invalid_argument(
-        "Swarm::set_upload_capacity: capacity must be positive");
-  }
+  detail::require_capacity(kbps, "Swarm::set_upload_capacity");
   const Row pr = table_.row_of(p);
   if (pr == PeerTable::kNoRow) return;
   if (stats_[pr].upload_kbps == kbps) return;

@@ -125,7 +125,8 @@ struct SwarmConfig {
   bool post_flashcrowd = true;
   double initial_completion = 0.5;  // post-flash-crowd starting fraction
   bool stay_as_seed = true;         // finished leechers keep uploading
-  /// Upload capacity of the initial seeds; 0 = median leecher capacity.
+  /// Upload capacity of the initial seeds; 0 (or any non-positive
+  /// value) = median leecher capacity. Must be finite.
   double seed_upload_kbps = 0.0;
   /// Exponential smoothing of the per-neighbor rate estimate the choker
   /// ranks on: score = alpha * last_round + (1 - alpha) * previous.
@@ -483,6 +484,16 @@ std::size_t announce_connect_faulty(std::span<const core::PeerId> live_ids, core
   return made;
 }
 
+/// The capacity rule every entry point of both data planes applies
+/// (constructor entries, join(), set_upload_capacity()): an upload
+/// capacity must be finite and positive. Only the initial population
+/// may also hold capacity-less (0 kbps) leechers, which `allow_zero`
+/// admits. A NaN would break the strict weak ordering
+/// assign_capacity_ranks() sorts by, which is undefined behaviour;
+/// +inf would give one peer an unbounded upload budget. Throws
+/// std::invalid_argument prefixed with `where`.
+void require_capacity(double kbps, const char* where, bool allow_zero = false);
+
 /// Sorts `order` (external leecher ids) by (capacity desc, id asc) and
 /// writes dense ranks indexed by external id over [0, rank_size)
 /// (entries outside `order` stay 0 and are never read). The one
@@ -541,8 +552,10 @@ class Swarm {
  public:
   using Row = PeerTable::Row;
 
-  /// `upload_kbps` has one entry per leecher; seeds reuse the top
-  /// capacity. Throws std::invalid_argument on inconsistent inputs.
+  /// `upload_kbps` has one entry per leecher, each finite and
+  /// non-negative (detail::require_capacity; 0 is a leecher that never
+  /// uploads); seeds get seed_upload_kbps. Throws std::invalid_argument
+  /// on inconsistent inputs.
   Swarm(const SwarmConfig& config, std::vector<double> upload_kbps, graph::Rng& rng);
 
   /// Advances one choke interval.
@@ -607,7 +620,8 @@ class Swarm {
   /// uniformly from the current population, deterministic from the
   /// swarm RNG. Returns the new peer id. Edge slots are recycled from
   /// the free list before the pool grows, and the peer claims a dense
-  /// table row.
+  /// table row. Throws std::invalid_argument for a bitfield of the wrong
+  /// size or a non-finite or non-positive capacity.
   core::PeerId join(double upload_kbps, const Bitfield& have);
 
   /// join() with an empty bitfield (a flash-crowd arrival).
@@ -636,7 +650,7 @@ class Swarm {
   /// (ranks stay clean) or the peer has departed (its archived
   /// capacity stays what it had while present). Throws
   /// std::out_of_range for unknown ids and std::invalid_argument for
-  /// non-positive capacities.
+  /// non-finite or non-positive capacities.
   void set_upload_capacity(core::PeerId p, double kbps);
 
   // --- queries --------------------------------------------------------

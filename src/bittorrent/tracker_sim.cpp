@@ -84,9 +84,7 @@ TrackerSim::TrackerSim(const TrackerConfig& cfg, std::vector<TrackerSwarmSeed> s
   validate_config(cfg_);
   if (seeds.empty()) throw std::invalid_argument("TrackerSim: need at least one swarm");
   if (seeds.size() > kMaxSwarms) throw std::invalid_argument("TrackerSim: too many swarms");
-  for (const double kbps : member_upload_kbps) {
-    if (!(kbps > 0.0)) throw std::invalid_argument("TrackerSim: capacities must be positive");
-  }
+  for (const double kbps : member_upload_kbps) detail::require_capacity(kbps, "TrackerSim");
 
   // Membership count per global id, with per-swarm duplicate detection.
   std::vector<std::uint32_t> member_count(member_upload_kbps.size(), 0);

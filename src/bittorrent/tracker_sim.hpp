@@ -273,7 +273,8 @@ struct EcosystemProfile {
 class TrackerSim {
  public:
   /// `member_upload_kbps` holds one ecosystem-wide capacity per
-  /// distinct initial peer, indexed by global id; every id in
+  /// distinct initial peer, indexed by global id, each finite and
+  /// positive (detail::require_capacity); every id in
   /// [0, member_upload_kbps.size()) must appear in >= 1 seed's member
   /// list (and at most once per swarm). Swarm k's Rng is seeded
   /// seed + kTrackerSwarmSeedStride * (k+1); the tracker's own

@@ -7,12 +7,26 @@
 namespace strat::sim {
 
 namespace {
-// Set for the lifetime of every pool thread: a run() issued from inside
-// a task must execute inline instead of publishing a nested job (the
-// nested caller would participate in draining whatever job is current —
-// including its own parent's tasks — and could self-deadlock waiting
-// for a task stuck behind it).
-thread_local bool tls_pool_worker = false;
+// Set while a thread runs task bodies inside work() — a pool thread or
+// the publishing caller, which drains its own job too. A run() issued
+// from inside a task must execute inline instead of publishing a nested
+// job: the nested job would replace the current one, idle workers
+// would run its tasks on other threads, and the nested caller could
+// participate in draining whatever job is current — including its own
+// parent's tasks — and self-deadlock waiting for a task stuck behind it.
+thread_local bool tls_in_task = false;
+
+/// Marks the current thread as inside a task for the scope's lifetime.
+class TaskScope {
+ public:
+  TaskScope() noexcept : outer_(tls_in_task) { tls_in_task = true; }
+  ~TaskScope() { tls_in_task = outer_; }
+  TaskScope(const TaskScope&) = delete;
+  TaskScope& operator=(const TaskScope&) = delete;
+
+ private:
+  bool outer_;
+};
 
 void run_inline(std::size_t tasks, const std::function<void(std::size_t)>& body) {
   for (std::size_t i = 0; i < tasks; ++i) body(i);
@@ -59,6 +73,7 @@ void WorkerPool::ensure_spawned(std::size_t target) {
 }
 
 void WorkerPool::work(Job& job) {
+  const TaskScope in_task;
   for (;;) {
     const std::size_t i = job.next.fetch_add(1, std::memory_order_relaxed);
     if (i >= job.tasks) return;
@@ -76,7 +91,7 @@ void WorkerPool::run(std::size_t tasks, std::size_t max_workers,
                      const std::function<void(std::size_t)>& body) {
   if (tasks == 0) return;
   max_workers = std::min(max_workers, tasks);
-  if (tasks == 1 || max_workers <= 1 || tls_pool_worker) {
+  if (tasks == 1 || max_workers <= 1 || tls_in_task) {
     run_inline(tasks, body);
     return;
   }
@@ -102,7 +117,6 @@ void WorkerPool::run(std::size_t tasks, std::size_t max_workers,
 }
 
 void WorkerPool::worker_loop() {
-  tls_pool_worker = true;
   std::uint64_t seen = 0;
   for (;;) {
     std::shared_ptr<Job> job;

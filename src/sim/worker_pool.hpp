@@ -19,9 +19,10 @@
 // until exit; tests may construct private pools freely (construction is
 // cheap until the first multi-worker run()).
 //
-// Re-entrancy: a run() issued from inside a pool task (nested
-// parallelism) executes inline on that worker rather than deadlocking
-// or over-subscribing. Exceptions thrown by tasks are captured, the
+// Re-entrancy: a run() issued from inside a task (nested parallelism)
+// executes inline on the thread running that task — a pool worker or
+// the publishing caller alike — rather than deadlocking or
+// over-subscribing. Exceptions thrown by tasks are captured, the
 // remaining tasks still run, and the first one is rethrown on the
 // caller after the job completes — matching the old loops' contract.
 #pragma once
@@ -51,8 +52,8 @@ class WorkerPool {
   /// Runs body(i) for every i in [0, tasks), using the calling thread
   /// plus up to max_workers - 1 pool threads (grown on demand). Blocks
   /// until all tasks finish; rethrows the first task exception.
-  /// tasks <= 1, max_workers <= 1, or a call from inside a pool task
-  /// all run inline on the caller.
+  /// tasks <= 1, max_workers <= 1, or a call from inside a running
+  /// task (on any thread) all run inline on the caller.
   void run(std::size_t tasks, std::size_t max_workers,
            const std::function<void(std::size_t)>& body);
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <set>
 
 namespace strat::bt {
@@ -199,6 +201,30 @@ std::optional<PieceId> reference_pick(const PiecePicker& picker, const Bitfield&
     --k;
   }
   return std::nullopt;
+}
+
+TEST(Bitfield, RandomMatchesThePerPieceBernoulliLoop) {
+  // The fill every constructor and arrival path used to spell out:
+  // one draw per piece, in piece order, set on success. The word-built
+  // bitfield must equal it bit for bit and leave the RNG in lockstep.
+  for (const std::size_t bits : {1u, 63u, 64u, 65u, 1000u, 1024u}) {
+    for (const double p : {0.0, 0.3, 0.5, 1.0}) {
+      graph::Rng a(7 + bits);
+      graph::Rng b(7 + bits);
+      const Bitfield got = Bitfield::random(bits, p, a);
+      Bitfield want(bits);
+      for (PieceId i = 0; i < bits; ++i) {
+        if (b.bernoulli(p)) want.set(i);
+      }
+      ASSERT_EQ(got.size(), bits);
+      EXPECT_EQ(got.count(), want.count()) << bits << " bits, p " << p;
+      EXPECT_TRUE(std::ranges::equal(got.words(), want.words())) << bits << " bits, p " << p;
+      const graph::Rng::State sa = a.state();
+      const graph::Rng::State sb = b.state();
+      EXPECT_TRUE(std::equal(std::begin(sa.s), std::end(sa.s), std::begin(sb.s)))
+          << "RNG divergence at " << bits << " bits, p " << p;
+    }
+  }
 }
 
 TEST(PiecePicker, PickMatchesScalarContractAtEveryDensity) {

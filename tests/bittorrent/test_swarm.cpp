@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "bittorrent/bandwidth.hpp"
+#include "bittorrent/reference_swarm.hpp"
 
 namespace strat::bt {
 namespace {
@@ -38,6 +42,53 @@ TEST(Swarm, Validation) {
   cfg = small_config();
   cfg.initial_completion = 1.0;
   EXPECT_THROW(Swarm(cfg, uniform_bandwidths(40), rng), std::invalid_argument);
+}
+
+// Every capacity entry point of both data planes applies one rule:
+// finite and positive, where the constructor also admits 0 kbps (a
+// leecher that never uploads). A NaN reaching the rank sort would be
+// undefined behaviour, and +inf an unbounded upload budget.
+template <typename Plane>
+void expect_capacity_entry_points_validated() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const SwarmConfig cfg = small_config();
+  for (const double bad : {nan, inf, -inf, -50.0}) {
+    std::vector<double> caps = uniform_bandwidths(40);
+    caps[17] = bad;
+    graph::Rng rng(3);
+    EXPECT_THROW(Plane(cfg, caps, rng), std::invalid_argument) << bad;
+  }
+  for (const double bad : {nan, inf, -inf}) {
+    SwarmConfig seeded = cfg;
+    seeded.seed_upload_kbps = bad;
+    graph::Rng rng(3);
+    EXPECT_THROW(Plane(seeded, uniform_bandwidths(40), rng), std::invalid_argument) << bad;
+  }
+  {
+    std::vector<double> caps = uniform_bandwidths(40);
+    caps[5] = 0.0;
+    graph::Rng rng(3);
+    EXPECT_NO_THROW(Plane(cfg, caps, rng));
+  }
+  graph::Rng rng(4);
+  Plane swarm(cfg, uniform_bandwidths(40), rng);
+  for (const double bad : {nan, inf, -inf, 0.0, -50.0}) {
+    EXPECT_THROW((void)swarm.join(bad), std::invalid_argument) << bad;
+    EXPECT_THROW((void)swarm.join(bad, Bitfield(cfg.num_pieces)), std::invalid_argument) << bad;
+    EXPECT_THROW(swarm.set_upload_capacity(3, bad), std::invalid_argument) << bad;
+  }
+  // Rejected calls leave the swarm as it was, and valid ones still land.
+  EXPECT_EQ(swarm.peer_count(), 41u);
+  EXPECT_EQ(swarm.stats(3).upload_kbps, uniform_bandwidths(40)[3]);
+  swarm.set_upload_capacity(3, 123.0);
+  EXPECT_EQ(swarm.stats(3).upload_kbps, 123.0);
+  EXPECT_EQ(swarm.join(250.0), 41u);
+}
+
+TEST(Swarm, CapacityEntryPointsRejectNonFiniteInBothPlanes) {
+  expect_capacity_entry_points_validated<Swarm>();
+  expect_capacity_entry_points_validated<ReferenceSwarm>();
 }
 
 TEST(Swarm, InitialStatePostFlashCrowd) {

@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -286,6 +287,16 @@ TEST(TrackerSim, RejectsInvalidConstruction) {
 
   // Empty ecosystem.
   EXPECT_THROW(TrackerSim(TrackerConfig{}, {}, capacities, 1), std::invalid_argument);
+
+  // Member capacities follow the swarm capacity rule: finite, positive.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), 0.0, -5.0}) {
+    auto bad_capacities = capacities;
+    bad_capacities[3] = bad;
+    EXPECT_THROW(TrackerSim(TrackerConfig{}, disjoint_seeds(2, 16), bad_capacities, 1),
+                 std::invalid_argument)
+        << bad;
+  }
 
   // retain_departed=false (reports cover departed peers).
   {

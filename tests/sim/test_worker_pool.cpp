@@ -88,6 +88,39 @@ TEST(WorkerPool, NestedRunExecutesInline) {
   EXPECT_EQ(mismatched_thread.load(), 0);
 }
 
+TEST(WorkerPool, NestedRunStaysInlineOnEveryThreadAcrossRepeats) {
+  // The publishing caller drains its own job too, so it runs outer
+  // tasks just like the workers. A nested run() from one of those tasks
+  // must stay inline as well: publishing it would replace the outer
+  // job, and idle workers would then run inner tasks on other threads.
+  // That race hits only some repeats, so the pattern is repeated.
+  WorkerPool pool;
+  std::atomic<int> inner_calls{0};
+  std::atomic<int> mismatched_thread{0};
+  const int repeats = 300;
+  for (int rep = 0; rep < repeats; ++rep) {
+    pool.run(8, 4, [&](std::size_t) {
+      const std::thread::id outer = std::this_thread::get_id();
+      pool.run(16, 4, [&](std::size_t) {
+        ++inner_calls;
+        if (std::this_thread::get_id() != outer) ++mismatched_thread;
+      });
+    });
+  }
+  EXPECT_EQ(inner_calls.load(), repeats * 8 * 16);
+  EXPECT_EQ(mismatched_thread.load(), 0);
+  EXPECT_LE(pool.spawned(), 3u) << "nested runs must never grow the pool";
+  // Outside any task the caller fans out again.
+  std::mutex mu;
+  std::set<std::thread::id> seen;
+  pool.run(64, 4, [&](std::size_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const std::lock_guard<std::mutex> lock(mu);
+    seen.insert(std::this_thread::get_id());
+  });
+  EXPECT_GE(seen.size(), 2u);
+}
+
 TEST(WorkerPool, PropagatesFirstExceptionAndStaysUsable) {
   WorkerPool pool;
   std::vector<std::atomic<int>> hits(32);
