@@ -26,8 +26,8 @@
 // runs are bitwise identical to the pre-fault simulator.
 //
 // FaultState is live run state and serializes as its own tagged
-// snapshot section (snapshot.cpp: write_faults/read_faults) under the
-// strat-lint R4 contract.
+// snapshot section (snapshot.cpp: fault_state_fields, its one field
+// list) under the strat-lint R4 contract.
 #pragma once
 
 #include <cstddef>
@@ -92,6 +92,8 @@ struct FaultSpec {
     for (std::size_t i = 1; i < failures && d < backoff_cap; ++i) d <<= 1;
     return d < backoff_cap ? d : backoff_cap;
   }
+
+  bool operator==(const FaultSpec&) const = default;
 };
 
 /// Live fault state. The flat plane indexes the per-peer vectors by

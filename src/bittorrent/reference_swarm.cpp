@@ -22,38 +22,13 @@ ReferenceSwarm::ReferenceSwarm(const SwarmConfig& config, std::vector<double> up
   for (const double kbps : upload_kbps) {
     detail::require_capacity(kbps, "ReferenceSwarm", /*allow_zero=*/true);
   }
-  if (!std::isfinite(config.seed_upload_kbps)) {
-    throw std::invalid_argument("ReferenceSwarm: seed_upload_kbps must be finite");
-  }
-  if (config.num_peers < 2) throw std::invalid_argument("ReferenceSwarm: need at least 2 peers");
-  if (config.num_pieces == 0 || config.piece_kb <= 0.0) {
-    throw std::invalid_argument("ReferenceSwarm: pieces must be positive");
-  }
-  if (config.initial_completion < 0.0 || config.initial_completion >= 1.0) {
-    throw std::invalid_argument("ReferenceSwarm: initial_completion in [0, 1)");
-  }
-  if (!config.tft_slots_per_peer.empty() &&
-      config.tft_slots_per_peer.size() != config.num_peers) {
-    throw std::invalid_argument("ReferenceSwarm: tft_slots_per_peer needs one entry per leecher");
-  }
+  detail::validate_config(config, "ReferenceSwarm");
   if (!config.retain_departed) {
     // The oracle keeps every peer's state forever by design; accepting
     // the flag would silently diverge from the flat plane's
     // aggregates-only semantics (dropped retired pairs, live-only rank
     // normalization) and break the bitwise differential contract.
     throw std::invalid_argument("ReferenceSwarm: retain_departed=false is unsupported");
-  }
-  const FaultSpec& fspec = config.faults;
-  if (fspec.connect_failure_prob < 0.0 || fspec.connect_failure_prob > 1.0 ||
-      fspec.nat_fraction < 0.0 || fspec.nat_fraction > 1.0 || fspec.lane_loss_prob < 0.0 ||
-      fspec.lane_loss_prob > 1.0) {
-    throw std::invalid_argument("ReferenceSwarm: fault probabilities must be in [0, 1]");
-  }
-  if (fspec.connect_attempts == 0) {
-    throw std::invalid_argument("ReferenceSwarm: faults.connect_attempts must be >= 1");
-  }
-  if (fspec.backoff_base == 0 || fspec.backoff_cap < fspec.backoff_base) {
-    throw std::invalid_argument("ReferenceSwarm: faults.backoff_cap >= backoff_base >= 1 required");
   }
   // Same single structural draw as Swarm, at the same point, so both
   // planes key identical per-peer choke streams.
@@ -83,9 +58,9 @@ ReferenceSwarm::ReferenceSwarm(const SwarmConfig& config, std::vector<double> up
   // before the init walk below, which can depart complete leechers.
   for (std::size_t p = 0; p < total; ++p) {
     const bool nat =
-        fspec.nat_fraction > 0.0 &&
+        config.faults.nat_fraction > 0.0 &&
         graph::Rng::stream(choke_key_ ^ kFaultNatSalt, static_cast<core::PeerId>(p), 0)
-            .bernoulli(fspec.nat_fraction);
+            .bernoulli(config.faults.nat_fraction);
     faults_.add_peer(nat);
   }
 

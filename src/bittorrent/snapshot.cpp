@@ -170,8 +170,9 @@ constexpr std::uint32_t kTagRetired = 7;
 constexpr std::uint32_t kTagAvail = 8;
 /// Live fault state (Swarm::faults_, row order): nat_, retry_round_,
 /// retry_count_, announce_seq_, plus the run-total fault counters.
-/// Serialized even with faults disabled (all-empty vectors, zero
-/// counters) so the section layout never depends on config.
+/// Serialized even with faults disabled (row-sized, all-default
+/// vectors, zero counters) so the section layout never depends on
+/// config.
 constexpr std::uint32_t kTagFaults = 9;
 
 // Allocation guards for length-prefixed vectors: generous multiples of
@@ -183,168 +184,92 @@ constexpr std::size_t kMaxSlots = std::size_t{1} << 33;
 // (picker, per-row bitfields) are allocated.
 constexpr std::size_t kMaxPieces = std::size_t{1} << 24;
 
-void write_config(Writer& w, const SwarmConfig& c) {
-  w.tag(kTagConfig);
-  w.u64(c.num_peers);
-  w.u64(c.seeds);
-  w.u64(c.num_pieces);
-  w.f64(c.piece_kb);
-  w.u64(c.tft_slots);
-  w.u64(c.optimistic_rounds);
-  w.f64(c.round_seconds);
-  w.f64(c.neighbor_degree);
-  w.u8(c.post_flashcrowd ? 1 : 0);
-  w.f64(c.initial_completion);
-  w.u8(c.stay_as_seed ? 1 : 0);
-  w.f64(c.seed_upload_kbps);
-  w.f64(c.rate_smoothing);
-  w.pod_span(c.tft_slots_per_peer.data(), c.tft_slots_per_peer.size());
-  w.u8(c.endgame ? 1 : 0);
-  w.u8(c.retain_departed ? 1 : 0);
-  w.u64(c.threads);
-  w.u64(c.faults.outage_period);
-  w.u64(c.faults.outage_duration);
-  w.u64(c.faults.outage_phase);
-  w.f64(c.faults.connect_failure_prob);
-  w.u64(c.faults.connect_attempts);
-  w.f64(c.faults.nat_fraction);
-  w.f64(c.faults.lane_loss_prob);
-  w.u64(c.faults.backoff_base);
-  w.u64(c.faults.backoff_cap);
+// The Swarm's record field lists (see snapshot.hpp); `T` is const on
+// the Writer and Sizer sides.
+
+/// SwarmConfig, its FaultSpec last.
+template <class Io, class T>
+void swarm_config_fields(Io& io, T& c) {
+  io.u64(c.num_peers);
+  io.u64(c.seeds);
+  io.u64(c.num_pieces);
+  io.f64(c.piece_kb);
+  io.u64(c.tft_slots);
+  io.u64(c.optimistic_rounds);
+  io.f64(c.round_seconds);
+  io.f64(c.neighbor_degree);
+  io.flag(c.post_flashcrowd);
+  io.f64(c.initial_completion);
+  io.flag(c.stay_as_seed);
+  io.f64(c.seed_upload_kbps);
+  io.f64(c.rate_smoothing);
+  io.pod(c.tft_slots_per_peer, kMaxPeersEver, "tft_slots_per_peer");
+  io.flag(c.endgame);
+  io.flag(c.retain_departed);
+  io.u64(c.threads);
+  io.u64(c.faults.outage_period);
+  io.u64(c.faults.outage_duration);
+  io.u64(c.faults.outage_phase);
+  io.f64(c.faults.connect_failure_prob);
+  io.u64(c.faults.connect_attempts);
+  io.f64(c.faults.nat_fraction);
+  io.f64(c.faults.lane_loss_prob);
+  io.u64(c.faults.backoff_base);
+  io.u64(c.faults.backoff_cap);
 }
 
-SwarmConfig read_config(Reader& r) {
-  r.expect_tag(kTagConfig, "config");
-  SwarmConfig c;
-  c.num_peers = static_cast<std::size_t>(r.u64());
-  c.seeds = static_cast<std::size_t>(r.u64());
-  c.num_pieces = static_cast<std::size_t>(r.u64());
-  c.piece_kb = r.f64();
-  c.tft_slots = static_cast<std::size_t>(r.u64());
-  c.optimistic_rounds = static_cast<std::size_t>(r.u64());
-  c.round_seconds = r.f64();
-  c.neighbor_degree = r.f64();
-  c.post_flashcrowd = r.u8() != 0;
-  c.initial_completion = r.f64();
-  c.stay_as_seed = r.u8() != 0;
-  c.seed_upload_kbps = r.f64();
-  c.rate_smoothing = r.f64();
-  c.tft_slots_per_peer = r.pod_vec<std::size_t>(kMaxPeersEver, "tft_slots_per_peer");
-  c.endgame = r.u8() != 0;
-  c.retain_departed = r.u8() != 0;
-  c.threads = static_cast<std::size_t>(r.u64());
-  c.faults.outage_period = static_cast<std::size_t>(r.u64());
-  c.faults.outage_duration = static_cast<std::size_t>(r.u64());
-  c.faults.outage_phase = static_cast<std::size_t>(r.u64());
-  c.faults.connect_failure_prob = r.f64();
-  c.faults.connect_attempts = static_cast<std::size_t>(r.u64());
-  c.faults.nat_fraction = r.f64();
-  c.faults.lane_loss_prob = r.f64();
-  c.faults.backoff_base = static_cast<std::size_t>(r.u64());
-  c.faults.backoff_cap = static_cast<std::size_t>(r.u64());
-  return c;
+template <class Io, class T>
+void peer_stats_fields(Io& io, T& s) {
+  io.f64(s.upload_kbps);
+  io.f64(s.uploaded_kb);
+  io.f64(s.downloaded_kb);
+  io.u64(s.pieces);
+  io.f64(s.completion_round);
+  io.flag(s.seed);
+  io.f64(s.join_round);
+  io.f64(s.leave_round);
 }
 
-/// The resume() config-override contract: every simulation-semantic
-/// field must match the checkpointed config bitwise; only `threads`
-/// (which cannot change results, just wall clock) may differ.
-void check_config_override(const SwarmConfig& stored, const SwarmConfig& override_config) {
-  const bool same = stored.num_peers == override_config.num_peers &&
-                    stored.seeds == override_config.seeds &&
-                    stored.num_pieces == override_config.num_pieces &&
-                    stored.piece_kb == override_config.piece_kb &&
-                    stored.tft_slots == override_config.tft_slots &&
-                    stored.optimistic_rounds == override_config.optimistic_rounds &&
-                    stored.round_seconds == override_config.round_seconds &&
-                    stored.neighbor_degree == override_config.neighbor_degree &&
-                    stored.post_flashcrowd == override_config.post_flashcrowd &&
-                    stored.initial_completion == override_config.initial_completion &&
-                    stored.stay_as_seed == override_config.stay_as_seed &&
-                    stored.seed_upload_kbps == override_config.seed_upload_kbps &&
-                    stored.rate_smoothing == override_config.rate_smoothing &&
-                    stored.tft_slots_per_peer == override_config.tft_slots_per_peer &&
-                    stored.endgame == override_config.endgame &&
-                    stored.retain_departed == override_config.retain_departed &&
-                    stored.faults.outage_period == override_config.faults.outage_period &&
-                    stored.faults.outage_duration == override_config.faults.outage_duration &&
-                    stored.faults.outage_phase == override_config.faults.outage_phase &&
-                    stored.faults.connect_failure_prob ==
-                        override_config.faults.connect_failure_prob &&
-                    stored.faults.connect_attempts == override_config.faults.connect_attempts &&
-                    stored.faults.nat_fraction == override_config.faults.nat_fraction &&
-                    stored.faults.lane_loss_prob == override_config.faults.lane_loss_prob &&
-                    stored.faults.backoff_base == override_config.faults.backoff_base &&
-                    stored.faults.backoff_cap == override_config.faults.backoff_cap;
-  if (!same) {
-    throw SnapshotError(
-        "snapshot: config override differs from the checkpointed config "
-        "in a simulation-semantic field (only `threads` may change)");
-  }
+/// TftChoker::State.
+template <class Io, class T>
+void choker_state_fields(Io& io, T& cs) {
+  io.u64(cs.tft_slots);
+  io.u64(cs.optimistic_rounds);
+  io.u64(cs.rounds_since_rotation);
+  io.u32(cs.optimistic);
 }
 
-void write_stats(Writer& w, const PeerStats& s) {
-  w.f64(s.upload_kbps);
-  w.f64(s.uploaded_kb);
-  w.f64(s.downloaded_kb);
-  w.u64(s.pieces);
-  w.f64(s.completion_round);
-  w.u8(s.seed ? 1 : 0);
-  w.f64(s.join_round);
-  w.f64(s.leave_round);
+/// The kTagFaults section body, rows in kTagPeers order.
+template <class Io, class T>
+void fault_state_fields(Io& io, T& fs) {
+  io.pod(fs.nat_, kMaxPeersEver, "nat flag");
+  io.pod(fs.retry_round_, kMaxPeersEver, "retry round");
+  io.pod(fs.retry_count_, kMaxPeersEver, "retry count");
+  io.pod(fs.announce_seq_, kMaxPeersEver, "announce sequence");
+  io.u64(fs.failed_announces_);
+  io.u64(fs.announce_retries_);
+  io.u64(fs.connect_failures_);
+  io.u64(fs.nat_rejections_);
+  io.u64(fs.lost_lanes_);
 }
 
-PeerStats read_stats(Reader& r) {
-  PeerStats s;
-  s.upload_kbps = r.f64();
-  s.uploaded_kb = r.f64();
-  s.downloaded_kb = r.f64();
-  s.pieces = static_cast<std::size_t>(r.u64());
-  s.completion_round = r.f64();
-  s.seed = r.u8() != 0;
-  s.join_round = r.f64();
-  s.leave_round = r.f64();
-  return s;
+/// One partial piece of a row: (piece, KB accumulated).
+template <class Io, class T>
+void partial_piece_fields(Io& io, T& e) {
+  io.u32(e.first);
+  io.f64(e.second);
 }
 
-/// The kTagFaults section: per-row fault vectors (nat_, retry_round_,
-/// retry_count_, announce_seq_) in the same row order as kTagPeers,
-/// then the five run-total counters (failed_announces_,
-/// announce_retries_, connect_failures_, nat_rejections_,
-/// lost_lanes_). Written unconditionally — with faults off the vectors
-/// are still row-sized (all-default) so the loader's size checks stay
-/// uniform.
-void write_faults(Writer& w, const FaultState& fs) {
-  w.tag(kTagFaults);
-  w.pod_span(fs.nat_.data(), fs.nat_.size());
-  w.pod_span(fs.retry_round_.data(), fs.retry_round_.size());
-  w.pod_span(fs.retry_count_.data(), fs.retry_count_.size());
-  w.pod_span(fs.announce_seq_.data(), fs.announce_seq_.size());
-  w.u64(fs.failed_announces_);
-  w.u64(fs.announce_retries_);
-  w.u64(fs.connect_failures_);
-  w.u64(fs.nat_rejections_);
-  w.u64(fs.lost_lanes_);
+/// One retired pair: (min<<32|max key, mutual rounds).
+template <class Io, class T>
+void retired_pair_fields(Io& io, T& e) {
+  io.u64(e.first);
+  io.u32(e.second);
 }
 
-void read_faults(Reader& r, FaultState& fs, std::size_t rows) {
-  r.expect_tag(kTagFaults, "faults");
-  fs.nat_ = r.pod_vec<std::uint8_t>(rows, "nat flag");
-  fs.retry_round_ = r.pod_vec<std::uint32_t>(rows, "retry round");
-  fs.retry_count_ = r.pod_vec<std::uint32_t>(rows, "retry count");
-  fs.announce_seq_ = r.pod_vec<std::uint32_t>(rows, "announce sequence");
-  if (fs.nat_.size() != rows || fs.retry_round_.size() != rows ||
-      fs.retry_count_.size() != rows || fs.announce_seq_.size() != rows) {
-    throw SnapshotError("snapshot: fault-state array size mismatch");
-  }
-  for (const std::uint8_t flag : fs.nat_) {
-    if (flag > 1) throw SnapshotError("snapshot: invalid NAT flag");
-  }
-  fs.failed_announces_ = r.u64();
-  fs.announce_retries_ = r.u64();
-  fs.connect_failures_ = r.u64();
-  fs.nat_rejections_ = r.u64();
-  fs.lost_lanes_ = r.u64();
-}
+// The list element field lists as list() callables.
+constexpr auto kPartialPiece = [](auto& io, auto& e) { partial_piece_fields(io, e); };
+constexpr auto kRetiredPair = [](auto& io, auto& e) { retired_pair_fields(io, e); };
 
 std::vector<std::uint32_t> to_u32(const std::vector<std::size_t>& v, const char* what) {
   std::vector<std::uint32_t> out;
@@ -377,23 +302,29 @@ void Swarm::save(std::string& out) const {
 }
 
 std::size_t Swarm::snapshot_byte_bound() const {
-  const std::size_t rows = table_.size();
-  const std::size_t pool = edge_peer_.size();
-  const std::size_t bitfield_bytes = ((config_.num_pieces + 63) / 64) * 8;
-  // Per-element constants round the actual field widths up, never
-  // down — the bound must be an upper bound or one mid-save doubling
-  // re-copies the whole buffer anyway. Slack covers headers, tags and
-  // length prefixes.
-  std::size_t b = 1024 + config_.tft_slots_per_peer.size() * 8;
-  b += rows * 16;                          // live ids + row generations
-  b += pool * 48 + free_slots_.size() * 8; // edge-slot pool arrays
-  b += rows * (64 + bitfield_bytes + 28 + 24);  // stats, bitfield, choker, prefixes
-  for (std::size_t r = 0; r < rows; ++r) {
-    b += unchoked_[r].size() * 4 + nbr_[r].size() * 8 + partial_[r].size() * 12;
+  // Every record is counted by its own field list, the arrays by their
+  // element widths (the slot pool rounded up to 48 bytes a slot). The
+  // bound must never fall short, or one mid-save doubling re-copies the
+  // whole buffer. Slack covers the header, tags and length prefixes.
+  snapshot_detail::Sizer z;
+  swarm_config_fields(z, config_);
+  for (const PeerStats& st : stats_) peer_stats_fields(z, st);
+  for (const TftChoker& choker : chokers_) {
+    const TftChoker::State cs = choker.state();
+    choker_state_fields(z, cs);
   }
-  b += retired_stats_.size() * 72 + retired_mutual_.size() * 12 + 64;
-  b += static_cast<std::size_t>(config_.num_pieces) * 4 + 32;
-  b += rows * 13 + 5 * 8 + 64;  // fault state: 4 per-row arrays + counters
+  for (const auto& partial : partial_) z.list(partial, 0, nullptr, kPartialPiece);
+  for (const PeerStats& st : retired_stats_) peer_stats_fields(z, st);
+  z.list(retired_mutual_, 0, nullptr, kRetiredPair);
+  fault_state_fields(z, faults_);
+
+  const std::size_t rows = table_.size();
+  const std::size_t bitfield_bytes = ((config_.num_pieces + 63) / 64) * 8;
+  std::size_t b = 1024 + z.size();
+  b += rows * (16 + bitfield_bytes + 16);  // id + generation, bitfield, two prefixes
+  b += edge_peer_.size() * 48 + free_slots_.size() * 8;  // edge-slot pool arrays
+  for (std::size_t r = 0; r < rows; ++r) b += unchoked_[r].size() * 4 + nbr_[r].size() * 8;
+  b += retired_stats_.size() * 4 + static_cast<std::size_t>(config_.num_pieces) * 4;
   return b;
 }
 
@@ -401,14 +332,13 @@ void Swarm::save_impl(Writer& w) const {
   w.u64(kSnapshotMagic);
   w.u32(kSnapshotVersion);
 
-  write_config(w, config_);
+  w.tag(kTagConfig);
+  swarm_config_fields(w, config_);
 
   w.tag(kTagRng);
   w.u64(choke_key_);
   const graph::Rng::State rng_state = rng_.state();
-  for (const std::uint64_t word : rng_state.s) w.u64(word);
-  w.f64(rng_state.cached_normal);
-  w.u8(rng_state.has_cached_normal ? 1 : 0);
+  snapshot_detail::rng_state_fields(w, rng_state);
 
   w.tag(kTagTable);
   w.u64(table_.id_space());
@@ -448,17 +378,14 @@ void Swarm::save_impl(Writer& w) const {
   w.tag(kTagPeers);
   const std::size_t rows = table_.size();
   w.u64(rows);
-  for (std::size_t r = 0; r < rows; ++r) write_stats(w, stats_[r]);
+  for (std::size_t r = 0; r < rows; ++r) peer_stats_fields(w, stats_[r]);
   for (std::size_t r = 0; r < rows; ++r) {
     const auto words = have_[r].words();
     w.bytes(words.data(), words.size() * sizeof(std::uint64_t));
   }
   for (std::size_t r = 0; r < rows; ++r) {
     const TftChoker::State cs = chokers_[r].state();
-    w.u64(cs.tft_slots);
-    w.u64(cs.optimistic_rounds);
-    w.u64(cs.rounds_since_rotation);
-    w.u32(cs.optimistic);
+    choker_state_fields(w, cs);
   }
   for (std::size_t r = 0; r < rows; ++r) w.pod_span(unchoked_[r].data(), unchoked_[r].size());
   for (std::size_t r = 0; r < rows; ++r) {
@@ -467,11 +394,7 @@ void Swarm::save_impl(Writer& w) const {
     w.bytes(slots32.data(), slots32.size() * sizeof(std::uint32_t));
   }
   for (std::size_t r = 0; r < rows; ++r) {
-    w.u64(partial_[r].size());
-    for (const auto& [piece, kb] : partial_[r]) {
-      w.u32(piece);
-      w.f64(kb);
-    }
+    w.list(partial_[r], config_.num_pieces, "partial piece", kPartialPiece);
   }
 
   // Retired records, retirement order. The id->index map is stored as
@@ -483,12 +406,8 @@ void Swarm::save_impl(Writer& w) const {
     if (retired_ix_[id] != kNoRetired) retired_order[retired_ix_[id]] = static_cast<core::PeerId>(id);
   }
   w.pod_span(retired_order.data(), retired_order.size());
-  for (const PeerStats& s : retired_stats_) write_stats(w, s);
-  w.u64(retired_mutual_.size());
-  for (const auto& [key, mutual] : retired_mutual_) {
-    w.u64(key);
-    w.u32(mutual);
-  }
+  for (const PeerStats& s : retired_stats_) peer_stats_fields(w, s);
+  w.list(retired_mutual_, kMaxSlots, "retired pair", kRetiredPair);
 
   // Piece-availability cross-check: derived state (the sum of live
   // bitfields), serialized anyway so the loader can prove the
@@ -497,7 +416,8 @@ void Swarm::save_impl(Writer& w) const {
   w.u64(config_.num_pieces);
   for (PieceId piece = 0; piece < config_.num_pieces; ++piece) w.u32(picker_.availability(piece));
 
-  write_faults(w, faults_);
+  w.tag(kTagFaults);
+  fault_state_fields(w, faults_);
 
   w.finish();
 }
@@ -518,24 +438,34 @@ Swarm Swarm::resume_impl(std::istream& in, graph::Rng& rng, const SwarmConfig* o
                           " (this build reads version " + std::to_string(kSnapshotVersion) + ")");
     }
 
-    SwarmConfig cfg = read_config(r);
-    if (cfg.num_peers < 2 || cfg.num_pieces == 0 || cfg.piece_kb <= 0.0 ||
-        cfg.num_pieces > kMaxPieces || cfg.num_peers + cfg.seeds > kMaxPeersEver) {
-      throw SnapshotError("snapshot: invalid config");
+    r.expect_tag(kTagConfig, "config");
+    SwarmConfig stored;
+    swarm_config_fields(r, stored);
+    // The constructor's rules, then the format's allocation limits —
+    // both before the config sizes anything.
+    detail::validate_config(stored, "snapshot config");
+    if (stored.num_pieces > kMaxPieces || stored.num_peers + stored.seeds > kMaxPeersEver) {
+      throw SnapshotError("snapshot: config beyond the format limits");
     }
+    // The override contract: every simulation-semantic field must equal
+    // the checkpointed one; only `threads` (wall clock, never results)
+    // may differ.
     if (override_config != nullptr) {
-      check_config_override(cfg, *override_config);
-      cfg.threads = override_config->threads;
+      stored.threads = override_config->threads;
+      if (stored != *override_config) {
+        throw SnapshotError(
+            "snapshot: config override differs from the checkpointed config "
+            "in a simulation-semantic field (only `threads` may change)");
+      }
     }
 
-    Swarm s(ResumeTag{}, cfg, rng);
+    Swarm s(ResumeTag{}, stored, rng);
+    const SwarmConfig& cfg = s.config_;
 
     r.expect_tag(kTagRng, "rng");
     s.choke_key_ = r.u64();
     graph::Rng::State rng_state;
-    for (std::uint64_t& word : rng_state.s) word = r.u64();
-    rng_state.cached_normal = r.f64();
-    rng_state.has_cached_normal = r.u8() != 0;
+    snapshot_detail::rng_state_fields(r, rng_state);
 
     r.expect_tag(kTagTable, "table");
     const auto id_space = static_cast<std::size_t>(r.u64());
@@ -592,8 +522,8 @@ Swarm Swarm::resume_impl(std::istream& in, graph::Rng& rng, const SwarmConfig* o
     if (static_cast<std::size_t>(r.u64()) != rows) {
       throw SnapshotError("snapshot: per-row state size mismatch");
     }
-    s.stats_.reserve(rows);
-    for (std::size_t row = 0; row < rows; ++row) s.stats_.push_back(read_stats(r));
+    s.stats_.resize(rows);
+    for (PeerStats& st : s.stats_) peer_stats_fields(r, st);
     const std::size_t words_per_peer = (cfg.num_pieces + 63) / 64;
     s.have_.reserve(rows);
     for (std::size_t row = 0; row < rows; ++row) {
@@ -604,10 +534,7 @@ Swarm Swarm::resume_impl(std::istream& in, graph::Rng& rng, const SwarmConfig* o
     s.chokers_.reserve(rows);
     for (std::size_t row = 0; row < rows; ++row) {
       TftChoker::State cs;
-      cs.tft_slots = static_cast<std::size_t>(r.u64());
-      cs.optimistic_rounds = static_cast<std::size_t>(r.u64());
-      cs.rounds_since_rotation = static_cast<std::size_t>(r.u64());
-      cs.optimistic = r.u32();
+      choker_state_fields(r, cs);
       if (cs.optimistic_rounds == 0) throw SnapshotError("snapshot: zero optimistic rounds");
       s.chokers_.push_back(TftChoker::from_state(cs));
     }
@@ -624,35 +551,16 @@ Swarm Swarm::resume_impl(std::istream& in, graph::Rng& rng, const SwarmConfig* o
       s.nbr_.push_back(std::move(nbrs));
       s.nslot_.push_back(to_size(slots32));
     }
-    s.partial_.reserve(rows);
-    for (std::size_t row = 0; row < rows; ++row) {
-      const auto count = static_cast<std::size_t>(r.u64());
-      if (count > cfg.num_pieces) throw SnapshotError("snapshot: implausible partial count");
-      std::vector<std::pair<PieceId, double>> partial;
-      partial.reserve(count);
-      for (std::size_t i = 0; i < count; ++i) {
-        const PieceId piece = r.u32();
-        const double kb = r.f64();
-        partial.emplace_back(piece, kb);
-      }
-      s.partial_.push_back(std::move(partial));
+    s.partial_.resize(rows);
+    for (auto& partial : s.partial_) {
+      r.list(partial, cfg.num_pieces, "partial piece", kPartialPiece);
     }
 
     r.expect_tag(kTagRetired, "retired");
     auto retired_order = r.pod_vec<core::PeerId>(id_space, "retired id");
-    std::vector<PeerStats> retired_stats;
-    retired_stats.reserve(retired_order.size());
-    for (std::size_t i = 0; i < retired_order.size(); ++i) retired_stats.push_back(read_stats(r));
-    const auto retired_mutual_count = static_cast<std::size_t>(r.u64());
-    if (retired_mutual_count > kMaxSlots) {
-      throw SnapshotError("snapshot: implausible retired-pair count");
-    }
-    s.retired_mutual_.reserve(retired_mutual_count);
-    for (std::size_t i = 0; i < retired_mutual_count; ++i) {
-      const std::uint64_t key = r.u64();
-      const std::uint32_t mutual = r.u32();
-      s.retired_mutual_.emplace_back(key, mutual);
-    }
+    std::vector<PeerStats> retired_stats(retired_order.size());
+    for (PeerStats& st : retired_stats) peer_stats_fields(r, st);
+    r.list(s.retired_mutual_, kMaxSlots, "retired pair", kRetiredPair);
 
     r.expect_tag(kTagAvail, "availability");
     if (static_cast<std::size_t>(r.u64()) != cfg.num_pieces) {
@@ -664,7 +572,16 @@ Swarm Swarm::resume_impl(std::istream& in, graph::Rng& rng, const SwarmConfig* o
     // match exactly.
     for (std::uint32_t& avail : stored_avail) avail = r.u32();
 
-    read_faults(r, s.faults_, rows);
+    r.expect_tag(kTagFaults, "faults");
+    fault_state_fields(r, s.faults_);
+    const FaultState& fs = s.faults_;
+    if (fs.nat_.size() != rows || fs.retry_round_.size() != rows ||
+        fs.retry_count_.size() != rows || fs.announce_seq_.size() != rows) {
+      throw SnapshotError("snapshot: fault-state array size mismatch");
+    }
+    for (const std::uint8_t flag : fs.nat_) {
+      if (flag > 1) throw SnapshotError("snapshot: invalid NAT flag");
+    }
 
     r.verify_checksum();
 

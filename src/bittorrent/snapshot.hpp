@@ -28,11 +28,19 @@
 //   backoff deadline intact) — closed by a 64-bit running checksum of
 //   every byte written.
 //
+// Each record inside a section is encoded by exactly one field list, a
+// `<record>_fields(io, record)` template (snapshot.cpp; rng_state_fields
+// and churn_deadline_fields below; tracker_sim.cpp), driven through the
+// Writer, the Reader and the byte-counting Sizer, so save, load and the
+// save-buffer bound cannot disagree about a field.
+//
 // Loading rejects bad magic, unknown versions, truncation, checksum
-// mismatches and any structurally inconsistent state (every index is
-// bounds-checked before the swarm is wired together), throwing
-// SnapshotError with a message naming the failure; a corrupt snapshot
-// can never produce a swarm with broken invariants, let alone UB.
+// mismatches, a config the constructors would refuse, list counts the
+// remaining bytes cannot hold, and any structurally inconsistent state
+// (every index is bounds-checked before the swarm is wired together),
+// throwing SnapshotError with a message naming the failure; a corrupt
+// snapshot can never produce a swarm with broken invariants, let alone
+// UB.
 // Deliberately *not* serialized: phase-profile wall clocks, per-worker
 // scratch buffers, and the transient per-round accumulators that are
 // provably zero between rounds (now_in_/now_out_) — none of them feed
@@ -131,6 +139,29 @@ inline std::uint64_t fold_bytes(std::uint64_t hash, const void* data, std::size_
   return hash;
 }
 
+/// Byte counter with the Writer's field interface: a field list driven
+/// through it yields the exact encoded size of a record.
+class Sizer {
+ public:
+  void u32(std::uint32_t /*v*/) { n_ += 4; }
+  void u64(std::uint64_t /*v*/) { n_ += 8; }
+  void f64(double /*v*/) { n_ += 8; }
+  void flag(bool /*v*/) { n_ += 1; }
+  template <typename T>
+  void pod(const std::vector<T>& v, std::size_t /*max*/, const char* /*what*/) {
+    n_ += 8 + v.size() * sizeof(T);
+  }
+  template <typename Range, typename Elem>
+  void list(const Range& v, std::size_t /*max*/, const char* /*what*/, Elem elem) {
+    n_ += 8;
+    for (const auto& x : v) elem(*this, x);
+  }
+  [[nodiscard]] std::size_t size() const noexcept { return n_; }
+
+ private:
+  std::size_t n_ = 0;
+};
+
 /// Checksummed little-endian binary writer. Small writes coalesce into
 /// an internal buffer (one ostream call per ~64 KB, not per field);
 /// the string-sink constructor appends straight to the string instead,
@@ -165,11 +196,24 @@ class Writer {
   }
   void tag(std::uint32_t t) { u32(t); }
 
+  void flag(bool v) { u8(v ? 1 : 0); }
+
   /// Length-prefixed contiguous POD span (no internal padding!).
   template <typename T>
   void pod_span(const T* data, std::size_t n) {
     u64(n);
     bytes(data, n * sizeof(T));
+  }
+  /// Field-list form of pod_span(); `max` and `what` serve the Reader.
+  template <typename T>
+  void pod(const std::vector<T>& v, std::size_t /*max*/, const char* /*what*/) {
+    pod_span(v.data(), v.size());
+  }
+  /// Count-prefixed list, each element written by `elem(*this, x)`.
+  template <typename Range, typename Elem>
+  void list(const Range& v, std::size_t /*max*/, const char* /*what*/, Elem elem) {
+    u64(v.size());
+    for (const auto& x : v) elem(*this, x);
   }
 
   /// Writes the checksum footer and flushes. Must be the last call.
@@ -226,6 +270,16 @@ class Reader {
   }
   void expect_tag(std::uint32_t t, const char* section);
 
+  // Field-list forms: read into the named field.
+  void u32(std::uint32_t& v) { v = u32(); }
+  void u64(std::uint64_t& v) { v = u64(); }
+  void f64(double& v) { v = f64(); }
+  void flag(bool& v) { v = u8() != 0; }
+  template <typename T>
+  void pod(std::vector<T>& v, std::size_t max_elems, const char* what) {
+    v = pod_vec<T>(max_elems, what);
+  }
+
   /// Length-prefixed POD vector. A corrupt length field cannot force a
   /// giant allocation: on a seekable stream the prefix is checked
   /// against the bytes actually remaining before anything is sized (so
@@ -249,7 +303,7 @@ class Reader {
       out.resize(n);
       raw_read(out.data(), n * sizeof(T));
     } else {
-      const std::size_t chunk = std::max<std::size_t>(1, (std::size_t{1} << 20) / sizeof(T));
+      const std::size_t chunk = chunk_elems<T>();
       out.reserve(std::min(n, chunk));
       while (out.size() < n) {
         const std::size_t take = std::min(chunk, n - out.size());
@@ -263,9 +317,39 @@ class Reader {
     return out;
   }
 
+  /// Count-prefixed list, each element read by `elem(*this, x)`. The
+  /// count is checked against `max_elems` and then, before anything is
+  /// sized, against the bytes remaining at the element's minimum
+  /// encoded width (a Sizer over a default element, whose own lists
+  /// are empty). On a non-seekable stream at most one ~1 MB chunk is
+  /// reserved up front, as in pod_vec(), and a lying count dies on the
+  /// first short read.
+  template <typename T, typename Elem>
+  void list(std::vector<T>& v, std::size_t max_elems, const char* what, Elem elem) {
+    const std::uint64_t n = u64();
+    if (n > max_elems) {
+      throw SnapshotError(std::string("snapshot: implausible ") + what + " count");
+    }
+    const auto count = static_cast<std::size_t>(n);
+    const T probe{};
+    Sizer min_width;
+    elem(min_width, probe);
+    if (remaining_known_ && n > remaining_ / min_width.size()) {
+      throw SnapshotError(std::string("snapshot: ") + what + " count exceeds the stream");
+    }
+    v.clear();
+    v.reserve(remaining_known_ ? count : std::min(count, chunk_elems<T>()));
+    for (std::size_t i = 0; i < count; ++i) elem(*this, v.emplace_back());
+  }
+
   void verify_checksum();
 
  private:
+  /// Elements per ~1 MB growth step on a non-seekable stream.
+  template <typename T>
+  static constexpr std::size_t chunk_elems() {
+    return std::max<std::size_t>(1, (std::size_t{1} << 20) / sizeof(T));
+  }
   /// Reads without folding (pod_vec folds the assembled buffer once);
   /// small reads come straight out of the read-ahead buffer.
   void raw_read(void* data, std::size_t n) {
@@ -296,6 +380,28 @@ class Reader {
   std::size_t rend_ = 0;
 };
 
+/// Bound on a ChurnDriver's deadline count (one per live leecher).
+inline constexpr std::size_t kMaxChurnDeadlines = std::size_t{1} << 32;
+
+/// graph::Rng::State: the xoshiro words and the Box-Muller cache.
+/// Shared by the swarm and tracker snapshots.
+template <class Io, class T>
+void rng_state_fields(Io& io, T& st) {
+  for (auto& word : st.s) io.u64(word);
+  io.f64(st.cached_normal);
+  io.flag(st.has_cached_normal);
+}
+
+/// One ChurnDriver lifetime deadline: (external id, deadline round).
+template <class Io, class T>
+void churn_deadline_fields(Io& io, T& d) {
+  io.u32(d.first);
+  io.f64(d.second);
+}
+
+/// churn_deadline_fields as a list() element callable.
+inline constexpr auto kChurnDeadline = [](auto& io, auto& d) { churn_deadline_fields(io, d); };
+
 }  // namespace snapshot_detail
 
 /// Serializes a ChurnDriver's mutable state (sorted lifetime
@@ -310,12 +416,8 @@ void save_churn_driver(std::ostream& out, const ChurnDriver<SwarmT>& driver) {
   snapshot_detail::Writer w(out);
   w.u64(kChurnMagic);
   w.u32(kSnapshotVersion);
-  const auto deadlines = driver.deadline_snapshot();
-  w.u64(deadlines.size());
-  for (const auto& [peer, deadline] : deadlines) {
-    w.u32(peer);
-    w.f64(deadline);
-  }
+  w.list(driver.deadline_snapshot(), snapshot_detail::kMaxChurnDeadlines, "churn deadline",
+         snapshot_detail::kChurnDeadline);
   w.u64(driver.capacity_cursor());
   w.finish();
   if (!out) throw SnapshotError("churn snapshot: stream write failed");
@@ -333,17 +435,13 @@ void restore_churn_driver(std::istream& in, ChurnDriver<SwarmT>& driver) {
   if (version != kSnapshotVersion) {
     throw SnapshotError("churn snapshot: unsupported version " + std::to_string(version));
   }
-  const std::uint64_t n = r.u64();
-  if (n > (std::uint64_t{1} << 32)) throw SnapshotError("churn snapshot: implausible deadline count");
   std::vector<std::pair<core::PeerId, double>> deadlines;
-  deadlines.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const core::PeerId peer = r.u32();
-    const double deadline = r.f64();
-    if (!deadlines.empty() && peer <= deadlines.back().first) {
+  r.list(deadlines, snapshot_detail::kMaxChurnDeadlines, "churn deadline",
+         snapshot_detail::kChurnDeadline);
+  for (std::size_t i = 1; i < deadlines.size(); ++i) {
+    if (deadlines[i].first <= deadlines[i - 1].first) {
       throw SnapshotError("churn snapshot: deadline ids not strictly ascending");
     }
-    deadlines.emplace_back(peer, deadline);
   }
   const std::uint64_t cursor = r.u64();
   r.verify_checksum();

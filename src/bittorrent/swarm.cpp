@@ -39,6 +39,33 @@ void require_capacity(double kbps, const char* where, bool allow_zero) {
   }
 }
 
+void validate_config(const SwarmConfig& cfg, const char* where) {
+  const auto require = [where](bool ok, const char* rule) {
+    if (!ok) throw std::invalid_argument(std::string(where) + ": " + rule);
+  };
+  const auto probability = [](double p) { return 0.0 <= p && p <= 1.0; };
+  require(cfg.num_peers >= 2, "need at least 2 peers");
+  require(cfg.num_pieces > 0 && std::isfinite(cfg.piece_kb) && cfg.piece_kb > 0.0,
+          "pieces must be positive");
+  require(std::isfinite(cfg.round_seconds) && cfg.round_seconds > 0.0,
+          "round_seconds must be finite and > 0");
+  require(std::isfinite(cfg.neighbor_degree) && cfg.neighbor_degree >= 0.0,
+          "neighbor_degree must be finite and >= 0");
+  require(0.0 <= cfg.initial_completion && cfg.initial_completion < 1.0,
+          "initial_completion in [0, 1)");
+  require(std::isfinite(cfg.seed_upload_kbps), "seed_upload_kbps must be finite");
+  require(probability(cfg.rate_smoothing), "rate_smoothing in [0, 1]");
+  require(cfg.tft_slots_per_peer.empty() || cfg.tft_slots_per_peer.size() == cfg.num_peers,
+          "tft_slots_per_peer needs one entry per leecher");
+  const FaultSpec& f = cfg.faults;
+  require(probability(f.connect_failure_prob) && probability(f.nat_fraction) &&
+              probability(f.lane_loss_prob),
+          "fault probabilities must be in [0, 1]");
+  require(f.connect_attempts >= 1, "faults.connect_attempts must be >= 1");
+  require(f.backoff_base >= 1 && f.backoff_cap >= f.backoff_base,
+          "faults.backoff_cap >= backoff_base >= 1 required");
+}
+
 }  // namespace detail
 
 Swarm::Swarm(const SwarmConfig& config, std::vector<double> upload_kbps, graph::Rng& rng)
@@ -53,32 +80,7 @@ Swarm::Swarm(const SwarmConfig& config, std::vector<double> upload_kbps, graph::
   for (const double kbps : upload_kbps) {
     detail::require_capacity(kbps, "Swarm", /*allow_zero=*/true);
   }
-  if (!std::isfinite(config.seed_upload_kbps)) {
-    throw std::invalid_argument("Swarm: seed_upload_kbps must be finite");
-  }
-  if (config.num_peers < 2) throw std::invalid_argument("Swarm: need at least 2 peers");
-  if (config.num_pieces == 0 || config.piece_kb <= 0.0) {
-    throw std::invalid_argument("Swarm: pieces must be positive");
-  }
-  if (config.initial_completion < 0.0 || config.initial_completion >= 1.0) {
-    throw std::invalid_argument("Swarm: initial_completion in [0, 1)");
-  }
-  if (!config.tft_slots_per_peer.empty() &&
-      config.tft_slots_per_peer.size() != config.num_peers) {
-    throw std::invalid_argument("Swarm: tft_slots_per_peer needs one entry per leecher");
-  }
-  const FaultSpec& fspec = config.faults;
-  if (fspec.connect_failure_prob < 0.0 || fspec.connect_failure_prob > 1.0 ||
-      fspec.nat_fraction < 0.0 || fspec.nat_fraction > 1.0 || fspec.lane_loss_prob < 0.0 ||
-      fspec.lane_loss_prob > 1.0) {
-    throw std::invalid_argument("Swarm: fault probabilities must be in [0, 1]");
-  }
-  if (fspec.connect_attempts == 0) {
-    throw std::invalid_argument("Swarm: faults.connect_attempts must be >= 1");
-  }
-  if (fspec.backoff_base == 0 || fspec.backoff_cap < fspec.backoff_base) {
-    throw std::invalid_argument("Swarm: faults.backoff_cap >= backoff_base >= 1 required");
-  }
+  detail::validate_config(config, "Swarm");
   // The per-peer choke streams are keyed off one structural draw, made
   // before any other RNG use so both data planes derive the same key.
   choke_key_ = rng();
@@ -145,9 +147,9 @@ Swarm::Swarm(const SwarmConfig& config, std::vector<double> upload_kbps, graph::
   // pre-existing connectivity, not fresh announce dials.
   for (std::size_t p = 0; p < total; ++p) {
     const bool nat =
-        fspec.nat_fraction > 0.0 &&
+        config.faults.nat_fraction > 0.0 &&
         graph::Rng::stream(choke_key_ ^ kFaultNatSalt, static_cast<core::PeerId>(p), 0)
-            .bernoulli(fspec.nat_fraction);
+            .bernoulli(config.faults.nat_fraction);
     faults_.add_peer(nat);
   }
 

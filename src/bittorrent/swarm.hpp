@@ -176,6 +176,10 @@ struct SwarmConfig {
   /// counter-based streams, so faulted results stay bitwise invariant
   /// to `threads` (and TrackerSim shard count).
   FaultSpec faults;
+
+  /// Field-by-field; doubles compare by value, so a NaN field never
+  /// compares equal.
+  bool operator==(const SwarmConfig&) const = default;
 };
 
 /// Per-peer accounting, exposed for metrics.
@@ -493,6 +497,13 @@ std::size_t announce_connect_faulty(std::span<const core::PeerId> live_ids, core
 /// +inf would give one peer an unbounded upload budget. Throws
 /// std::invalid_argument prefixed with `where`.
 void require_capacity(double kbps, const char* where, bool allow_zero = false);
+
+/// The SwarmConfig rules every entry point applies: the constructors of
+/// both data planes and the snapshot loader, which checks a stored
+/// config before it sizes anything from it. Each range check is written
+/// so that NaN fails it. Throws std::invalid_argument prefixed with
+/// `where`.
+void validate_config(const SwarmConfig& cfg, const char* where);
 
 /// Sorts `order` (external leecher ids) by (capacity desc, id asc) and
 /// writes dense ranks indexed by external id over [0, rank_size)
@@ -940,7 +951,6 @@ class Swarm {
   /// Tracker target degree (llround(neighbor_degree)).
   [[nodiscard]] std::size_t target_degree() const;
 
-  // strat-lint: serialized-via(write_config, read_config)
   SwarmConfig config_;
   // strat-lint: serialized-via(rng_, restore) -- xoshiro words + Box-Muller
   // cache captured in save_impl, restored into the caller's generator.
@@ -972,7 +982,6 @@ class Swarm {
   // compacted in lockstep with the table like every row container.
   // Maintained even with faults off (push/compact only — no draws), so
   // enabling faults never changes container shapes.
-  // strat-lint: serialized-via(write_faults, read_faults)
   FaultState faults_;
   // strat-lint: not-serialized -- host-side checkpoint policy
   // (autosave_every), never simulation state; a resumed run re-arms it.

@@ -30,6 +30,26 @@ double seconds_between(std::chrono::steady_clock::time_point a,
   return std::chrono::duration<double>(b - a).count();
 }
 
+/// One registry membership: (member swarm, peer id local to it).
+template <class Io, class T>
+void membership_fields(Io& io, T& m) {
+  io.u32(m.swarm);
+  io.u32(m.local);
+}
+
+/// One PeerRegistry::Record: id, ecosystem capacity, memberships in
+/// join order.
+template <class Io, class T>
+void registry_record_fields(Io& io, T& rec) {
+  io.u32(rec.id);
+  io.f64(rec.upload_kbps);
+  io.list(rec.memberships, kMaxSwarms, "registry membership",
+          [](auto& mio, auto& m) { membership_fields(mio, m); });
+}
+
+/// registry_record_fields as a list() element callable.
+constexpr auto kRegistryRecord = [](auto& io, auto& rec) { registry_record_fields(io, rec); };
+
 }  // namespace
 
 void PeerRegistry::restore(std::vector<Record> records, GlobalPeerId id_space) {
@@ -408,22 +428,11 @@ void TrackerSim::save(std::ostream& out) const {
     w.u64(round_);
     w.u64(tracker_key_);
     const graph::Rng::State st = tracker_rng_.state();
-    for (const std::uint64_t word : st.s) w.u64(word);
-    w.f64(st.cached_normal);
-    w.u8(st.has_cached_normal ? 1 : 0);
+    snapshot_detail::rng_state_fields(w, st);
 
     w.tag(kTagTrackerRegistry);
     w.u64(registry_.id_space());
-    w.u64(registry_.size());
-    for (const PeerRegistry::Record& rec : registry_.records()) {
-      w.u32(rec.id);
-      w.f64(rec.upload_kbps);
-      w.u64(rec.memberships.size());
-      for (const PeerRegistry::Membership& m : rec.memberships) {
-        w.u32(m.swarm);
-        w.u32(m.local);
-      }
-    }
+    w.list(registry_.records(), registry_.id_space(), "registry record", kRegistryRecord);
     w.finish();
   }
   if (!out) throw SnapshotError("tracker snapshot: stream write failed");
@@ -455,9 +464,7 @@ TrackerSim TrackerSim::resume(std::istream& in, const TrackerConfig& cfg) {
     t.round_ = static_cast<std::size_t>(r.u64());
     t.tracker_key_ = r.u64();
     graph::Rng::State st;
-    for (std::uint64_t& word : st.s) word = r.u64();
-    st.cached_normal = r.f64();
-    st.has_cached_normal = r.u8() != 0;
+    snapshot_detail::rng_state_fields(r, st);
     try {
       t.tracker_rng_.restore(st);
     } catch (const std::invalid_argument&) {
@@ -470,28 +477,16 @@ TrackerSim TrackerSim::resume(std::istream& in, const TrackerConfig& cfg) {
       throw SnapshotError("tracker snapshot: implausible id space");
     }
     id_space = static_cast<GlobalPeerId>(space);
-    const std::uint64_t count = r.u64();
-    if (count > space) throw SnapshotError("tracker snapshot: more records than ids");
-    records.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < count; ++i) {
-      PeerRegistry::Record rec;
-      rec.id = r.u32();
-      rec.upload_kbps = r.f64();
-      const std::uint64_t memberships = r.u64();
-      if (memberships == 0 || memberships > swarm_count) {
+    r.list(records, id_space, "registry record", kRegistryRecord);
+    for (const PeerRegistry::Record& rec : records) {
+      if (rec.memberships.empty() || rec.memberships.size() > num_swarms) {
         throw SnapshotError("tracker snapshot: implausible membership count");
       }
-      rec.memberships.reserve(static_cast<std::size_t>(memberships));
-      for (std::uint64_t j = 0; j < memberships; ++j) {
-        PeerRegistry::Membership m;
-        m.swarm = r.u32();
-        m.local = r.u32();
-        if (m.swarm >= swarm_count) {
+      for (const PeerRegistry::Membership& m : rec.memberships) {
+        if (m.swarm >= num_swarms) {
           throw SnapshotError("tracker snapshot: membership names an unknown swarm");
         }
-        rec.memberships.push_back(m);
       }
-      records.push_back(std::move(rec));
     }
     r.verify_checksum();
   }

@@ -189,8 +189,10 @@ TEST(SwarmAutosave, CorruptNewestFallsBackThenGivesUp) {
   EXPECT_FALSE(recover_latest_swarm(dir).has_value());
 }
 
-TEST(TrackerAutosave, KillAndRecoverContinuesBitwise) {
-  const fs::path dir = scratch_dir("tracker");
+constexpr std::size_t kSwarms = 4;
+constexpr std::size_t kPeers = 12;
+
+TrackerConfig small_tracker_config() {
   TrackerConfig tcfg;
   tcfg.shards = 2;
   tcfg.arrival_rate = 1.5;
@@ -199,8 +201,10 @@ TEST(TrackerAutosave, KillAndRecoverContinuesBitwise) {
   tcfg.swarm_churn.lifetime = ChurnSpec::Lifetime::kExponential;
   tcfg.swarm_churn.lifetime_rounds = 20.0;
   tcfg.swarm_churn.arrival_completion = 0.25;
-  constexpr std::size_t kSwarms = 4;
-  constexpr std::size_t kPeers = 12;
+  return tcfg;
+}
+
+std::vector<TrackerSwarmSeed> small_tracker_seeds() {
   std::vector<TrackerSwarmSeed> seeds(kSwarms);
   for (std::size_t k = 0; k < kSwarms; ++k) {
     SwarmConfig scfg;
@@ -220,6 +224,13 @@ TEST(TrackerAutosave, KillAndRecoverContinuesBitwise) {
       seeds[k].members[i] = static_cast<GlobalPeerId>(k * kPeers + i);
     }
   }
+  return seeds;
+}
+
+TEST(TrackerAutosave, KillAndRecoverContinuesBitwise) {
+  const fs::path dir = scratch_dir("tracker");
+  const TrackerConfig tcfg = small_tracker_config();
+  const std::vector<TrackerSwarmSeed> seeds = small_tracker_seeds();
   const auto caps = capacities(kSwarms * kPeers);
 
   TrackerSim full(tcfg, seeds, caps, 909);
@@ -240,6 +251,35 @@ TEST(TrackerAutosave, KillAndRecoverContinuesBitwise) {
   std::ostringstream got(std::ios::binary);
   recovered->save(got);
   EXPECT_EQ(std::move(got).str(), std::move(want).str());
+}
+
+TEST(TrackerAutosave, CorruptRecordCountFallsBack) {
+  // A newest generation whose registry id space and record count both
+  // claim ~4G entries (byte 3 of each u64 set to 0xFF) must be rejected
+  // as a SnapshotError, so recovery falls back to the previous one.
+  const fs::path dir = scratch_dir("tracker_count");
+  const TrackerConfig tcfg = small_tracker_config();
+  {
+    TrackerSim victim(tcfg, small_tracker_seeds(),
+                      capacities(kSwarms * kPeers), 909);
+    victim.autosave_every(4, dir, /*keep=*/2);
+    victim.run(8);  // generations 4 and 8
+  }
+  const auto files = autosave_files(dir);
+  ASSERT_EQ(files.size(), 2u);
+  {
+    std::fstream f(files[0], std::ios::binary | std::ios::in | std::ios::out);
+    const char ff = static_cast<char>(0xFF);
+    f.seekp(85 + 3);  // id space: after the 81-byte meta section and the registry tag
+    f.write(&ff, 1);
+    f.seekp(93 + 3);  // record count
+    f.write(&ff, 1);
+    ASSERT_TRUE(f.good());
+  }
+  auto recovered = recover_latest_tracker(dir, tcfg);
+  ASSERT_TRUE(recovered.has_value());
+  EXPECT_EQ(recovered->rounds_elapsed(), 4u)
+      << "a corrupt record count must fall back to the previous generation";
 }
 
 }  // namespace

@@ -8,12 +8,22 @@
 // the original byte stream (serialization is a pure function of run
 // state). The robustness half feeds the loader hostile streams — bad
 // magic, wrong version, every truncation point, single-byte
-// corruption — and requires a clean SnapshotError every time (the
-// ASan/UBSan CI job runs this binary to certify no UB on any path).
+// corruption, corrupt list counts (on a non-seekable stream too), and
+// config values the constructors refuse — and requires a clean
+// SnapshotError every time (the ASan/UBSan CI job runs this binary to
+// certify no UB on any path). Format pins hold the saved bytes of a
+// swarm with every section non-empty and of its churn section.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
+#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -396,8 +406,424 @@ TEST(SwarmSnapshot, RejectsConfigOverrideMismatch) {
   cfg.num_pieces = 16;
   cfg.threads = 4;  // allowed to differ
   EXPECT_NO_THROW((void)resume_from_string(bytes, cfg));
-  cfg.piece_kb *= 2.0;  // not allowed to differ
-  EXPECT_THROW((void)resume_from_string(bytes, cfg), SnapshotError);
+  // Every other field, each changed alone, must be refused.
+  using Change = void (*)(SwarmConfig&);
+  const std::vector<std::pair<const char*, Change>> changes = {
+      {"num_peers", [](SwarmConfig& c) { ++c.num_peers; }},
+      {"seeds", [](SwarmConfig& c) { ++c.seeds; }},
+      {"num_pieces", [](SwarmConfig& c) { ++c.num_pieces; }},
+      {"piece_kb", [](SwarmConfig& c) { c.piece_kb *= 2.0; }},
+      {"tft_slots", [](SwarmConfig& c) { ++c.tft_slots; }},
+      {"optimistic_rounds", [](SwarmConfig& c) { ++c.optimistic_rounds; }},
+      {"round_seconds", [](SwarmConfig& c) { c.round_seconds *= 2.0; }},
+      {"neighbor_degree", [](SwarmConfig& c) { c.neighbor_degree += 1.0; }},
+      {"post_flashcrowd", [](SwarmConfig& c) { c.post_flashcrowd = !c.post_flashcrowd; }},
+      {"initial_completion", [](SwarmConfig& c) { c.initial_completion /= 2.0; }},
+      {"stay_as_seed", [](SwarmConfig& c) { c.stay_as_seed = !c.stay_as_seed; }},
+      {"seed_upload_kbps", [](SwarmConfig& c) { c.seed_upload_kbps += 100.0; }},
+      {"rate_smoothing", [](SwarmConfig& c) { c.rate_smoothing /= 2.0; }},
+      {"tft_slots_per_peer", [](SwarmConfig& c) { c.tft_slots_per_peer.assign(c.num_peers, 2); }},
+      {"endgame", [](SwarmConfig& c) { c.endgame = !c.endgame; }},
+      {"retain_departed", [](SwarmConfig& c) { c.retain_departed = !c.retain_departed; }},
+      {"faults.outage_period", [](SwarmConfig& c) { ++c.faults.outage_period; }},
+      {"faults.outage_duration", [](SwarmConfig& c) { ++c.faults.outage_duration; }},
+      {"faults.outage_phase", [](SwarmConfig& c) { ++c.faults.outage_phase; }},
+      {"faults.connect_failure_prob", [](SwarmConfig& c) { c.faults.connect_failure_prob += 0.1; }},
+      {"faults.connect_attempts", [](SwarmConfig& c) { ++c.faults.connect_attempts; }},
+      {"faults.nat_fraction", [](SwarmConfig& c) { c.faults.nat_fraction += 0.1; }},
+      {"faults.lane_loss_prob", [](SwarmConfig& c) { c.faults.lane_loss_prob += 0.1; }},
+      {"faults.backoff_base", [](SwarmConfig& c) { ++c.faults.backoff_base; }},
+      {"faults.backoff_cap", [](SwarmConfig& c) { ++c.faults.backoff_cap; }},
+  };
+  ASSERT_EQ(changes.size(), 25u) << "every SwarmConfig field but threads";
+  for (const auto& [field, change] : changes) {
+    SwarmConfig changed = cfg;
+    change(changed);
+    EXPECT_THROW((void)resume_from_string(bytes, changed), SnapshotError) << field;
+  }
+}
+
+TEST(SwarmSnapshot, ConfigWithEveryFieldOffDefaultRoundTrips) {
+  SwarmConfig cfg;
+  cfg.num_peers = 12;
+  cfg.seeds = 3;
+  cfg.num_pieces = 24;
+  cfg.piece_kb = 48.0;
+  cfg.tft_slots = 2;
+  cfg.optimistic_rounds = 4;
+  cfg.round_seconds = 7.5;
+  cfg.neighbor_degree = 5.0;
+  cfg.post_flashcrowd = false;
+  cfg.initial_completion = 0.3;
+  cfg.stay_as_seed = false;
+  cfg.seed_upload_kbps = 900.0;
+  cfg.rate_smoothing = 0.8;
+  cfg.tft_slots_per_peer = {1, 2, 3, 4, 1, 2, 3, 4, 1, 2, 3, 4};
+  cfg.endgame = true;
+  cfg.retain_departed = false;
+  cfg.threads = 2;
+  cfg.faults.outage_period = 5;
+  cfg.faults.outage_duration = 2;
+  cfg.faults.outage_phase = 1;
+  cfg.faults.connect_failure_prob = 0.1;
+  cfg.faults.connect_attempts = 4;
+  cfg.faults.nat_fraction = 0.2;
+  cfg.faults.lane_loss_prob = 0.03;
+  cfg.faults.backoff_base = 2;
+  cfg.faults.backoff_cap = 16;
+  graph::Rng rng(kSeed);
+  Swarm swarm(cfg, capacities(cfg.num_peers), rng);
+  swarm.run(6);
+  ResumedSwarm resumed = resume_from_string(save_to_string(swarm));
+  EXPECT_TRUE(resumed.swarm().config() == cfg);
+  EXPECT_FALSE(resumed.swarm().config() == SwarmConfig{});
+}
+
+// --- config rules ----------------------------------------------------------
+//
+// One rule set (detail::validate_config) guards every entry point: each
+// bad value must be refused by both data planes' constructors, and by
+// the loader when patched into a saved stream — there as a
+// SnapshotError naming the rule, raised before the checksum is read.
+
+/// One invalid value for one field, and the rule that must name it.
+template <typename T>
+struct BadField {
+  const char* rule;
+  T& (*field)(SwarmConfig&);
+  T bad;
+};
+
+SwarmConfig rules_base_config() {
+  SwarmConfig cfg = base_config(8);
+  cfg.neighbor_degree = 4.0;
+  cfg.num_pieces = 16;
+  return cfg;
+}
+
+std::string saved_at_round_zero(const SwarmConfig& cfg) {
+  graph::Rng rng(kSeed);
+  Swarm swarm(cfg, capacities(cfg.num_peers), rng);
+  return save_to_string(swarm);
+}
+
+/// Offset of `field` in the saved stream, found without a layout: the
+/// first byte where the streams of `cfg` and of `cfg` with the field's
+/// low bits nudged differ (the config section leads the stream, and
+/// fields are little-endian).
+template <typename T>
+std::size_t field_offset(const SwarmConfig& cfg, T& (*field)(SwarmConfig&), T nudged) {
+  SwarmConfig other = cfg;
+  field(other) = nudged;
+  const std::string a = saved_at_round_zero(cfg);
+  const std::string b = saved_at_round_zero(other);
+  return static_cast<std::size_t>(std::mismatch(a.begin(), a.end(), b.begin()).first - a.begin());
+}
+
+template <typename T>
+void expect_rule_everywhere(const BadField<T>& row, T nudged) {
+  const SwarmConfig good = rules_base_config();
+  SwarmConfig bad = good;
+  row.field(bad) = row.bad;
+  const auto expect_names_rule = [&](auto&& construct, const char* where) {
+    try {
+      construct();
+      ADD_FAILURE() << where << " accepted a bad value for rule: " << row.rule;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(row.rule), std::string::npos)
+          << where << ": " << e.what();
+    }
+  };
+  expect_names_rule([&] {
+    graph::Rng rng(kSeed);
+    Swarm swarm(bad, capacities(bad.num_peers), rng);
+  }, "Swarm");
+  expect_names_rule([&] {
+    graph::Rng rng(kSeed);
+    ReferenceSwarm swarm(bad, capacities(bad.num_peers), rng);
+  }, "ReferenceSwarm");
+
+  std::string bytes = saved_at_round_zero(good);
+  const std::size_t at = field_offset(good, row.field, nudged);
+  ASSERT_LE(at + sizeof(T), bytes.size());
+  std::memcpy(bytes.data() + at, &row.bad, sizeof(T));
+  try {
+    (void)resume_from_string(bytes);
+    ADD_FAILURE() << "loader accepted a bad value for rule: " << row.rule;
+  } catch (const SnapshotError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(row.rule), std::string::npos) << what;
+    EXPECT_EQ(what.find("checksum"), std::string::npos) << what;
+  }
+}
+
+TEST(SwarmConfigRules, EveryBadValueIsRefusedByBothPlanesAndTheLoader) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  using Double = double& (*)(SwarmConfig&);
+  const Double piece_kb = [](SwarmConfig& c) -> double& { return c.piece_kb; };
+  const Double round_seconds = [](SwarmConfig& c) -> double& { return c.round_seconds; };
+  const Double degree = [](SwarmConfig& c) -> double& { return c.neighbor_degree; };
+  const Double completion = [](SwarmConfig& c) -> double& { return c.initial_completion; };
+  const Double seed_kbps = [](SwarmConfig& c) -> double& { return c.seed_upload_kbps; };
+  const Double smoothing = [](SwarmConfig& c) -> double& { return c.rate_smoothing; };
+  const Double connect = [](SwarmConfig& c) -> double& { return c.faults.connect_failure_prob; };
+  const Double nat = [](SwarmConfig& c) -> double& { return c.faults.nat_fraction; };
+  const Double loss = [](SwarmConfig& c) -> double& { return c.faults.lane_loss_prob; };
+  const std::vector<BadField<double>> doubles = {
+      {"pieces must be positive", piece_kb, 0.0},
+      {"pieces must be positive", piece_kb, kNaN},
+      {"pieces must be positive", piece_kb, kInf},
+      {"round_seconds", round_seconds, 0.0},
+      {"round_seconds", round_seconds, kNaN},
+      {"round_seconds", round_seconds, kInf},
+      {"neighbor_degree", degree, -1.0},
+      {"neighbor_degree", degree, kNaN},
+      {"neighbor_degree", degree, kInf},
+      {"initial_completion", completion, 1.0},
+      {"initial_completion", completion, -0.1},
+      {"initial_completion", completion, kNaN},
+      {"seed_upload_kbps", seed_kbps, kNaN},
+      {"seed_upload_kbps", seed_kbps, kInf},
+      {"rate_smoothing", smoothing, 5.0},
+      {"rate_smoothing", smoothing, -0.1},
+      {"rate_smoothing", smoothing, kNaN},
+      {"fault probabilities", connect, 1.5},
+      {"fault probabilities", connect, kNaN},
+      {"fault probabilities", nat, -0.1},
+      {"fault probabilities", nat, kNaN},
+      {"fault probabilities", loss, 2.0},
+      {"fault probabilities", loss, kNaN},
+  };
+  for (const BadField<double>& row : doubles) {
+    SCOPED_TRACE(row.rule);
+    SwarmConfig probe = rules_base_config();
+    expect_rule_everywhere(row, std::nextafter(row.field(probe), kInf));
+  }
+
+  using Count = std::size_t& (*)(SwarmConfig&);
+  const Count peers = [](SwarmConfig& c) -> std::size_t& { return c.num_peers; };
+  const Count pieces = [](SwarmConfig& c) -> std::size_t& { return c.num_pieces; };
+  const Count attempts = [](SwarmConfig& c) -> std::size_t& { return c.faults.connect_attempts; };
+  const Count base = [](SwarmConfig& c) -> std::size_t& { return c.faults.backoff_base; };
+  const Count cap = [](SwarmConfig& c) -> std::size_t& { return c.faults.backoff_cap; };
+  const std::vector<BadField<std::size_t>> counts = {
+      {"need at least 2 peers", peers, 1},
+      {"pieces must be positive", pieces, 0},
+      {"connect_attempts", attempts, 0},
+      {"backoff", base, 0},
+      {"backoff", cap, 0},
+  };
+  for (const BadField<std::size_t>& row : counts) {
+    SCOPED_TRACE(row.rule);
+    SwarmConfig probe = rules_base_config();
+    expect_rule_everywhere(row, row.field(probe) + 1);
+  }
+}
+
+// --- corrupt list counts ---------------------------------------------------
+//
+// A count-prefixed list must be rejected from its count alone, before
+// anything is sized: byte 3 of the count set to 0xFF asks for ~4G
+// elements, which must end in a SnapshotError naming the list rather
+// than an attempted multi-GB allocation.
+
+/// A static swarm with no departures and the seeds in the last rows,
+/// so the tail of its stream has a layout known from the outside.
+std::string count_probe_snapshot() {
+  SwarmConfig cfg = base_config(8);
+  cfg.neighbor_degree = 4.0;
+  cfg.num_pieces = 16;
+  cfg.stay_as_seed = true;  // no departures: empty retired sections
+  graph::Rng rng(kSeed);
+  Swarm swarm(cfg, capacities(8), rng);
+  swarm.run(3);
+  EXPECT_EQ(swarm.departures(), 0u);
+  return save_to_string(swarm);
+}
+
+std::uint64_t u64_at(const std::string& bytes, std::size_t at) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, bytes.data() + at, sizeof v);
+  return v;
+}
+
+std::uint32_t u32_at(const std::string& bytes, std::size_t at) {
+  std::uint32_t v = 0;
+  std::memcpy(&v, bytes.data() + at, sizeof v);
+  return v;
+}
+
+/// Offset of the availability section tag, counted back from the
+/// checksum footer over the fault section (four row-sized arrays and
+/// five counters) and the per-piece availability words.
+std::size_t avail_tag_offset(const std::string& bytes, std::size_t rows, std::size_t pieces) {
+  const std::size_t faults = 4 + (8 + rows) + 3 * (8 + 4 * rows) + 5 * 8;
+  return bytes.size() - 8 - faults - (4 + 8 + 4 * pieces);
+}
+
+/// Sets byte 3 of the count at `at` to 0xFF and requires a
+/// SnapshotError whose message names `list`.
+void expect_corrupt_count_rejected(std::string bytes, std::size_t at, const char* list) {
+  bytes[at + 3] = static_cast<char>(0xFF);
+  try {
+    (void)resume_from_string(bytes);
+    ADD_FAILURE() << "corrupt " << list << " count was accepted";
+  } catch (const SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find(list), std::string::npos) << e.what();
+  }
+}
+
+TEST(SwarmSnapshot, RejectsCorruptRetiredPairCount) {
+  const std::string bytes = count_probe_snapshot();
+  const std::size_t avail = avail_tag_offset(bytes, 10, 16);
+  ASSERT_EQ(u32_at(bytes, avail), 8u) << "availability tag";
+  ASSERT_EQ(u32_at(bytes, avail - 20), 7u) << "retired tag";
+  const std::size_t count_at = avail - 8;  // no retired ids, no pairs
+  ASSERT_EQ(u64_at(bytes, count_at), 0u);
+  expect_corrupt_count_rejected(bytes, count_at, "retired pair");
+}
+
+TEST(SwarmSnapshot, RejectsCorruptPartialCount) {
+  const std::string bytes = count_probe_snapshot();
+  const std::size_t retired = avail_tag_offset(bytes, 10, 16) - 20;
+  ASSERT_EQ(u32_at(bytes, retired), 7u) << "retired tag";
+  // The last row is a seed, which holds every piece: its partial list
+  // is the empty one right before the retired section.
+  const std::size_t count_at = retired - 8;
+  ASSERT_EQ(u64_at(bytes, count_at), 0u);
+  expect_corrupt_count_rejected(bytes, count_at, "partial");
+}
+
+TEST(SwarmSnapshot, RejectsCorruptChurnDeadlineCount) {
+  constexpr std::size_t kPeers = 40;
+  const SwarmConfig cfg = base_config(kPeers);
+  graph::Rng rng(kSeed);
+  Swarm swarm(cfg, capacities(kPeers), rng);
+  ChurnDriver<Swarm> churn(churny_spec(), cfg, capacities(kPeers), rng);
+  churn.attach(swarm);
+  std::ostringstream out(std::ios::binary);
+  save_churn_driver(out, churn);
+  std::string bytes = std::move(out).str();
+  ASSERT_GT(u64_at(bytes, 12), 0u) << "deadline count follows magic and version";
+  bytes[15] = static_cast<char>(0xFF);
+  ChurnDriver<Swarm> restored(churny_spec(), cfg, capacities(kPeers), rng);
+  std::istringstream in(bytes, std::ios::binary);
+  EXPECT_THROW(restore_churn_driver(in, restored), SnapshotError);
+}
+
+/// A pipe-like stream buffer: reads work, tellg()/seekg() fail (the
+/// std::streambuf defaults), so the Reader cannot learn the remaining
+/// bytes and must grow lists chunk by chunk.
+class PipeBuf : public std::streambuf {
+ public:
+  explicit PipeBuf(std::string bytes) : bytes_(std::move(bytes)) {
+    setg(bytes_.data(), bytes_.data(), bytes_.data() + bytes_.size());
+  }
+
+ private:
+  std::string bytes_;
+};
+
+TEST(SwarmSnapshot, NonSeekableStreamLoadsAndRejectsCorruptCounts) {
+  const std::string bytes = count_probe_snapshot();
+  {
+    PipeBuf buf(bytes);
+    std::istream in(&buf);
+    graph::Rng rng;
+    const Swarm swarm = Swarm::resume(in, rng);
+    EXPECT_EQ(save_to_string(swarm), bytes);
+  }
+  {
+    std::string bad = bytes;
+    bad[avail_tag_offset(bytes, 10, 16) - 8 + 3] = static_cast<char>(0xFF);  // retired pairs
+    PipeBuf buf(bad);
+    std::istream in(&buf);
+    graph::Rng rng;
+    EXPECT_THROW((void)Swarm::resume(in, rng), SnapshotError);
+  }
+  {
+    constexpr std::size_t kPeers = 40;
+    const SwarmConfig cfg = base_config(kPeers);
+    graph::Rng rng(kSeed);
+    Swarm swarm(cfg, capacities(kPeers), rng);
+    ChurnDriver<Swarm> churn(churny_spec(), cfg, capacities(kPeers), rng);
+    churn.attach(swarm);
+    std::ostringstream out(std::ios::binary);
+    save_churn_driver(out, churn);
+    std::string bad = std::move(out).str();
+    bad[15] = static_cast<char>(0xFF);  // byte 3 of the deadline count
+    PipeBuf buf(bad);
+    std::istream in(&buf);
+    EXPECT_THROW(restore_churn_driver(in, churn), SnapshotError);
+  }
+}
+
+// --- format pins -----------------------------------------------------------
+//
+// FNV-1a digests of save() bytes, captured from the tree before the
+// serializers moved to one field list per record: the version-2 wire
+// format must stay byte-identical. The swarm is churned, in endgame
+// mode, faulted and saved mid-outage, so every section is non-empty
+// (partial pieces, retired records and pairs, pending retry deadlines).
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001B3ULL;
+  }
+  return h;
+}
+
+struct PinnedRun {
+  std::string swarm;
+  std::string churn;
+};
+
+PinnedRun pinned_mid_outage_run() {
+  constexpr std::size_t kPeers = 60;
+  SwarmConfig cfg = base_config(kPeers);
+  cfg.piece_kb = 128.0;  // pieces span rounds: partial progress in the stream
+  cfg.faults.outage_period = 7;
+  cfg.faults.outage_duration = 3;
+  cfg.faults.outage_phase = 2;
+  cfg.faults.connect_failure_prob = 0.2;
+  cfg.faults.connect_attempts = 2;
+  cfg.faults.nat_fraction = 0.25;
+  cfg.faults.lane_loss_prob = 0.05;
+  cfg.faults.backoff_cap = 8;
+  graph::Rng rng(kSeed);
+  Swarm swarm(cfg, capacities(kPeers), rng);
+  ChurnDriver<Swarm> churn(churny_spec(), cfg, capacities(kPeers), rng);
+  churn.attach(swarm);
+  // Rounds with (r + 2) % 7 < 3 are outages; rounds 12 and 13 fail
+  // their announces, so the save at 14 carries live backoff deadlines.
+  for (std::size_t r = 0; r < 14; ++r) {
+    churn.before_round(swarm);
+    swarm.run_round();
+  }
+  EXPECT_TRUE(cfg.faults.tracker_down(swarm.rounds_elapsed())) << "save inside an outage";
+  EXPECT_GT(swarm.fault_state().degraded_count(), 0u) << "retry deadlines pending";
+  EXPECT_GT(swarm.departures(), 0u) << "retired records present";
+  PinnedRun run;
+  run.swarm = save_to_string(swarm);
+  std::ostringstream out(std::ios::binary);
+  save_churn_driver(out, churn);
+  run.churn = std::move(out).str();
+  return run;
+}
+
+TEST(SnapshotFormat, MidOutageSwarmBytesArePinned) {
+  const PinnedRun run = pinned_mid_outage_run();
+  EXPECT_EQ(run.swarm.size(), 51574u);
+  EXPECT_EQ(fnv1a(run.swarm), 0xc6d68ae55c1b7531ULL);
+}
+
+TEST(SnapshotFormat, ChurnDriverBytesArePinned) {
+  const PinnedRun run = pinned_mid_outage_run();
+  EXPECT_EQ(run.churn.size(), 996u);
+  EXPECT_EQ(fnv1a(run.churn), 0xf5616858f0da1526ULL);
 }
 
 TEST(SwarmSnapshot, RejectsChurnSectionAsSwarmSnapshot) {

@@ -280,6 +280,40 @@ TEST(TrackerSim, ResumeRejectsCorruptStreams) {
     std::istringstream in(truncated);
     EXPECT_THROW((void)TrackerSim::resume(in, churned_config(1)), SnapshotError);
   }
+  // Corrupt list counts: byte 3 of the registry's id space and record
+  // count (u64s at offsets 85 and 93, after the 81-byte meta section
+  // and the registry tag), then byte 3 of the first record's
+  // membership count (after its u32 id and f64 capacity).
+  {
+    std::string bad = snapshot;
+    bad[85 + 3] = static_cast<char>(0xFF);
+    bad[93 + 3] = static_cast<char>(0xFF);
+    std::istringstream in(bad);
+    EXPECT_THROW((void)TrackerSim::resume(in, churned_config(1)), SnapshotError);
+  }
+  {
+    std::string bad = snapshot;
+    bad[113 + 3] = static_cast<char>(0xFF);
+    std::istringstream in(bad);
+    EXPECT_THROW((void)TrackerSim::resume(in, churned_config(1)), SnapshotError);
+  }
+}
+
+TEST(TrackerSim, SaveBytesMatchPinnedDigest) {
+  // FNV-1a of save() bytes, captured from the tree before the
+  // serializers moved to one field list per record: the tracker
+  // header, every member swarm and every churn-driver section must
+  // stay byte-identical.
+  TrackerSim tracker = churned_tracker(1, 4, 12, 21);
+  tracker.run(6);
+  const std::string bytes = save_bytes(tracker);
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001B3ULL;
+  }
+  EXPECT_EQ(bytes.size(), 30738u);
+  EXPECT_EQ(h, 0xf60f8c78a9049e00ULL);
 }
 
 TEST(TrackerSim, RejectsInvalidConstruction) {

@@ -400,19 +400,23 @@ class SnapshotContract:
 
 
 DEFAULT_CONTRACTS = [
+    # Records serialize through one field list each (snapshot.cpp:
+    # <record>_fields), which is both the save and the load section of
+    # its record. Every list has its own name: function_body() returns
+    # the first definition of a name only.
     SnapshotContract(
         class_name="Swarm",
         header="src/bittorrent/swarm.hpp",
         serializers=["src/bittorrent/snapshot.cpp"],
-        save_fns=["save_impl", "write_config", "write_stats", "write_faults"],
-        load_fns=["resume_impl", "read_config", "read_stats", "read_faults"],
+        save_fns=["save_impl", "swarm_config_fields", "peer_stats_fields", "fault_state_fields"],
+        load_fns=["resume_impl", "swarm_config_fields", "peer_stats_fields", "fault_state_fields"],
     ),
     SnapshotContract(
         class_name="FaultState",
         header="src/bittorrent/faults.hpp",
         serializers=["src/bittorrent/snapshot.cpp"],
-        save_fns=["write_faults"],
-        load_fns=["read_faults"],
+        save_fns=["fault_state_fields"],
+        load_fns=["fault_state_fields"],
         check_tags=False,  # kTagFaults is owned by the Swarm contract
     ),
     SnapshotContract(

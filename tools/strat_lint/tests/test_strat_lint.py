@@ -183,7 +183,7 @@ class SnapshotDeletionDemoTest(unittest.TestCase):
             "; ".join(f.message for f in findings))
 
     def test_deleting_fault_save_line_fires_r4(self):
-        # Same demo for the FaultState contract: write_faults must
+        # Same demo for the FaultState contract: its field list must
         # cover every member of faults.hpp, so dropping the
         # retry_round_ span makes R4 fail before any simulation runs.
         with tempfile.TemporaryDirectory() as tmpdir:
@@ -192,7 +192,7 @@ class SnapshotDeletionDemoTest(unittest.TestCase):
             serializer = tmp / "src/bittorrent/snapshot.cpp"
             lines = serializer.read_text().splitlines(keepends=True)
             pruned = [ln for ln in lines
-                      if "w.pod_span(fs.retry_round_" not in ln]
+                      if "io.pod(fs.retry_round_" not in ln]
             self.assertEqual(len(lines) - len(pruned), 1,
                              "expected exactly one retry_round_ save line to prune")
             serializer.write_text("".join(pruned))
