@@ -81,9 +81,10 @@ BENCHMARK(BM_SwarmRound)->Arg(100)->Arg(400)->Arg(5000)->Arg(10000)->Unit(benchm
 // SwarmConfig::threads = the second argument. Runs are bitwise
 // identical across the sweep (per-peer choke and transfer streams);
 // only the wall clock moves. The counters split the round via
-// Swarm::phase_profile(): choke_fold_ms plus transfer_compute_ms is
-// the parallel portion, serial_ms (mutual + transfer commit) is the
-// Amdahl remainder the whole-round time dilutes the speedup with.
+// Swarm::phase_profile(): choke_fold_ms plus mutual_ms plus
+// transfer_compute_ms is the parallel portion, serial_ms (the transfer
+// commit) is the Amdahl remainder the whole-round time dilutes the
+// speedup with.
 // transfer_rerun_ms and rerun_frac expose the conflict cost of the
 // speculative plan-against-snapshot stage — rerun_frac is thread-count
 // invariant by construction, so a change across the sweep is a bug.
@@ -104,12 +105,12 @@ void BM_SwarmRoundThreads(benchmark::State& state) {
   state.counters["threads"] = static_cast<double>(threads);
   state.counters["choke_fold_ms"] =
       (prof.choke_seconds + prof.fold_seconds) * 1000.0 / rounds;
+  state.counters["mutual_ms"] = prof.mutual_seconds * 1000.0 / rounds;
   state.counters["transfer_compute_ms"] = prof.transfer_compute_seconds * 1000.0 / rounds;
   state.counters["transfer_commit_ms"] = prof.transfer_commit_seconds * 1000.0 / rounds;
   state.counters["transfer_rerun_ms"] = prof.transfer_rerun_seconds * 1000.0 / rounds;
   state.counters["rerun_frac"] = prof.rerun_fraction();
-  state.counters["serial_ms"] =
-      (prof.mutual_seconds + prof.transfer_commit_seconds) * 1000.0 / rounds;
+  state.counters["serial_ms"] = prof.transfer_commit_seconds * 1000.0 / rounds;
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(peers));
 }

@@ -35,8 +35,8 @@ done
 # population — flat across the two args is the peer-table compaction
 # working; the 10^6 point takes ~30 s), and the intra-round
 # thread-scaling sweep (BM_SwarmRoundThreads at 10^5 peers x threads
-# 1/2/4/8: choke_fold_ms + transfer_compute_ms across the sweep is
-# the parallel-phase speedup, serial_ms = mutual + transfer commit is
+# 1/2/4/8: choke_fold_ms + mutual_ms + transfer_compute_ms across the
+# sweep is the parallel-phase speedup, serial_ms = transfer commit is
 # the Amdahl remainder, and rerun_frac — the speculative-plan conflict
 # rate — is thread-count invariant; bitwise-identical results per
 # seed), and the checkpoint

@@ -4,11 +4,30 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "bittorrent/tracker_sim.hpp"
 #include "sim/parallel.hpp"
 
 namespace strat::bt {
+
+namespace detail {
+
+void validate_churn_spec(const ChurnSpec& spec, const char* where) {
+  const auto require = [where](bool ok, const char* rule) {
+    if (!ok) throw std::invalid_argument(std::string(where) + ": " + rule);
+  };
+  const auto rate = [](double r) { return std::isfinite(r) && r >= 0.0; };
+  require(rate(spec.arrival_rate), "arrival_rate must be finite and >= 0");
+  require(rate(spec.replacement_rate), "replacement_rate must be finite and >= 0");
+  require(spec.lifetime == ChurnSpec::Lifetime::kNone ||
+              (std::isfinite(spec.lifetime_rounds) && spec.lifetime_rounds > 0.0),
+          "lifetime_rounds must be finite and > 0");
+  require(0.0 <= spec.arrival_completion && spec.arrival_completion < 1.0,
+          "arrival_completion in [0, 1)");
+}
+
+}  // namespace detail
 
 namespace {
 

@@ -95,6 +95,16 @@ struct ChurnSpec {
   }
 };
 
+namespace detail {
+/// The ChurnSpec rules every consumer applies (the ChurnDriver
+/// constructor, TrackerSim for its swarm_churn): rates finite and
+/// >= 0 (Rng::poisson(+inf) never returns), lifetime_rounds finite and
+/// > 0 when a lifetime model is on, arrival_completion in [0, 1). Each
+/// check is written so that NaN fails it. Throws std::invalid_argument
+/// prefixed with `where`.
+void validate_churn_spec(const ChurnSpec& spec, const char* where);
+}  // namespace detail
+
 /// The paper's "x/1000" churn notation mapped to a per-round
 /// replacement rate: x events per 1000 peers per round.
 [[nodiscard]] inline double paper_replacement_rate(double x, std::size_t peers) {
@@ -114,6 +124,7 @@ class ChurnDriver {
   ChurnDriver(const ChurnSpec& spec, const SwarmConfig& config, std::vector<double> arrival_pool,
               graph::Rng& rng)
       : spec_(spec), config_(config), pool_(std::move(arrival_pool)), rng_(rng) {
+    detail::validate_churn_spec(spec_, "ChurnDriver");
     const bool makes_arrivals =
         spec_.arrivals != ChurnSpec::Arrivals::kNone || spec_.replacement_rate > 0.0;
     if (makes_arrivals && spec_.arrival_bandwidth == ChurnSpec::ArrivalBandwidth::kCyclePool &&

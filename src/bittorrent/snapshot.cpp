@@ -522,8 +522,13 @@ Swarm Swarm::resume_impl(std::istream& in, graph::Rng& rng, const SwarmConfig* o
     if (static_cast<std::size_t>(r.u64()) != rows) {
       throw SnapshotError("snapshot: per-row state size mismatch");
     }
+    // Stored capacities pass the constructor's rule as they are read: a
+    // NaN would reach the rank sort's comparator in refresh_ranks_force().
     s.stats_.resize(rows);
-    for (PeerStats& st : s.stats_) peer_stats_fields(r, st);
+    for (PeerStats& st : s.stats_) {
+      peer_stats_fields(r, st);
+      detail::require_capacity(st.upload_kbps, "snapshot live peer", /*allow_zero=*/true);
+    }
     const std::size_t words_per_peer = (cfg.num_pieces + 63) / 64;
     s.have_.reserve(rows);
     for (std::size_t row = 0; row < rows; ++row) {
@@ -559,7 +564,10 @@ Swarm Swarm::resume_impl(std::istream& in, graph::Rng& rng, const SwarmConfig* o
     r.expect_tag(kTagRetired, "retired");
     auto retired_order = r.pod_vec<core::PeerId>(id_space, "retired id");
     std::vector<PeerStats> retired_stats(retired_order.size());
-    for (PeerStats& st : retired_stats) peer_stats_fields(r, st);
+    for (PeerStats& st : retired_stats) {
+      peer_stats_fields(r, st);
+      detail::require_capacity(st.upload_kbps, "snapshot retired peer", /*allow_zero=*/true);
+    }
     r.list(s.retired_mutual_, kMaxSlots, "retired pair", kRetiredPair);
 
     r.expect_tag(kTagAvail, "availability");

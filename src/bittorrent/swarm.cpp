@@ -16,11 +16,13 @@ namespace strat::bt {
 namespace {
 constexpr std::uint32_t kNoRetired = std::numeric_limits<std::uint32_t>::max();
 
-// Minimum work per chunk before the parallel phases actually spawn
-// threads: rows for the per-peer phases, slots for the pool-wide fold.
-// Small enough that test-scale swarms (hundreds of peers) exercise the
-// threaded paths under TSan, large enough that a chunk amortizes its
-// thread.
+// Minimum work per chunk before the parallel phases fan out: rows for
+// the per-peer phases, slots for the pool-wide fold. Wide ranges split
+// into up to 8 chunks per worker (sim::chunk_count), claimed on demand,
+// so the capacity-sorted rows (fast, lane-heavy senders first) do not
+// pile onto one worker. Small enough that test-scale swarms (hundreds
+// of peers) run several chunks per worker under TSan, large enough
+// that a chunk amortizes its claim.
 constexpr std::size_t kRowGrain = 64;
 constexpr std::size_t kSlotGrain = 4096;
 
@@ -471,7 +473,11 @@ void Swarm::choke_step() {
 void Swarm::count_incoming_unchokes() {
   const std::size_t n = table_.size();
   const std::size_t threads = fan_out();
-  const std::size_t chunks = sim::chunk_count(n, threads, kRowGrain);
+  // One tally per worker, not per chunk: each tally is O(rows), so a
+  // grain of ceil(n / threads) keeps memory and the merge at the old
+  // per-worker cost.
+  const std::size_t grain = std::max(kRowGrain, (n + threads - 1) / threads);
+  const std::size_t chunks = sim::chunk_count(n, threads, grain);
   if (chunks <= 1) {
     incoming_unchokes_.assign(n, 0);
     for (Row r = 0; r < table_.size(); ++r) {
@@ -485,7 +491,7 @@ void Swarm::count_incoming_unchokes() {
   // the merge is integer addition — associative and commutative, hence
   // bitwise identical to the serial count at any thread count.
   if (incoming_scratch_.size() < chunks) incoming_scratch_.resize(chunks);
-  sim::parallel_for_chunks(n, threads, kRowGrain,
+  sim::parallel_for_chunks(n, threads, grain,
                            [&](std::size_t begin, std::size_t end, std::size_t chunk) {
                              auto& local = incoming_scratch_[chunk];
                              local.assign(n, 0);
@@ -511,20 +517,29 @@ void Swarm::record_mutual_unchokes() {
   // Mutual unchokes among present, still-downloading leechers: these
   // are the effective TFT collaborations the matching model describes.
   // No departures can occur between the choke step and here, so every
-  // unchoked target still owns a live row.
-  for (Row r = 0; r < table_.size(); ++r) {
-    if (stats_[r].seed || have_[r].complete()) continue;
-    const core::PeerId p = table_.id_at(r);
-    for (core::PeerId q : unchoked_[r]) {
-      if (q <= p) continue;
-      const Row qr = table_.row_of(q);
-      if (stats_[qr].seed || have_[qr].complete()) continue;
-      const auto& back = unchoked_[qr];
-      if (std::find(back.begin(), back.end(), p) != back.end()) {
-        ++mutual_rounds_[slot_of(r, q)];
-      }
-    }
-  }
+  // unchoked target still owns a live row. Each pair is counted once,
+  // by its lower endpoint p, on the slot row r = row(p) owns: rows
+  // write disjoint slots by integer increment and read only
+  // phase-immutable state, so chunks never race and the counts cannot
+  // depend on the schedule.
+  sim::parallel_for_chunks(
+      table_.size(), fan_out(), kRowGrain,
+      [&](std::size_t begin, std::size_t end, std::size_t) {
+        for (std::size_t row = begin; row < end; ++row) {
+          const auto r = static_cast<Row>(row);
+          if (stats_[r].seed || have_[r].complete()) continue;
+          const core::PeerId p = table_.id_at(r);
+          for (core::PeerId q : unchoked_[r]) {
+            if (q <= p) continue;
+            const Row qr = table_.row_of(q);
+            if (stats_[qr].seed || have_[qr].complete()) continue;
+            const auto& back = unchoked_[qr];
+            if (std::find(back.begin(), back.end(), p) != back.end()) {
+              ++mutual_rounds_[slot_of(r, q)];
+            }
+          }
+        }
+      });
 }
 
 std::optional<PieceId> Swarm::pick_for(Row qr, Row pr, std::size_t slot_qp, graph::Rng& rng) {

@@ -67,17 +67,21 @@
 //    the single `rng_` passed in, in program order.
 //
 // That split is what lets SwarmConfig::threads fan the intra-round
-// phases out: choke score/select (per-row reads of an effectively
-// immutable rate/bitfield snapshot, per-row writes of the unchoke
-// sets), the endgame incoming-unchoke count (per-chunk tallies merged
-// by integer addition) and the rate fold (slot-pool map) run over
-// sim::parallel_for_chunks. The transfer phase — where mid-round
-// completion departures mutate shared state — splits into a parallel
-// *compute* stage (every sender plans its whole round against the
-// immutable phase-start snapshot, writing piece grants into per-chunk
-// plan buffers) and a serial *commit* stage that validates and applies
-// the plans in sender order, re-running a sender serially when an
-// earlier commit made its plan stale (receiver departed, piece
+// phases out over sim::parallel_for_chunks: choke score/select
+// (per-row reads of an effectively immutable rate/bitfield snapshot,
+// per-row writes of the unchoke sets), the endgame incoming-unchoke
+// count (per-worker tallies merged by integer addition), mutual-unchoke
+// recording (each pair counted by integer increment on a slot its
+// lower endpoint's row owns), transfer compute (below) and the rate
+// fold (slot-pool map). Rows are capacity-sorted, so per-row cost is
+// skewed; each phase splits its range into several contiguous chunks
+// per worker, claimed on demand. The transfer phase — where mid-round
+// completion departures mutate shared state — splits into that
+// parallel *compute* stage (every sender plans its whole round against
+// the immutable phase-start snapshot, writing piece grants into
+// per-chunk plan buffers) and a serial *commit* stage that validates
+// and applies the plans in sender order, re-running a sender serially
+// when an earlier commit made its plan stale (receiver departed, piece
 // completed, or the assumed partial progress moved). Results are
 // bitwise identical for any `threads` value and still bitwise equal to
 // the single-threaded ReferenceSwarm, which runs the identical
@@ -160,12 +164,14 @@ struct SwarmConfig {
   /// the archive and reject this flag.
   bool retain_departed = true;
   /// Worker threads for the intra-round parallel phases (choke
-  /// score/select, endgame unchoke counting, rate folding). Results
-  /// are bitwise identical at any value: choke randomness comes from
-  /// per-peer counter-based streams, so neither row order nor thread
-  /// count can reorder draws. 1 = serial (default); 0 = one worker per
-  /// hardware thread. ReferenceSwarm accepts but ignores it (the
-  /// oracle always runs serial — and still matches bitwise).
+  /// score/select, endgame unchoke counting, mutual-unchoke recording,
+  /// transfer compute, rate folding); the transfer commit stays
+  /// serial. Results are bitwise identical at any value: choke and
+  /// transfer randomness come from per-peer counter-based streams, so
+  /// neither row order nor thread count can reorder draws. 1 = serial
+  /// (default); 0 = one worker per hardware thread. ReferenceSwarm
+  /// accepts but ignores it (the oracle always runs serial — and still
+  /// matches bitwise).
   std::size_t threads = 1;
   /// Deterministic fault injection (faults.hpp): tracker outage
   /// windows with capped-exponential announce backoff, per-connect
@@ -586,7 +592,7 @@ class Swarm {
   /// run_round() is atomic, so any point outside it is a valid
   /// checkpoint. resume() continues bitwise-identically to the
   /// uninterrupted run at any `threads` setting. Not serialized:
-  /// phase_profile() wall-clock accumulators and per-worker scratch
+  /// phase_profile() wall-clock accumulators and per-chunk scratch
   /// (reset on resume), neither of which feeds back into simulation
   /// state. Throws SnapshotError if the stream write fails.
   void save(std::ostream& out) const;
@@ -782,13 +788,13 @@ class Swarm {
 
   /// Cumulative wall-clock seconds per run_round() phase since
   /// construction. The thread-scaling acceptance bar reads the
-  /// parallel portion (choke + transfer compute + fold) from here, so
-  /// speedups are measured per phase instead of inferred from
+  /// parallel portion (choke + mutual + transfer compute + fold) from
+  /// here, so speedups are measured per phase instead of inferred from
   /// whole-round times that the serial commit stage dilutes.
   struct PhaseProfile {
     double choke_seconds = 0.0;     // parallel: score/select fan-out
     double endgame_seconds = 0.0;   // parallel: incoming-unchoke count
-    double mutual_seconds = 0.0;    // serial: mutual-unchoke recording
+    double mutual_seconds = 0.0;    // parallel: mutual-unchoke recording
     double transfer_seconds = 0.0;  // whole transfer phase (compute + commit)
     double fold_seconds = 0.0;      // parallel: rate smoothing fold
     // Transfer-phase breakdown — sub-timings *inside* transfer_seconds,
@@ -1003,7 +1009,7 @@ class Swarm {
   // Per-chunk scratch of the transfer compute stage: the planned
   // grants, the hungry/next-hungry redistribution lists (hoisted from
   // per-call locals), per-receiver lane state and the pick exclusion
-  // bitfield. One instance per compute worker, indexed by chunk id.
+  // bitfield. One instance per chunk, indexed by chunk id.
   struct TransferScratch {
     std::vector<std::pair<core::PeerId, std::size_t>> hungry;       // (receiver, sender slot)
     std::vector<std::pair<core::PeerId, std::size_t>> next_hungry;
@@ -1041,11 +1047,12 @@ class Swarm {
   // strat-lint: not-serialized -- cleared per use
   std::vector<std::pair<core::PeerId, std::size_t>> next_hungry_scratch_;
   // Per-chunk scratch for the parallel phases: one candidates buffer
-  // per choke worker (the hoisted per-row allocation), one tally
-  // vector per endgame-count worker. Sized lazily to the chunk count.
-  // strat-lint: not-serialized -- per-worker scratch, resized to the fan-out
+  // per choke chunk (the hoisted per-row allocation), one O(rows) tally
+  // vector per endgame-count chunk (that phase runs one chunk per
+  // worker). Sized lazily to the chunk count.
+  // strat-lint: not-serialized -- per-chunk scratch, resized to the chunk count
   std::vector<std::vector<ChokeCandidate>> choke_scratch_;
-  // strat-lint: not-serialized -- per-worker scratch, resized to the fan-out
+  // strat-lint: not-serialized -- per-chunk scratch, resized to the chunk count
   std::vector<std::vector<std::uint32_t>> incoming_scratch_;
   // strat-lint: not-serialized -- wall-clock accounting, never simulation state
   PhaseProfile profile_;

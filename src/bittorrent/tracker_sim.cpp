@@ -76,24 +76,22 @@ void PeerRegistry::restore(std::vector<Record> records, GlobalPeerId id_space) {
 }
 
 void TrackerSim::validate_config(const TrackerConfig& cfg) {
-  if (cfg.arrival_rate < 0.0) {
-    throw std::invalid_argument("TrackerConfig: arrival_rate must be >= 0");
-  }
-  if (cfg.arrival_rate > 0.0 && !cfg.arrival_model.has_value()) {
-    throw std::invalid_argument("TrackerConfig: arrival_model required when arrival_rate > 0");
-  }
-  if (cfg.zipf_exponent < 0.0) {
-    throw std::invalid_argument("TrackerConfig: zipf_exponent must be >= 0");
-  }
-  if (cfg.multi_torrent_fraction < 0.0 || cfg.multi_torrent_fraction > 1.0) {
-    throw std::invalid_argument("TrackerConfig: multi_torrent_fraction in [0, 1]");
-  }
-  if (cfg.swarm_churn.arrivals != ChurnSpec::Arrivals::kNone ||
-      cfg.swarm_churn.replacement_rate > 0.0) {
-    throw std::invalid_argument(
-        "TrackerConfig: swarm_churn must not generate arrivals — the tracker owns the "
-        "ecosystem arrival process (lifetime/re-announce churn is fine)");
-  }
+  const auto require = [](bool ok, const char* rule) {
+    if (!ok) throw std::invalid_argument(std::string("TrackerConfig: ") + rule);
+  };
+  require(std::isfinite(cfg.arrival_rate) && cfg.arrival_rate >= 0.0,
+          "arrival_rate must be finite and >= 0");
+  require(cfg.arrival_rate == 0.0 || cfg.arrival_model.has_value(),
+          "arrival_model required when arrival_rate > 0");
+  require(std::isfinite(cfg.zipf_exponent) && cfg.zipf_exponent >= 0.0,
+          "zipf_exponent must be finite and >= 0");
+  require(0.0 <= cfg.multi_torrent_fraction && cfg.multi_torrent_fraction <= 1.0,
+          "multi_torrent_fraction in [0, 1]");
+  detail::validate_churn_spec(cfg.swarm_churn, "TrackerConfig: swarm_churn");
+  require(cfg.swarm_churn.arrivals == ChurnSpec::Arrivals::kNone &&
+              cfg.swarm_churn.replacement_rate == 0.0,
+          "swarm_churn must not generate arrivals — the tracker owns the ecosystem arrival "
+          "process (lifetime/re-announce churn is fine)");
 }
 
 TrackerSim::TrackerSim(const TrackerConfig& cfg) : cfg_(cfg) { validate_config(cfg_); }

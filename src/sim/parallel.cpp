@@ -7,6 +7,14 @@
 
 namespace strat::sim {
 
+namespace {
+// Chunks per worker parallel_for_chunks() aims for when the range is
+// wide enough: enough that on-demand claiming evens out per-index cost
+// skew (the swarm's capacity-sorted rows put the heaviest senders
+// first), few enough that per-chunk scratch and claims stay cheap.
+constexpr std::size_t kChunksPerWorker = 8;
+}  // namespace
+
 std::size_t recommended_threads() noexcept {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
@@ -27,7 +35,7 @@ std::size_t chunk_count(std::size_t count, std::size_t threads,
   if (count == 0 || threads <= 1) return count == 0 ? 0 : 1;
   const std::size_t by_grain =
       min_per_chunk == 0 ? count : std::max<std::size_t>(1, count / min_per_chunk);
-  return std::min(threads, by_grain);
+  return std::min(kChunksPerWorker * threads, by_grain);
 }
 
 void parallel_for_chunks(
@@ -48,10 +56,9 @@ void parallel_for_chunks(
     run_chunk(0);
     return;
   }
-  // One pool worker per chunk except one the caller claims itself; the
-  // persistent pool makes an N-chunk phase cost N - 1 wakeups instead
-  // of N - 1 thread spawns per call.
-  WorkerPool::shared().run(chunks, chunks, run_chunk);
+  // The caller plus up to threads - 1 pool workers claim chunks from the
+  // pool's counter in ascending order until none are left.
+  WorkerPool::shared().run(chunks, threads, run_chunk);
 }
 
 }  // namespace strat::sim

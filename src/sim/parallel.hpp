@@ -9,14 +9,20 @@
 // thread or N threads produces identical output.
 //
 // parallel_for_chunks() is the intra-round variant: it splits a dense
-// index range into at most `threads` contiguous chunks (each at least
-// `min_per_chunk` wide, so tiny ranges run inline instead of paying a
-// pool wakeup) and hands each worker a [begin, end) range plus a
-// stable chunk id it can key per-worker scratch buffers by. The swarm
-// round phases fan over this; their per-index work is either pure
-// (fold_rates), draws from per-peer counter-based RNG streams
-// (choke_step), or writes only per-chunk plan buffers (transfer
-// compute), so results stay bitwise identical at any thread count.
+// index range into up to 8 x `threads` contiguous chunks (each at
+// least `min_per_chunk` wide, so tiny ranges run inline instead of
+// paying a pool wakeup), and at most `threads` workers claim them on
+// demand, each getting a [begin, end) range plus a stable chunk id it
+// can key per-chunk scratch buffers by. Several chunks per worker let
+// a skewed range balance itself: a worker that drew cheap rows just
+// claims more of them. Chunk ids ascend with the range, so per-chunk
+// buffers concatenated in chunk order are in index order no matter
+// which worker filled them. The swarm round phases fan over this;
+// their per-index work is either pure (fold_rates), draws from
+// per-peer counter-based RNG streams (choke_step), or writes only
+// row-owned slots or per-chunk plan buffers (mutual recording,
+// transfer compute), so results stay bitwise identical at any thread
+// count.
 //
 // Both loops share WorkerPool::shared() (see worker_pool.hpp): threads
 // are spawned once, on demand, and reused across every phase of every
@@ -42,19 +48,22 @@ void parallel_for(std::size_t count, std::size_t threads,
                   const std::function<void(std::size_t)>& body);
 
 /// Number of contiguous chunks parallel_for_chunks() will use for the
-/// same arguments: min(threads, count / min_per_chunk), floored at 1.
-/// Callers size per-chunk scratch with this.
+/// same arguments: min(8 * threads, count / min_per_chunk), floored at
+/// 1; exactly 1 when threads <= 1 and 0 for an empty range. Callers
+/// size per-chunk scratch with this, and a caller that wants one chunk
+/// per worker passes a min_per_chunk of ceil(count / threads).
 [[nodiscard]] std::size_t chunk_count(std::size_t count, std::size_t threads,
                                       std::size_t min_per_chunk) noexcept;
 
 /// Invokes body(begin, end, chunk) over a partition of [0, count) into
-/// chunk_count(...) contiguous ranges; chunk ids are dense in
-/// [0, chunk_count) and each is claimed by exactly one worker, so
-/// body may use `chunk` to index scratch without synchronization.
-/// The caller participates (N chunks cost at most N - 1 pool wakeups,
-/// zero thread spawns once the pool is warm). body must be safe to
-/// call concurrently for distinct chunks; the first exception is
-/// rethrown on the caller after the job completes.
+/// chunk_count(...) contiguous ranges: chunk c + 1 starts where chunk c
+/// ends, and chunk ids are dense in [0, chunk_count), ascending with
+/// the range. At most `threads` workers (the caller included) claim
+/// chunks on demand; each chunk is claimed by exactly one of them, so
+/// body may use `chunk` to index scratch without synchronization. Once
+/// the pool is warm a call spawns no threads. body must be safe to call
+/// concurrently for distinct chunks; the first exception is rethrown on
+/// the caller after the job completes.
 void parallel_for_chunks(
     std::size_t count, std::size_t threads, std::size_t min_per_chunk,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& body);

@@ -621,6 +621,57 @@ TEST(SwarmConfigRules, EveryBadValueIsRefusedByBothPlanesAndTheLoader) {
   }
 }
 
+// --- stored capacities -------------------------------------------------------
+//
+// The loader applies the constructor's capacity rule (finite, >= 0) to
+// every stored PeerStats::upload_kbps, live rows and retired records
+// alike, as it reads them: the checksum is no security boundary, and a
+// NaN capacity would reach the rank sort's comparator.
+
+/// Round-zero stream of rules_base_config() where peer `who` holds
+/// capacity `kbps`, then departs into a retired record if `retire`.
+std::string saved_with_capacity(core::PeerId who, double kbps, bool retire) {
+  const SwarmConfig cfg = rules_base_config();
+  graph::Rng rng(kSeed);
+  Swarm swarm(cfg, capacities(cfg.num_peers), rng);
+  swarm.set_upload_capacity(who, kbps);
+  if (retire) swarm.leave(who);
+  return save_to_string(swarm);
+}
+
+TEST(SwarmSnapshot, LoaderRefusesBadStoredCapacities) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr core::PeerId kWho = 3;
+  constexpr double kGood = 100.0;
+  for (const bool retire : {false, true}) {
+    // The capacity's offset, found as in field_offset(): the first byte
+    // where a one-ulp change moves the stream.
+    const std::string good = saved_with_capacity(kWho, kGood, retire);
+    const std::string nudged = saved_with_capacity(kWho, std::nextafter(kGood, kInf), retire);
+    ASSERT_EQ(good.size(), nudged.size());
+    const auto at = static_cast<std::size_t>(
+        std::mismatch(good.begin(), good.end(), nudged.begin()).first - good.begin());
+    ASSERT_LE(at + sizeof(double), good.size());
+    ASSERT_NO_THROW((void)resume_from_string(good));
+    for (const double bad : {kNaN, -1.0, kInf}) {
+      SCOPED_TRACE(std::string(retire ? "retired record" : "live row") + " capacity " +
+                   std::to_string(bad));
+      std::string bytes = good;
+      std::memcpy(bytes.data() + at, &bad, sizeof bad);
+      try {
+        (void)resume_from_string(bytes);
+        ADD_FAILURE() << "loader accepted a bad stored capacity";
+      } catch (const SnapshotError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("capacity must be finite"), std::string::npos) << what;
+        EXPECT_NE(what.find(retire ? "retired peer" : "live peer"), std::string::npos) << what;
+        EXPECT_EQ(what.find("checksum"), std::string::npos) << what;
+      }
+    }
+  }
+}
+
 // --- corrupt list counts ---------------------------------------------------
 //
 // A count-prefixed list must be rejected from its count alone, before

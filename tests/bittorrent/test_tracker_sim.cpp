@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "bittorrent/bandwidth.hpp"
+#include "bittorrent/reference_swarm.hpp"
 #include "bittorrent/scenario.hpp"
 #include "bittorrent/snapshot.hpp"
 #include "bittorrent/swarm.hpp"
@@ -374,6 +375,111 @@ TEST(TrackerSim, RejectsInvalidConstruction) {
     cfg.swarm_churn.arrival_rate = 1.0;
     EXPECT_THROW(TrackerSim(cfg, disjoint_seeds(2, 16), capacities, 1),
                  std::invalid_argument);
+  }
+}
+
+// --- churn and tracker rate rules ---------------------------------------------
+//
+// One ChurnSpec rule set (detail::validate_churn_spec) guards every
+// consumer: both data planes' ChurnDrivers and TrackerSim's swarm_churn.
+// A value that slips through runs a round, so an accepted +inf rate
+// shows the failure it causes: Rng::poisson(+inf) recurses until the
+// stack overflows.
+
+/// Requires `construct_and_run` to throw std::invalid_argument naming `rule`.
+template <typename F>
+void expect_refused(const char* rule, const char* where, F&& construct_and_run) {
+  try {
+    construct_and_run();
+    ADD_FAILURE() << where << " accepted a bad value for rule: " << rule;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(rule), std::string::npos) << where << ": " << e.what();
+  }
+}
+
+template <typename SwarmT>
+void run_churned_round(const ChurnSpec& spec) {
+  const SwarmConfig cfg = member_config(16);
+  const auto capacities = BandwidthModel::saroiu2002().representative_sample(16);
+  graph::Rng rng(7);
+  SwarmT swarm(cfg, capacities, rng);
+  ChurnDriver<SwarmT> driver(spec, cfg, capacities, rng);
+  driver.attach(swarm);
+  driver.before_round(swarm);
+  swarm.run_round();
+}
+
+void run_tracker_round(const TrackerConfig& cfg) {
+  const auto capacities = BandwidthModel::saroiu2002().representative_sample(32);
+  TrackerSim tracker(cfg, disjoint_seeds(2, 16), capacities, 7);
+  tracker.run_round();
+}
+
+TEST(ChurnSpecRules, EveryBadValueIsRefusedByBothDriversAndTheTracker) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // Valid for every consumer: no spec-driven arrivals (the tracker owns
+  // them), a lifetime model on so lifetime_rounds is live.
+  ChurnSpec base;
+  base.lifetime = ChurnSpec::Lifetime::kExponential;
+  base.lifetime_rounds = 25.0;
+  base.arrival_completion = 0.25;
+  base.reannounce_interval = 5;
+
+  struct BadSpec {
+    const char* rule;
+    double ChurnSpec::*field;
+    double bad;
+  };
+  const std::vector<BadSpec> specs = {
+      {"arrival_rate", &ChurnSpec::arrival_rate, kInf},
+      {"arrival_rate", &ChurnSpec::arrival_rate, kNaN},
+      {"arrival_rate", &ChurnSpec::arrival_rate, -1.0},
+      {"replacement_rate", &ChurnSpec::replacement_rate, kInf},
+      {"replacement_rate", &ChurnSpec::replacement_rate, kNaN},
+      {"replacement_rate", &ChurnSpec::replacement_rate, -1.0},
+      {"lifetime_rounds", &ChurnSpec::lifetime_rounds, kNaN},
+      {"lifetime_rounds", &ChurnSpec::lifetime_rounds, kInf},
+      {"lifetime_rounds", &ChurnSpec::lifetime_rounds, 0.0},
+      {"lifetime_rounds", &ChurnSpec::lifetime_rounds, -5.0},
+      {"arrival_completion", &ChurnSpec::arrival_completion, 1.5},
+      {"arrival_completion", &ChurnSpec::arrival_completion, 1.0},
+      {"arrival_completion", &ChurnSpec::arrival_completion, -0.1},
+      {"arrival_completion", &ChurnSpec::arrival_completion, kNaN},
+  };
+  for (const BadSpec& row : specs) {
+    SCOPED_TRACE(std::string(row.rule) + " = " + std::to_string(row.bad));
+    ChurnSpec spec = base;
+    spec.*row.field = row.bad;
+    expect_refused(row.rule, "ChurnDriver<Swarm>", [&] { run_churned_round<Swarm>(spec); });
+    expect_refused(row.rule, "ChurnDriver<ReferenceSwarm>",
+                   [&] { run_churned_round<ReferenceSwarm>(spec); });
+    TrackerConfig cfg;
+    cfg.swarm_churn = spec;
+    expect_refused(row.rule, "TrackerSim", [&] { run_tracker_round(cfg); });
+  }
+
+  struct BadTracker {
+    const char* rule;
+    double TrackerConfig::*field;
+    double bad;
+  };
+  const std::vector<BadTracker> trackers = {
+      {"arrival_rate", &TrackerConfig::arrival_rate, kInf},
+      {"arrival_rate", &TrackerConfig::arrival_rate, kNaN},
+      {"arrival_rate", &TrackerConfig::arrival_rate, -1.0},
+      {"zipf_exponent", &TrackerConfig::zipf_exponent, kNaN},
+      {"zipf_exponent", &TrackerConfig::zipf_exponent, kInf},
+      {"zipf_exponent", &TrackerConfig::zipf_exponent, -1.0},
+      {"multi_torrent_fraction", &TrackerConfig::multi_torrent_fraction, kNaN},
+      {"multi_torrent_fraction", &TrackerConfig::multi_torrent_fraction, 1.5},
+      {"multi_torrent_fraction", &TrackerConfig::multi_torrent_fraction, -0.1},
+  };
+  for (const BadTracker& row : trackers) {
+    SCOPED_TRACE(std::string(row.rule) + " = " + std::to_string(row.bad));
+    TrackerConfig cfg = churned_config(1);
+    cfg.*row.field = row.bad;
+    expect_refused(row.rule, "TrackerSim", [&] { run_tracker_round(cfg); });
   }
 }
 
