@@ -1,10 +1,11 @@
 // Microbenchmarks: swarm round throughput and its building blocks.
 //
 // BM_SwarmRound times the flat edge-slot data plane at 10^2..10^4
-// peers and BM_SwarmRoundHuge at 10^5 (fixed iteration count: one
-// round there is itself a macro-workload). BM_ReferenceSwarmRound
-// times the retained map-based plane on the same configuration so the
-// flat layout's speedup stays a measured number. BM_SwarmChurnRound
+// peers and BM_SwarmRoundThreads at 10^5 over a thread sweep (fixed
+// iteration count: one round there is itself a macro-workload).
+// BM_ReferenceSwarmRound times the retained map-based plane on the
+// same configuration so the flat layout's speedup stays a measured
+// number. BM_SwarmChurnRound
 // runs the same 5000-peer workload under replacement churn (the
 // paper's x/1000 regime through the dynamic overlay) — the
 // BM_SwarmRound/5000 ratio is the cost of churn, which the acceptance
@@ -77,7 +78,9 @@ void BM_SwarmRound(benchmark::State& state) {
 }
 BENCHMARK(BM_SwarmRound)->Arg(100)->Arg(400)->Arg(5000)->Arg(10000)->Unit(benchmark::kMillisecond);
 
-// Thread-scaling sweep: the BM_SwarmRoundHuge workload with
+// Thread-scaling sweep: rounds 1-3 of a freshly built
+// round_config(10^5) swarm (seed 1, ~3M edge slots; fixed iterations
+// keep the harness from rescaling it into minutes of wall clock) with
 // SwarmConfig::threads = the second argument. Runs are bitwise
 // identical across the sweep (per-peer choke and transfer streams);
 // only the wall clock moves. The counters split the round via
@@ -122,25 +125,9 @@ BENCHMARK(BM_SwarmRoundThreads)
     ->Iterations(3)
     ->Unit(benchmark::kMillisecond);
 
-// 10^5 peers: ~3M edge slots. Fixed iterations keep the harness from
-// rescaling this into minutes of wall clock.
-void BM_SwarmRoundHuge(benchmark::State& state) {
-  const auto peers = static_cast<std::size_t>(state.range(0));
-  const bt::BandwidthModel model = bt::BandwidthModel::saroiu2002();
-  graph::Rng rng(1);
-  bt::Swarm swarm(round_config(peers), model.representative_sample(peers), rng);
-  for (auto _ : state) {
-    swarm.run_round();
-    benchmark::DoNotOptimize(swarm.rounds_elapsed());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(peers));
-}
-BENCHMARK(BM_SwarmRoundHuge)->Arg(100000)->Iterations(3)->Unit(benchmark::kMillisecond);
-
 // Set-up path: the capacity sample every swarm driver and benchmark
 // workload builds first, then the constructor it feeds (overlay, slot
-// pool, Bernoulli piece fill, ranks) on the BM_SwarmRoundHuge config.
+// pool, Bernoulli piece fill, ranks) on the BM_SwarmRoundThreads config.
 void BM_RepresentativeSample(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const bt::BandwidthModel model = bt::BandwidthModel::saroiu2002();
@@ -548,12 +535,12 @@ void BM_SwarmFaults(benchmark::State& state) {
     swarm.run_round();
     benchmark::DoNotOptimize(swarm.rounds_elapsed());
   }
-  const auto& prof = swarm.phase_profile();
   const auto rounds = static_cast<double>(swarm.rounds_elapsed());
-  state.counters["fault_ms"] = prof.fault_seconds * 1000.0 / rounds;
-  state.counters["lost_lanes"] = static_cast<double>(prof.fault_lost_lanes);
-  state.counters["connect_failures"] = static_cast<double>(prof.fault_connect_failures);
-  state.counters["degraded_peers"] = static_cast<double>(prof.fault_degraded_peers);
+  const bt::FaultState& faults = swarm.fault_state();
+  state.counters["fault_ms"] = swarm.phase_profile().fault_seconds * 1000.0 / rounds;
+  state.counters["lost_lanes"] = static_cast<double>(faults.lost_lanes_);
+  state.counters["connect_failures"] = static_cast<double>(faults.connect_failures_);
+  state.counters["degraded_peers"] = static_cast<double>(faults.degraded_count());
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kPeers));
 }

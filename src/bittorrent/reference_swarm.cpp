@@ -98,6 +98,7 @@ std::size_t ReferenceSwarm::connect_random_live(core::PeerId p, std::size_t need
   const std::size_t made = detail::announce_connect(
       table_.ids(), p, need, rng_,
       [&](core::PeerId q) { return overlay_.has_edge(p, q); },
+      [](core::PeerId) { return false; }, [](core::PeerId) { return true; },
       [&](core::PeerId q) { overlay_.add_edge(p, q); });
   // finalize() re-sorts every adjacency list, not just the touched
   // rows — O(|V|) per join/re-announce. Acceptable at the oracle scale
@@ -116,7 +117,7 @@ std::size_t ReferenceSwarm::announce_with_faults(core::PeerId p, std::size_t nee
       graph::Rng::stream(choke_key_ ^ kFaultConnectSalt, p, faults_.announce_seq_[p]++);
   const double fail_prob = config_.faults.connect_failure_prob;
   const std::size_t max_attempts = config_.faults.connect_attempts;
-  const std::size_t made = detail::announce_connect_faulty(
+  const std::size_t made = detail::announce_connect(
       table_.ids(), p, need, rng_,
       [&](core::PeerId q) { return overlay_.has_edge(p, q); },
       [&](core::PeerId q) {

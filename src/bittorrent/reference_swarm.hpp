@@ -120,8 +120,8 @@ class ReferenceSwarm {
   [[nodiscard]] std::size_t target_degree() const;
   std::size_t connect_random_live(core::PeerId p, std::size_t need);
   /// Faulted announce, mirroring Swarm::announce_with_faults (same
-  /// shared detail::announce_connect_faulty algorithm, same trial
-  /// stream keyed by the per-peer announce sequence number).
+  /// shared detail::announce_connect algorithm, same trial stream
+  /// keyed by the per-peer announce sequence number).
   std::size_t announce_with_faults(core::PeerId p, std::size_t need);
   /// Serial backoff sweep at the top of run_round, mirroring
   /// Swarm::fault_step over the identical table-row order.

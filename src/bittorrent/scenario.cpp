@@ -156,7 +156,7 @@ std::vector<std::size_t> capacity_scaled_slots(const std::vector<double>& upload
   double log_max = 0.0;
   bool first = true;
   for (double kbps : upload_kbps) {
-    if (kbps <= 0.0) throw std::invalid_argument("capacity_scaled_slots: capacities > 0");
+    detail::require_capacity(kbps, "capacity_scaled_slots");
     const double l = std::log(kbps);
     log_min = first ? l : std::min(log_min, l);
     log_max = first ? l : std::max(log_max, l);
@@ -180,7 +180,7 @@ std::size_t distinct_peer_count(const MultiSwarmSpec& spec) {
   if (spec.num_swarms == 0 || spec.peers_per_swarm < 2) {
     throw std::invalid_argument("MultiSwarmSpec: need >= 1 swarm of >= 2 peers");
   }
-  if (spec.overlap_fraction < 0.0 || spec.overlap_fraction >= 1.0) {
+  if (!(spec.overlap_fraction >= 0.0 && spec.overlap_fraction < 1.0)) {
     throw std::invalid_argument("MultiSwarmSpec: overlap_fraction in [0, 1)");
   }
   const auto overlap = static_cast<std::size_t>(spec.overlap_fraction *

@@ -375,7 +375,8 @@ struct ScenarioResult {
 
 /// Heterogeneous-slot helper: maps capacities to per-peer TFT slot
 /// counts in [lo, hi], linear in log-capacity (fastest peer gets hi).
-/// Requires lo >= 1, lo <= hi, and positive capacities.
+/// Requires lo >= 1, lo <= hi, and finite positive capacities
+/// (detail::require_capacity).
 [[nodiscard]] std::vector<std::size_t> capacity_scaled_slots(const std::vector<double>& upload_kbps,
                                                              std::size_t lo, std::size_t hi);
 

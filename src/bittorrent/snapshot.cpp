@@ -20,43 +20,17 @@ constexpr std::uint64_t kHashBasis = 0xCBF29CE484222325ULL;  // FNV-64 offset
 
 }  // namespace
 
-Writer::Writer(std::ostream& out) : out_(&out), hash_(kHashBasis) { buf_.reserve(kIoBuf); }
-
-Writer::Writer(std::string& sink) : sink_(&sink), hash_(kHashBasis) {}
-
-Writer::~Writer() = default;
-
-void Writer::flush() {
-  if (out_ != nullptr && !buf_.empty()) {
-    out_->write(reinterpret_cast<const char*>(buf_.data()),
-                static_cast<std::streamsize>(buf_.size()));
-    buf_.clear();
-  }
-}
-
-void Writer::write_stream(const void* data, std::size_t n) {
-  if (n >= kIoBuf) {
-    flush();
-    out_->write(static_cast<const char*>(data), static_cast<std::streamsize>(n));
-    return;
-  }
-  if (buf_.size() + n > kIoBuf) flush();
-  const auto* p = static_cast<const unsigned char*>(data);
-  buf_.insert(buf_.end(), p, p + n);
-}
+Writer::Writer(std::string& sink) : sink_(sink), hash_(kHashBasis) {}
 
 void Writer::finish() {
-  if (finished_) return;
-  finished_ = true;
   const std::uint64_t checksum = mix64(hash_);  // footer itself is not folded
-  if (sink_ != nullptr) {
-    sink_->append(reinterpret_cast<const char*>(&checksum), 8);
-    return;
-  }
-  buf_.insert(buf_.end(), reinterpret_cast<const unsigned char*>(&checksum),
-              reinterpret_cast<const unsigned char*>(&checksum) + 8);
-  flush();
-  out_->flush();
+  sink_.append(reinterpret_cast<const char*>(&checksum), 8);
+}
+
+void write_section(std::ostream& out, const std::string& section, const char* what) {
+  out.write(section.data(), static_cast<std::streamsize>(section.size()));
+  out.flush();
+  if (!out) throw SnapshotError(std::string(what) + ": stream write failed");
 }
 
 Reader::Reader(std::istream& in) : in_(in), hash_(kHashBasis) {
@@ -271,28 +245,12 @@ void retired_pair_fields(Io& io, T& e) {
 constexpr auto kPartialPiece = [](auto& io, auto& e) { partial_piece_fields(io, e); };
 constexpr auto kRetiredPair = [](auto& io, auto& e) { retired_pair_fields(io, e); };
 
-std::vector<std::uint32_t> to_u32(const std::vector<std::size_t>& v, const char* what) {
-  std::vector<std::uint32_t> out;
-  out.reserve(v.size());
-  for (const std::size_t x : v) {
-    if (x > std::numeric_limits<std::uint32_t>::max()) {
-      throw SnapshotError(std::string("snapshot: ") + what + " exceeds the u32 format limit");
-    }
-    out.push_back(static_cast<std::uint32_t>(x));
-  }
-  return out;
-}
-
-std::vector<std::size_t> to_size(const std::vector<std::uint32_t>& v) {
-  return {v.begin(), v.end()};
-}
-
 }  // namespace
 
 void Swarm::save(std::ostream& out) const {
-  Writer w(out);
-  save_impl(w);
-  if (!out) throw SnapshotError("snapshot: stream write failed");
+  std::string section;
+  save(section);
+  snapshot_detail::write_section(out, section, "snapshot");
 }
 
 void Swarm::save(std::string& out) const {
@@ -354,19 +312,15 @@ void Swarm::save_impl(Writer& w) const {
   w.u64(departures_);
   w.u64(retired_completed_);
 
-  // Edge-slot pool. mirror_/free_slots_ (size_t in memory) travel as
-  // u32 — a pool past 4G directed slots is beyond any simulated scale
-  // and is rejected rather than truncated. now_in_/now_out_ are
-  // deliberately absent: fold_rates() zeroes them at every round
-  // boundary, the only place save() may be called.
+  // Edge-slot pool. now_in_/now_out_ are deliberately absent:
+  // fold_rates() zeroes them at every round boundary, the only place
+  // save() may be called.
   w.tag(kTagSlots);
   w.u64(edge_peer_.size());
   w.pod_span(edge_peer_.data(), edge_peer_.size());
-  const auto mirror32 = to_u32(mirror_, "mirror slot");
-  w.pod_span(mirror32.data(), mirror32.size());
+  w.pod_span(mirror_.data(), mirror_.size());
   w.pod_span(slot_gen_.data(), slot_gen_.size());
-  const auto free32 = to_u32(free_slots_, "free-list slot");
-  w.pod_span(free32.data(), free32.size());
+  w.pod_span(free_slots_.data(), free_slots_.size());
   w.pod_span(rate_in_.data(), rate_in_.size());
   w.pod_span(rate_out_.data(), rate_out_.size());
   w.pod_span(inflight_.data(), inflight_.size());
@@ -390,8 +344,7 @@ void Swarm::save_impl(Writer& w) const {
   for (std::size_t r = 0; r < rows; ++r) w.pod_span(unchoked_[r].data(), unchoked_[r].size());
   for (std::size_t r = 0; r < rows; ++r) {
     w.pod_span(nbr_[r].data(), nbr_[r].size());
-    const auto slots32 = to_u32(nslot_[r], "adjacency slot");
-    w.bytes(slots32.data(), slots32.size() * sizeof(std::uint32_t));
+    w.bytes(nslot_[r].data(), nslot_[r].size() * sizeof(std::uint32_t));
   }
   for (std::size_t r = 0; r < rows; ++r) {
     w.list(partial_[r], config_.num_pieces, "partial piece", kPartialPiece);
@@ -497,9 +450,9 @@ Swarm Swarm::resume_impl(std::istream& in, graph::Rng& rng, const SwarmConfig* o
     const auto pool = static_cast<std::size_t>(r.u64());
     if (pool > kMaxSlots) throw SnapshotError("snapshot: implausible slot-pool size");
     s.edge_peer_ = r.pod_vec<core::PeerId>(pool, "edge slot");
-    auto mirror32 = r.pod_vec<std::uint32_t>(pool, "mirror slot");
+    s.mirror_ = r.pod_vec<std::uint32_t>(pool, "mirror slot");
     s.slot_gen_ = r.pod_vec<std::uint32_t>(pool, "slot generation");
-    auto free32 = r.pod_vec<std::uint32_t>(pool, "free slot");
+    s.free_slots_ = r.pod_vec<std::uint32_t>(pool, "free slot");
     s.rate_in_ = r.pod_vec<double>(pool, "rate-in");
     s.rate_out_ = r.pod_vec<double>(pool, "rate-out");
     s.inflight_ = r.pod_vec<PieceId>(pool, "in-flight piece");
@@ -508,13 +461,11 @@ Swarm Swarm::resume_impl(std::istream& in, graph::Rng& rng, const SwarmConfig* o
     // array length here is stream-backed (pod_vec only grows by bytes
     // actually delivered), so a lying `pool` scalar must die *before*
     // it can size a multi-GB assign.
-    if (s.edge_peer_.size() != pool || mirror32.size() != pool || s.slot_gen_.size() != pool ||
+    if (s.edge_peer_.size() != pool || s.mirror_.size() != pool || s.slot_gen_.size() != pool ||
         s.rate_in_.size() != pool || s.rate_out_.size() != pool || s.inflight_.size() != pool ||
         s.mutual_rounds_.size() != pool) {
       throw SnapshotError("snapshot: slot-pool array size mismatch");
     }
-    s.mirror_ = to_size(mirror32);
-    s.free_slots_ = to_size(free32);
     s.now_in_.assign(pool, 0.0);
     s.now_out_.assign(pool, 0.0);
 
@@ -551,10 +502,10 @@ Swarm Swarm::resume_impl(std::istream& in, graph::Rng& rng, const SwarmConfig* o
     s.nslot_.reserve(rows);
     for (std::size_t row = 0; row < rows; ++row) {
       auto nbrs = r.pod_vec<core::PeerId>(rows, "neighbor");
-      std::vector<std::uint32_t> slots32(nbrs.size());
-      r.bytes(slots32.data(), slots32.size() * sizeof(std::uint32_t));
+      std::vector<std::uint32_t> slots(nbrs.size());
+      r.bytes(slots.data(), slots.size() * sizeof(std::uint32_t));
       s.nbr_.push_back(std::move(nbrs));
-      s.nslot_.push_back(to_size(slots32));
+      s.nslot_.push_back(std::move(slots));
     }
     s.partial_.resize(rows);
     for (auto& partial : s.partial_) {

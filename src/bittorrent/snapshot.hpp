@@ -162,29 +162,21 @@ class Sizer {
   std::size_t n_ = 0;
 };
 
-/// Checksummed little-endian binary writer. Small writes coalesce into
-/// an internal buffer (one ostream call per ~64 KB, not per field);
-/// the string-sink constructor appends straight to the string instead,
-/// skipping the ostream machinery entirely (it costs more than the
-/// serialization itself at 10^5 peers). The running 64-bit hash folds
-/// every *logical* write, so buffering never changes the checksum.
-/// finish() appends the checksum.
+/// Checksummed little-endian binary writer appending to a string: the
+/// ostream machinery costs more than the serialization itself at 10^5
+/// peers, so a stream save stages one section in a string and writes
+/// it whole (write_section()). The running 64-bit hash folds every
+/// *logical* write; finish() appends the checksum.
 class Writer {
  public:
-  explicit Writer(std::ostream& out);
   explicit Writer(std::string& sink);
-  ~Writer();
   Writer(const Writer&) = delete;
   Writer& operator=(const Writer&) = delete;
 
   void bytes(const void* data, std::size_t n) {
     if (n == 0) return;
     hash_ = fold_bytes(hash_, data, n);
-    if (sink_ != nullptr) {
-      sink_->append(static_cast<const char*>(data), n);
-      return;
-    }
-    write_stream(data, n);
+    sink_.append(static_cast<const char*>(data), n);
   }
   void u8(std::uint8_t v) { bytes(&v, 1); }
   void u32(std::uint32_t v) { bytes(&v, 4); }
@@ -216,20 +208,17 @@ class Writer {
     for (const auto& x : v) elem(*this, x);
   }
 
-  /// Writes the checksum footer and flushes. Must be the last call.
+  /// Appends the checksum footer. Must be the last call.
   void finish();
 
  private:
-  /// ostream mode: coalesces into buf_, one ostream call per ~64 KB.
-  void write_stream(const void* data, std::size_t n);
-  void flush();
-
-  std::ostream* out_ = nullptr;  // exactly one of out_/sink_ is set
-  std::string* sink_ = nullptr;
-  std::vector<unsigned char> buf_;  // ostream mode only
+  std::string& sink_;
   std::uint64_t hash_;
-  bool finished_ = false;
 };
+
+/// Writes one serialized section to `out` and flushes it. Throws
+/// SnapshotError prefixed with `what` if the stream fails.
+void write_section(std::ostream& out, const std::string& section, const char* what);
 
 /// Checksummed reader, mirror of Writer: every read throws
 /// SnapshotError("...truncated") on a short stream, and
@@ -413,14 +402,15 @@ inline constexpr auto kChurnDeadline = [](auto& io, auto& d) { churn_deadline_fi
 /// calling restore_churn_driver().
 template <typename SwarmT>
 void save_churn_driver(std::ostream& out, const ChurnDriver<SwarmT>& driver) {
-  snapshot_detail::Writer w(out);
+  std::string section;
+  snapshot_detail::Writer w(section);
   w.u64(kChurnMagic);
   w.u32(kSnapshotVersion);
   w.list(driver.deadline_snapshot(), snapshot_detail::kMaxChurnDeadlines, "churn deadline",
          snapshot_detail::kChurnDeadline);
   w.u64(driver.capacity_cursor());
   w.finish();
-  if (!out) throw SnapshotError("churn snapshot: stream write failed");
+  snapshot_detail::write_section(out, section, "churn snapshot");
 }
 
 /// Restores state saved by save_churn_driver() into a freshly

@@ -15,6 +15,8 @@ namespace strat::bt {
 
 namespace {
 constexpr std::uint32_t kNoRetired = std::numeric_limits<std::uint32_t>::max();
+// Slot ids are std::uint32_t, so the pool holds at most 2^32 slots.
+constexpr std::size_t kMaxSlotPool = std::size_t{1} << 32;
 
 // Minimum work per chunk before the parallel phases fan out: rows for
 // the per-peer phases, slots for the pool-wide fold. Wide ranges split
@@ -101,13 +103,16 @@ Swarm::Swarm(const SwarmConfig& config, std::vector<double> upload_kbps, graph::
   for (std::size_t p = 0; p < total; ++p) {
     slot_count += overlay.degree(static_cast<graph::Vertex>(p));
   }
+  if (slot_count > kMaxSlotPool) {
+    throw std::length_error("Swarm: overlay needs more edge slots than 32-bit slot ids hold");
+  }
   edge_peer_.reserve(slot_count);
   for (std::size_t p = 0; p < total; ++p) {
     const auto nbrs = overlay.neighbors(static_cast<graph::Vertex>(p));
     nbr_[p].assign(nbrs.begin(), nbrs.end());
     nslot_[p].resize(nbrs.size());
     for (std::size_t i = 0; i < nbr_[p].size(); ++i) {
-      nslot_[p][i] = edge_peer_.size();
+      nslot_[p][i] = static_cast<std::uint32_t>(edge_peer_.size());
       edge_peer_.push_back(nbr_[p][i]);
     }
   }
@@ -201,9 +206,12 @@ std::size_t Swarm::target_degree() const {
   return static_cast<std::size_t>(std::llround(config_.neighbor_degree));
 }
 
-std::size_t Swarm::claim_slot() {
+std::uint32_t Swarm::claim_slot() {
   if (free_slots_.empty()) {
-    const std::size_t s = edge_peer_.size();
+    if (edge_peer_.size() >= kMaxSlotPool) {
+      throw std::length_error("Swarm: edge-slot pool full (32-bit slot ids)");
+    }
+    const auto s = static_cast<std::uint32_t>(edge_peer_.size());
     edge_peer_.push_back(0);
     mirror_.push_back(0);
     slot_gen_.push_back(0);
@@ -215,12 +223,12 @@ std::size_t Swarm::claim_slot() {
     mutual_rounds_.push_back(0);
     return s;
   }
-  const std::size_t s = free_slots_.back();
+  const std::uint32_t s = free_slots_.back();
   free_slots_.pop_back();
   return s;
 }
 
-void Swarm::release_slot(std::size_t s) {
+void Swarm::release_slot(std::uint32_t s) {
   // edge_peer_/mirror_ go stale on purpose; the generation bump marks
   // every outstanding reference to this slot as dead.
   rate_in_[s] = 0.0;
@@ -234,13 +242,13 @@ void Swarm::release_slot(std::size_t s) {
 }
 
 void Swarm::connect(core::PeerId p, core::PeerId q) {
-  const std::size_t spq = claim_slot();
-  const std::size_t sqp = claim_slot();
+  const std::uint32_t spq = claim_slot();
+  const std::uint32_t sqp = claim_slot();
   edge_peer_[spq] = q;
   edge_peer_[sqp] = p;
   mirror_[spq] = sqp;
   mirror_[sqp] = spq;
-  const auto insert_row = [this](Row owner, core::PeerId nb, std::size_t slot) {
+  const auto insert_row = [this](Row owner, core::PeerId nb, std::uint32_t slot) {
     auto& row = nbr_[owner];
     const auto it = std::lower_bound(row.begin(), row.end(), nb);
     const auto idx = it - row.begin();
@@ -265,8 +273,8 @@ void Swarm::flush_mutual(core::PeerId p, core::PeerId q, std::size_t slot_min) {
 void Swarm::release_all_edges(core::PeerId p, Row pr) {
   for (std::size_t i = 0; i < nbr_[pr].size(); ++i) {
     const core::PeerId q = nbr_[pr][i];
-    const std::size_t spq = nslot_[pr][i];
-    const std::size_t sqp = mirror_[spq];
+    const std::uint32_t spq = nslot_[pr][i];
+    const std::uint32_t sqp = mirror_[spq];
     flush_mutual(p, q, p < q ? spq : sqp);
     release_slot(spq);
     release_slot(sqp);
@@ -281,33 +289,25 @@ void Swarm::release_all_edges(core::PeerId p, Row pr) {
   nslot_[pr].clear();
 }
 
-std::size_t Swarm::connect_random_live(core::PeerId p, std::size_t need) {
+std::size_t Swarm::announce_with_faults(core::PeerId p, std::size_t need) {
   const Row pr = table_.row_of(p);
+  const bool flaky = config_.faults.flaky_connects();
+  // One trial stream per faulted announce, keyed by the per-peer
+  // announce sequence number — the draws depend only on (peer, how many
+  // announces it made), never on threads or shard layout.
+  graph::Rng trials;
+  if (flaky) {
+    trials = graph::Rng::stream(choke_key_ ^ kFaultConnectSalt, p, faults_.announce_seq_[pr]++);
+  }
+  const double fail_prob = config_.faults.connect_failure_prob;
+  const std::size_t max_attempts = config_.faults.connect_attempts;
   return detail::announce_connect(
       table_.ids(), p, need, rng_,
       [&](core::PeerId q) {
         return std::binary_search(nbr_[pr].begin(), nbr_[pr].end(), q);
       },
-      [&](core::PeerId q) { connect(p, q); });
-}
-
-std::size_t Swarm::announce_with_faults(core::PeerId p, std::size_t need) {
-  if (!config_.faults.flaky_connects()) return connect_random_live(p, need);
-  const Row pr = table_.row_of(p);
-  // One trial stream per announce operation, keyed by the per-peer
-  // announce sequence number — the draws depend only on (peer, how many
-  // announces it made), never on threads or shard layout.
-  graph::Rng trials =
-      graph::Rng::stream(choke_key_ ^ kFaultConnectSalt, p, faults_.announce_seq_[pr]++);
-  const double fail_prob = config_.faults.connect_failure_prob;
-  const std::size_t max_attempts = config_.faults.connect_attempts;
-  return detail::announce_connect_faulty(
-      table_.ids(), p, need, rng_,
       [&](core::PeerId q) {
-        return std::binary_search(nbr_[pr].begin(), nbr_[pr].end(), q);
-      },
-      [&](core::PeerId q) {
-        if (!faults_.rejects_inbound(table_.row_of(q))) return false;
+        if (!flaky || !faults_.rejects_inbound(table_.row_of(q))) return false;
         ++faults_.nat_rejections_;
         return true;
       },
@@ -1014,14 +1014,6 @@ void Swarm::run_round() {
   profile_.transfer_seconds += seconds_since(t3, t4);
   profile_.fold_seconds += seconds_since(t4, t5);
   ++round_;
-  if (config_.faults.enabled()) {
-    profile_.fault_failed_announces = faults_.failed_announces_;
-    profile_.fault_retries = faults_.announce_retries_;
-    profile_.fault_connect_failures = faults_.connect_failures_;
-    profile_.fault_nat_rejections = faults_.nat_rejections_;
-    profile_.fault_lost_lanes = faults_.lost_lanes_;
-    profile_.fault_degraded_peers = faults_.degraded_count();
-  }
   // Round boundary — the valid checkpoint point. The save itself never
   // consumes RNG, so autosave cadence cannot perturb the run.
   if (autosaver_.has_value() && autosaver_->due(round_)) {

@@ -417,54 +417,25 @@ inline std::vector<core::PeerId> sample_without_replacement(std::vector<core::Pe
 /// table (O(need) against a large population), falling back to an
 /// exact candidate scan — over the *live table*, never the
 /// arrivals-ever id space — when the population is nearly exhausted.
-/// Parameterized on the plane's edge test and connect primitive — one
-/// definition shared by both data planes so the accept/reject RNG
-/// draw sequence cannot drift. Returns the connections made.
-template <typename HasEdgeFn, typename ConnectFn>
-std::size_t announce_connect(std::span<const core::PeerId> live_ids, core::PeerId p,
-                             std::size_t need, graph::Rng& rng, HasEdgeFn&& has_edge,
-                             ConnectFn&& connect) {
-  std::size_t made = 0;
-  std::size_t attempts = 0;
-  const std::size_t cap = 8 * need + 64;
-  while (made < need && attempts < cap && live_ids.size() > 1) {
-    ++attempts;
-    const core::PeerId q = live_ids[static_cast<std::size_t>(rng.below(live_ids.size()))];
-    if (q == p || has_edge(q)) continue;
-    connect(q);
-    ++made;
-  }
-  if (made < need) {
-    std::vector<core::PeerId> candidates;
-    candidates.reserve(live_ids.size());
-    for (const core::PeerId q : live_ids) {
-      if (q == p || has_edge(q)) continue;
-      candidates.push_back(q);
-    }
-    const auto chosen = sample_without_replacement(candidates, need - made, rng);
-    for (const core::PeerId q : chosen) connect(q);
-    made += chosen.size();
-  }
-  return made;
-}
-
-/// announce_connect with connect-level faults: `rejects_inbound(q)`
+/// Connect-level faults enter through two hooks: `rejects_inbound(q)`
 /// models a NAT-ed candidate (the dial is refused before any connect
 /// trial draws), `connect_ok(q)` runs the bounded connect-retry trials
-/// and reports whether the connection stuck. The same rejection-
-/// sampling structure and cap as the fault-free announce, so the
-/// structural draw sequence from `rng` is identical per candidate
-/// visited; fault draws come from the caller's counter-based trial
-/// stream inside `connect_ok`. The fallback exact scan excludes NAT-ed
-/// candidates before sampling (the dialer can never hold them), while
-/// a sampled candidate whose connect trials all fail is simply lost —
-/// the peer runs below target degree until a later re-announce tops it
-/// up. One definition shared by both data planes.
+/// and reports whether the connection stuck; a fault-free announce
+/// passes hooks that return false and true. Fault draws come from the
+/// caller's counter-based trial stream inside `connect_ok`, so the
+/// structural draw sequence from `rng` depends only on the candidates
+/// visited. The fallback exact scan excludes NAT-ed candidates before
+/// sampling (the dialer can never hold them), while a sampled
+/// candidate whose connect trials all fail is simply lost — the peer
+/// runs below target degree until a later re-announce tops it up.
+/// Parameterized on the plane's edge test and connect primitive — one
+/// definition shared by both data planes so the accept/reject RNG draw
+/// sequence cannot drift. Returns the connections made.
 template <typename HasEdgeFn, typename RejectsFn, typename TrialFn, typename ConnectFn>
-std::size_t announce_connect_faulty(std::span<const core::PeerId> live_ids, core::PeerId p,
-                                    std::size_t need, graph::Rng& rng, HasEdgeFn&& has_edge,
-                                    RejectsFn&& rejects_inbound, TrialFn&& connect_ok,
-                                    ConnectFn&& connect) {
+std::size_t announce_connect(std::span<const core::PeerId> live_ids, core::PeerId p,
+                             std::size_t need, graph::Rng& rng, HasEdgeFn&& has_edge,
+                             RejectsFn&& rejects_inbound, TrialFn&& connect_ok,
+                             ConnectFn&& connect) {
   std::size_t made = 0;
   std::size_t attempts = 0;
   const std::size_t cap = 8 * need + 64;
@@ -594,12 +565,13 @@ class Swarm {
   /// uninterrupted run at any `threads` setting. Not serialized:
   /// phase_profile() wall-clock accumulators and per-chunk scratch
   /// (reset on resume), neither of which feeds back into simulation
-  /// state. Throws SnapshotError if the stream write fails.
+  /// state. Stages the snapshot in memory, then writes it in one call.
+  /// Throws SnapshotError if the stream write fails.
   void save(std::ostream& out) const;
 
-  /// save() appending to a string buffer — same bytes, but skips the
-  /// ostream machinery (which dominates the cost at 10^5 peers). This
-  /// is the fast path behind save_to_string()/fork_snapshot().
+  /// save() appending the same bytes to a string buffer: the
+  /// serializer behind every save, save_to_string() and autosave
+  /// included.
   void save(std::string& out) const;
 
   /// Reconstructs a swarm from a save()d snapshot. `rng` becomes the
@@ -804,16 +776,9 @@ class Swarm {
     double transfer_rerun_seconds = 0.0;    // serial: stale-lane repairs only
     std::uint64_t transfer_lanes = 0;       // (sender, receiver) lanes carrying >= 1 grant
     std::uint64_t transfer_reruns = 0;      // lanes discarded as stale and re-driven live
-    // Fault injection (zero when faults are off). fault_seconds times
-    // the serial fault_step (announce retries); the counters mirror the
-    // authoritative FaultState totals, refreshed at every round's end.
+    // Serial fault_step (announce retries); zero when outages are off.
+    // The fault counters themselves live in fault_state().
     double fault_seconds = 0.0;
-    std::uint64_t fault_failed_announces = 0;  // announces lost to outages
-    std::uint64_t fault_retries = 0;           // backoff retries attempted
-    std::uint64_t fault_connect_failures = 0;  // candidates lost after all trials
-    std::uint64_t fault_nat_rejections = 0;    // dials refused by NAT-ed peers
-    std::uint64_t fault_lost_lanes = 0;        // committed lanes forfeited
-    std::uint64_t fault_degraded_peers = 0;    // retry pending at round end
     /// Share of planned lanes the commit had to discard and re-drive
     /// serially — the conflict cost of the speculative compute stage.
     [[nodiscard]] double rerun_fraction() const noexcept {
@@ -829,8 +794,9 @@ class Swarm {
   [[nodiscard]] const PhaseProfile& phase_profile() const noexcept { return profile_; }
 
   /// Live fault state (per-row NAT flags, backoff schedules, lifetime
-  /// counters). Row-indexed like every other per-peer container; all
-  /// entries are inert when faults are disabled.
+  /// counters): the one source of every fault count. Row-indexed like
+  /// every other per-peer container; all entries are inert when faults
+  /// are disabled.
   [[nodiscard]] const FaultState& fault_state() const noexcept { return faults_; }
 
  private:
@@ -924,11 +890,12 @@ class Swarm {
   }
   /// Edge slot of neighbor q in row pr's sorted adjacency.
   [[nodiscard]] std::size_t slot_of(Row pr, core::PeerId q) const;
-  /// Claims a slot (free list first, pool growth second).
-  std::size_t claim_slot();
+  /// Claims a slot (free list first, pool growth second). Throws
+  /// std::length_error rather than grow the pool past 32-bit slot ids.
+  std::uint32_t claim_slot();
   /// Zeroes a slot's dynamic state, bumps its generation and parks it
   /// on the free list. The pair's mutual count must be flushed first.
-  void release_slot(std::size_t s);
+  void release_slot(std::uint32_t s);
   /// Connects p and q: claims both directed slots and inserts each into
   /// the other's sorted adjacency row.
   void connect(core::PeerId p, core::PeerId q);
@@ -938,13 +905,12 @@ class Swarm {
   /// Moves a live pair's mutual-unchoke count into the retired records
   /// (or drops it when retain_departed is off).
   void flush_mutual(core::PeerId p, core::PeerId q, std::size_t slot_min);
-  /// Connects p to up to `need` distinct live non-neighbors chosen
-  /// uniformly (the tracker announce).
-  std::size_t connect_random_live(core::PeerId p, std::size_t need);
-  /// The announce every caller routes through: plain connect_random_live
-  /// when connect-level faults are off, announce_connect_faulty (NAT
-  /// rejections + bounded connect-retry trials from the per-announce
-  /// counter stream) when they're on.
+  /// The tracker announce every caller routes through: connects p to up
+  /// to `need` distinct live non-neighbors chosen uniformly
+  /// (detail::announce_connect). With connect-level faults on, NAT-ed
+  /// candidates reject the dial and each connect runs bounded retry
+  /// trials from a per-announce counter stream; with them off, the
+  /// announce draws no trials and leaves announce_seq_ untouched.
   std::size_t announce_with_faults(core::PeerId p, std::size_t need);
   /// Serial backoff sweep at the top of run_round: peers whose retry
   /// deadline arrived re-announce (or reschedule if the tracker is
@@ -979,7 +945,7 @@ class Swarm {
   // ids sorted ascending, nslot_[r] the parallel directed slot carrying
   // (owner -> nbr) state.
   std::vector<std::vector<core::PeerId>> nbr_;
-  std::vector<std::vector<std::size_t>> nslot_;
+  std::vector<std::vector<std::uint32_t>> nslot_;
   // Partial piece progress (row-indexed): per receiver, (piece, KB
   // accumulated) pairs. At most one entry per active sender, so linear
   // scans win over hashing.
@@ -1070,11 +1036,12 @@ class Swarm {
   // (by external id) and reverse slot while live; they go stale (not
   // cleared) once the slot is released — slot_gen_[s] is bumped on
   // every release so stale references are detectable. free_slots_
-  // holds released ids.
-  std::vector<core::PeerId> edge_peer_;   // slot -> neighbor (external id)
-  std::vector<std::size_t> mirror_;       // slot -> reverse slot
-  std::vector<std::uint32_t> slot_gen_;   // release count
-  std::vector<std::size_t> free_slots_;   // recycling free list
+  // holds released ids. Slot ids are 32-bit in memory as on the wire;
+  // claim_slot() refuses to grow the pool past them.
+  std::vector<core::PeerId> edge_peer_;    // slot -> neighbor (external id)
+  std::vector<std::uint32_t> mirror_;      // slot -> reverse slot
+  std::vector<std::uint32_t> slot_gen_;    // release count
+  std::vector<std::uint32_t> free_slots_;  // recycling free list
   std::vector<double> rate_in_;   // smoothed KB/round received on slot
   // strat-lint: not-serialized -- provably zero between rounds (fold_rates
   // clears it; save() may only run at round boundaries); re-zeroed on load

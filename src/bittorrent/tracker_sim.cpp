@@ -66,9 +66,7 @@ void PeerRegistry::restore(std::vector<Record> records, GlobalPeerId id_space) {
     if (rec.memberships.empty()) {
       throw std::invalid_argument("PeerRegistry::restore: record without memberships");
     }
-    if (!(rec.upload_kbps > 0.0)) {
-      throw std::invalid_argument("PeerRegistry::restore: non-positive capacity");
-    }
+    detail::require_capacity(rec.upload_kbps, "PeerRegistry::restore");
   }
   records_ = std::move(records);
   index_ = std::move(index);
@@ -401,12 +399,6 @@ EcosystemProfile TrackerSim::ecosystem_profile() const {
     out.swarms.transfer_lanes += p.transfer_lanes;
     out.swarms.transfer_reruns += p.transfer_reruns;
     out.swarms.fault_seconds += p.fault_seconds;
-    out.swarms.fault_failed_announces += p.fault_failed_announces;
-    out.swarms.fault_retries += p.fault_retries;
-    out.swarms.fault_connect_failures += p.fault_connect_failures;
-    out.swarms.fault_nat_rejections += p.fault_nat_rejections;
-    out.swarms.fault_lost_lanes += p.fault_lost_lanes;
-    out.swarms.fault_degraded_peers += p.fault_degraded_peers;
   }
   out.barrier_seconds = barrier_seconds_;
   out.shard_seconds = shard_seconds_;
@@ -416,24 +408,25 @@ EcosystemProfile TrackerSim::ecosystem_profile() const {
 }
 
 void TrackerSim::save(std::ostream& out) const {
-  {
-    snapshot_detail::Writer w(out);
-    w.u64(kTrackerMagic);
-    w.u32(kSnapshotVersion);
+  // One section at a time: the header, then each member swarm and its
+  // churn driver, so the whole ecosystem is never staged in memory.
+  std::string header;
+  snapshot_detail::Writer w(header);
+  w.u64(kTrackerMagic);
+  w.u32(kSnapshotVersion);
 
-    w.tag(kTagTrackerMeta);
-    w.u64(swarms_.size());
-    w.u64(round_);
-    w.u64(tracker_key_);
-    const graph::Rng::State st = tracker_rng_.state();
-    snapshot_detail::rng_state_fields(w, st);
+  w.tag(kTagTrackerMeta);
+  w.u64(swarms_.size());
+  w.u64(round_);
+  w.u64(tracker_key_);
+  const graph::Rng::State st = tracker_rng_.state();
+  snapshot_detail::rng_state_fields(w, st);
 
-    w.tag(kTagTrackerRegistry);
-    w.u64(registry_.id_space());
-    w.list(registry_.records(), registry_.id_space(), "registry record", kRegistryRecord);
-    w.finish();
-  }
-  if (!out) throw SnapshotError("tracker snapshot: stream write failed");
+  w.tag(kTagTrackerRegistry);
+  w.u64(registry_.id_space());
+  w.list(registry_.records(), registry_.id_space(), "registry record", kRegistryRecord);
+  w.finish();
+  snapshot_detail::write_section(out, header, "tracker snapshot");
   for (const auto& slot : swarms_) {
     slot->swarm->save(out);
     save_churn_driver(out, *slot->driver);
@@ -484,6 +477,13 @@ TrackerSim TrackerSim::resume(std::istream& in, const TrackerConfig& cfg) {
         if (m.swarm >= num_swarms) {
           throw SnapshotError("tracker snapshot: membership names an unknown swarm");
         }
+      }
+      // The constructor's capacity rule, as the record is read: a +inf
+      // capacity would otherwise fail only at the next capacity re-split.
+      try {
+        detail::require_capacity(rec.upload_kbps, "tracker snapshot: registry record");
+      } catch (const std::invalid_argument& e) {
+        throw SnapshotError(e.what());
       }
     }
     r.verify_checksum();

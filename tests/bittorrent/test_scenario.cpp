@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <limits>
 
 #include "bittorrent/bandwidth.hpp"
 #include "bittorrent/scenario.hpp"
@@ -93,6 +94,11 @@ TEST(Scenario, CapacityScaledSlotsBoundsAndMonotonicity) {
   EXPECT_THROW(capacity_scaled_slots(caps, 0, 3), std::invalid_argument);
   EXPECT_THROW(capacity_scaled_slots(caps, 5, 3), std::invalid_argument);
   EXPECT_THROW(capacity_scaled_slots({0.0}, 1, 3), std::invalid_argument);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(capacity_scaled_slots({100.0, bad}, 1, 3), std::invalid_argument) << bad;
+  }
 }
 
 TEST(Scenario, HeterogeneousSlotsRunEndToEnd) {
@@ -138,6 +144,17 @@ TEST(Scenario, MultiSwarmLayoutAccounting) {
   // Capacity mismatch is rejected.
   spec.upload_kbps.pop_back();
   EXPECT_THROW((void)run_multi_swarm(spec, 17, 1), std::invalid_argument);
+
+  // So is an overlap fraction outside [0, 1), NaN and the infinities
+  // included.
+  spec.upload_kbps.push_back(100.0);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(), -0.1, 1.0}) {
+    spec.overlap_fraction = bad;
+    EXPECT_THROW((void)distinct_peer_count(spec), std::invalid_argument) << bad;
+    EXPECT_THROW((void)run_multi_swarm(spec, 17, 1), std::invalid_argument) << bad;
+  }
 }
 
 TEST(Scenario, ChurnDriverDeadlinesStayLiveSized) {

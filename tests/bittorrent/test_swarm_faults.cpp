@@ -163,9 +163,6 @@ TEST(SwarmFaults, OutageBackoffAndResetOnSuccess) {
       << "successful re-announce must clear the backoff schedule";
   EXPECT_GT(swarm.degree(p), 0u) << "recovered peer re-announced and connected";
   EXPECT_GE(swarm.fault_state().announce_retries_, 1u);
-  EXPECT_GE(swarm.phase_profile().fault_retries, 1u);
-  EXPECT_EQ(swarm.phase_profile().fault_failed_announces,
-            swarm.fault_state().failed_announces_);
 }
 
 TEST(SwarmFaults, FullNatPopulationAcceptsNoInboundConnects) {
@@ -205,8 +202,7 @@ TEST(SwarmFaults, TotalLaneLossMovesNoBytes) {
     EXPECT_EQ(swarm.stats(p).pieces, 0u) << "peer " << p;
   }
   EXPECT_GT(swarm.fault_state().lost_lanes_, 0u);
-  EXPECT_EQ(swarm.phase_profile().fault_lost_lanes, swarm.fault_state().lost_lanes_);
-  EXPECT_EQ(swarm.phase_profile().fault_lost_lanes, swarm.phase_profile().transfer_lanes)
+  EXPECT_EQ(swarm.fault_state().lost_lanes_, swarm.phase_profile().transfer_lanes)
       << "with loss probability 1 every planned lane is lost";
 }
 

@@ -33,6 +33,7 @@
 #include "bittorrent/scenario.hpp"
 #include "bittorrent/snapshot.hpp"
 #include "bittorrent/swarm.hpp"
+#include "bittorrent/tracker_sim.hpp"
 
 namespace strat::bt {
 namespace {
@@ -829,6 +830,7 @@ std::uint64_t fnv1a(const std::string& bytes) {
 
 struct PinnedRun {
   std::string swarm;
+  std::string swarm_stream;  // the same swarm saved through an ostream
   std::string churn;
 };
 
@@ -859,6 +861,9 @@ PinnedRun pinned_mid_outage_run() {
   EXPECT_GT(swarm.departures(), 0u) << "retired records present";
   PinnedRun run;
   run.swarm = save_to_string(swarm);
+  std::ostringstream stream(std::ios::binary);
+  swarm.save(stream);
+  run.swarm_stream = std::move(stream).str();
   std::ostringstream out(std::ios::binary);
   save_churn_driver(out, churn);
   run.churn = std::move(out).str();
@@ -875,6 +880,30 @@ TEST(SnapshotFormat, ChurnDriverBytesArePinned) {
   const PinnedRun run = pinned_mid_outage_run();
   EXPECT_EQ(run.churn.size(), 996u);
   EXPECT_EQ(fnv1a(run.churn), 0xf5616858f0da1526ULL);
+}
+
+// The stream overloads stage a section in a string and write it whole:
+// the bytes must be the string path's, and a failed stream must throw.
+TEST(SnapshotFormat, StreamSaveMatchesStringSave) {
+  const PinnedRun run = pinned_mid_outage_run();
+  EXPECT_EQ(run.swarm_stream, run.swarm);
+  EXPECT_EQ(fnv1a(run.swarm_stream), 0xc6d68ae55c1b7531ULL);
+
+  constexpr std::size_t kPeers = 20;
+  const SwarmConfig cfg = base_config(kPeers);
+  graph::Rng rng(kSeed);
+  Swarm swarm(cfg, capacities(kPeers), rng);
+  ChurnDriver<Swarm> churn(churny_spec(), cfg, capacities(kPeers), rng);
+  churn.attach(swarm);
+  TrackerSwarmSeed seed;
+  seed.config = cfg;
+  for (GlobalPeerId g = 0; g < kPeers; ++g) seed.members.push_back(g);
+  const TrackerSim tracker(TrackerConfig{}, {seed}, capacities(kPeers), kSeed);
+  std::ostringstream bad(std::ios::binary);
+  bad.setstate(std::ios::badbit);
+  EXPECT_THROW(swarm.save(bad), SnapshotError);
+  EXPECT_THROW(save_churn_driver(bad, churn), SnapshotError);
+  EXPECT_THROW(tracker.save(bad), SnapshotError);
 }
 
 TEST(SwarmSnapshot, RejectsChurnSectionAsSwarmSnapshot) {

@@ -12,8 +12,11 @@
 // churn (the longchurn regression at tracker level).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -315,6 +318,59 @@ TEST(TrackerSim, SaveBytesMatchPinnedDigest) {
   }
   EXPECT_EQ(bytes.size(), 30738u);
   EXPECT_EQ(h, 0xf60f8c78a9049e00ULL);
+}
+
+// The loader applies the constructor's capacity rule (finite, > 0) to
+// every registry record as it reads it, before the checksum: with the
+// default dynamic_capacity_split, a +inf capacity would otherwise load
+// and fail only at the next round's capacity re-split.
+
+/// Round-zero save of a 3-swarm tracker where global peer `who` holds
+/// ecosystem capacity `kbps`.
+std::string saved_with_registry_capacity(GlobalPeerId who, double kbps) {
+  auto capacities = BandwidthModel::saroiu2002().representative_sample(3 * 12);
+  capacities[who] = kbps;
+  return save_bytes(TrackerSim(churned_config(1), disjoint_seeds(3, 12), capacities, 5));
+}
+
+TEST(TrackerSim, ResumeRefusesBadRegistryCapacities) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr GlobalPeerId kWho = 7;
+  constexpr double kGood = 100.0;
+  // The capacity's offset: the first byte where a one-ulp change moves
+  // the stream (the registry precedes every swarm section).
+  const std::string good = saved_with_registry_capacity(kWho, kGood);
+  const std::string nudged = saved_with_registry_capacity(kWho, std::nextafter(kGood, kInf));
+  ASSERT_EQ(good.size(), nudged.size());
+  const auto at = static_cast<std::size_t>(
+      std::mismatch(good.begin(), good.end(), nudged.begin()).first - good.begin());
+  ASSERT_LE(at + sizeof(double), good.size());
+  {
+    std::istringstream in(good);
+    ASSERT_NO_THROW((void)TrackerSim::resume(in, churned_config(1)));
+  }
+  for (const double bad : {kNaN, -1.0, 0.0, kInf}) {
+    SCOPED_TRACE("registry capacity " + std::to_string(bad));
+    std::string bytes = good;
+    std::memcpy(bytes.data() + at, &bad, sizeof bad);
+    std::istringstream in(bytes);
+    try {
+      (void)TrackerSim::resume(in, churned_config(1));
+      ADD_FAILURE() << "loader accepted a bad registry capacity";
+    } catch (const SnapshotError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("capacity must be finite and positive"), std::string::npos) << what;
+      EXPECT_NE(what.find("registry record"), std::string::npos) << what;
+      EXPECT_EQ(what.find("checksum"), std::string::npos) << what;
+    }
+    // PeerRegistry::restore applies the same rule.
+    PeerRegistry registry;
+    std::vector<PeerRegistry::Record> records(1);
+    records[0].upload_kbps = bad;
+    records[0].memberships.push_back({});
+    EXPECT_THROW(registry.restore(std::move(records), 1), std::invalid_argument);
+  }
 }
 
 TEST(TrackerSim, RejectsInvalidConstruction) {
