@@ -2,7 +2,8 @@
 //
 // BM_SwarmRound times the flat edge-slot data plane at 10^2..10^4
 // peers and BM_SwarmRoundThreads at 10^5 over a thread sweep (fixed
-// iteration count: one round there is itself a macro-workload).
+// repetitions of one resumed 3-round window: one round there is itself
+// a macro-workload).
 // BM_ReferenceSwarmRound times the retained map-based plane on the
 // same configuration so the flat layout's speedup stays a measured
 // number. BM_SwarmChurnRound
@@ -18,6 +19,7 @@
 #include <cstring>
 #include <string>
 
+#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -78,51 +80,79 @@ void BM_SwarmRound(benchmark::State& state) {
 }
 BENCHMARK(BM_SwarmRound)->Arg(100)->Arg(400)->Arg(5000)->Arg(10000)->Unit(benchmark::kMillisecond);
 
-// Thread-scaling sweep: rounds 1-3 of a freshly built
-// round_config(10^5) swarm (seed 1, ~3M edge slots; fixed iterations
-// keep the harness from rescaling it into minutes of wall clock) with
-// SwarmConfig::threads = the second argument. Runs are bitwise
-// identical across the sweep (per-peer choke and transfer streams);
-// only the wall clock moves. The counters split the round via
-// Swarm::phase_profile(): choke_fold_ms plus mutual_ms plus
+// Thread-scaling sweep over the steady-state window of perfbench's
+// swarm_1e5 workload: round_config(peers) (seed 1, ~3M edge slots for
+// 10^5 peers) is built once, runs 2 warm-up rounds and is saved; every
+// repetition resumes that snapshot with SwarmConfig::threads = the
+// second argument and times 3 rounds, wall clock, the resume excluded.
+// Runs are bitwise identical across the sweep (per-peer choke and
+// transfer streams); only the wall clock moves. The counters split the
+// round via Swarm::phase_profile(): choke_fold_ms plus mutual_ms plus
 // transfer_compute_ms is the parallel portion, serial_ms (the transfer
 // commit) is the Amdahl remainder the whole-round time dilutes the
 // speedup with.
 // transfer_rerun_ms and rerun_frac expose the conflict cost of the
 // speculative plan-against-snapshot stage — rerun_frac is thread-count
 // invariant by construction, so a change across the sweep is a bug.
+const std::string& warm_snapshot(std::size_t peers) {
+  static std::map<std::size_t, std::string> snapshots;
+  auto it = snapshots.find(peers);
+  if (it == snapshots.end()) {
+    graph::Rng rng(1);
+    bt::Swarm swarm(round_config(peers),
+                    bt::BandwidthModel::saroiu2002().representative_sample(peers), rng);
+    swarm.run(2);
+    it = snapshots.emplace(peers, bt::save_to_string(swarm)).first;
+  }
+  return it->second;
+}
+
 void BM_SwarmRoundThreads(benchmark::State& state) {
+  constexpr std::int64_t kWindow = 3;
   const auto peers = static_cast<std::size_t>(state.range(0));
   const auto threads = static_cast<std::size_t>(state.range(1));
-  const bt::BandwidthModel model = bt::BandwidthModel::saroiu2002();
-  graph::Rng rng(1);
   bt::SwarmConfig cfg = round_config(peers);
   cfg.threads = threads;
-  bt::Swarm swarm(cfg, model.representative_sample(peers), rng);
+  const std::string& snapshot = warm_snapshot(peers);
+  bt::Swarm::PhaseProfile sum;
   for (auto _ : state) {
-    swarm.run_round();
-    benchmark::DoNotOptimize(swarm.rounds_elapsed());
+    state.PauseTiming();
+    std::optional<bt::ResumedSwarm> run;
+    run.emplace(bt::resume_from_string(snapshot, cfg));
+    state.ResumeTiming();
+    run->swarm().run(static_cast<std::size_t>(kWindow));
+    state.PauseTiming();
+    const bt::Swarm::PhaseProfile& prof = run->swarm().phase_profile();
+    sum.choke_seconds += prof.choke_seconds;
+    sum.fold_seconds += prof.fold_seconds;
+    sum.mutual_seconds += prof.mutual_seconds;
+    sum.transfer_compute_seconds += prof.transfer_compute_seconds;
+    sum.transfer_commit_seconds += prof.transfer_commit_seconds;
+    sum.transfer_rerun_seconds += prof.transfer_rerun_seconds;
+    sum.transfer_lanes += prof.transfer_lanes;
+    sum.transfer_reruns += prof.transfer_reruns;
+    run.reset();
+    state.ResumeTiming();
   }
-  const auto& prof = swarm.phase_profile();
-  const auto rounds = static_cast<double>(swarm.rounds_elapsed());
+  const auto rounds = static_cast<double>(state.iterations() * kWindow);
   state.counters["threads"] = static_cast<double>(threads);
-  state.counters["choke_fold_ms"] =
-      (prof.choke_seconds + prof.fold_seconds) * 1000.0 / rounds;
-  state.counters["mutual_ms"] = prof.mutual_seconds * 1000.0 / rounds;
-  state.counters["transfer_compute_ms"] = prof.transfer_compute_seconds * 1000.0 / rounds;
-  state.counters["transfer_commit_ms"] = prof.transfer_commit_seconds * 1000.0 / rounds;
-  state.counters["transfer_rerun_ms"] = prof.transfer_rerun_seconds * 1000.0 / rounds;
-  state.counters["rerun_frac"] = prof.rerun_fraction();
-  state.counters["serial_ms"] = prof.transfer_commit_seconds * 1000.0 / rounds;
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(peers));
+  state.counters["choke_fold_ms"] = (sum.choke_seconds + sum.fold_seconds) * 1000.0 / rounds;
+  state.counters["mutual_ms"] = sum.mutual_seconds * 1000.0 / rounds;
+  state.counters["transfer_compute_ms"] = sum.transfer_compute_seconds * 1000.0 / rounds;
+  state.counters["transfer_commit_ms"] = sum.transfer_commit_seconds * 1000.0 / rounds;
+  state.counters["transfer_rerun_ms"] = sum.transfer_rerun_seconds * 1000.0 / rounds;
+  state.counters["rerun_frac"] = sum.rerun_fraction();
+  state.counters["serial_ms"] = sum.transfer_commit_seconds * 1000.0 / rounds;
+  state.SetItemsProcessed(state.iterations() * kWindow * static_cast<std::int64_t>(peers));
 }
 BENCHMARK(BM_SwarmRoundThreads)
     ->Args({100000, 1})
     ->Args({100000, 2})
     ->Args({100000, 4})
     ->Args({100000, 8})
-    ->Iterations(3)
+    ->Iterations(1)
+    ->Repetitions(3)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // Set-up path: the capacity sample every swarm driver and benchmark
@@ -546,25 +576,55 @@ void BM_SwarmFaults(benchmark::State& state) {
 }
 BENCHMARK(BM_SwarmFaults)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
+// Rarest-first picks in the shapes the swarm runs, as (pieces, shape):
+//   dense     local 0.5 and remote 0.7 held, no exclusion (~35% of the
+//             pieces are candidates);
+//   plan      the swarm_1e5 plan pick: 1024 pieces, local and remote
+//             half held, a 1% exclusion mask (~25% candidates);
+//   sparse    a tracker member near completion: local 0.9, remote 0.5
+//             held (~5% candidates).
+// pick_checksum folds the first 4096 picks of a fixed stream, so two
+// kernels can be checked for identical picks from the bench output.
+enum PickShape : std::int64_t { kDensePick, kPlanPick, kSparsePick };
+
 void BM_RarestFirstPick(benchmark::State& state) {
   const auto pieces = static_cast<std::size_t>(state.range(0));
+  const auto shape = state.range(1);
+  const double local_p = shape == kSparsePick ? 0.9 : 0.5;
+  const double remote_p = shape == kDensePick ? 0.7 : 0.5;
   graph::Rng rng(2);
   bt::PiecePicker picker(pieces);
   bt::Bitfield local(pieces);
   bt::Bitfield remote(pieces);
+  bt::Bitfield excluded(pieces);
   for (bt::PieceId i = 0; i < pieces; ++i) {
     const auto copies = static_cast<std::uint32_t>(rng.below(20));
     for (std::uint32_t c = 0; c < copies; ++c) picker.add_availability(i);
-    if (rng.bernoulli(0.5)) local.set(i);
-    if (rng.bernoulli(0.7)) remote.set(i);
+    if (rng.bernoulli(local_p)) local.set(i);
+    if (rng.bernoulli(remote_p)) remote.set(i);
+    if (shape == kPlanPick && rng.bernoulli(0.01)) excluded.set(i);
+  }
+  const auto pick = [&](graph::Rng& stream) {
+    return shape == kPlanPick ? picker.pick_rarest(local, remote, excluded, stream)
+                              : picker.pick_rarest(local, remote, stream);
+  };
+  graph::Rng check(3);
+  double checksum = 0.0;
+  for (int i = 1; i <= 4096; ++i) {
+    checksum += static_cast<double>(i) * static_cast<double>(pick(check).value_or(0));
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(picker.pick_rarest(local, remote, rng));
+    benchmark::DoNotOptimize(pick(rng));
   }
+  state.counters["pick_checksum"] = checksum;
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(pieces));
 }
-BENCHMARK(BM_RarestFirstPick)->Arg(256)->Arg(4096);
+BENCHMARK(BM_RarestFirstPick)
+    ->Args({256, kDensePick})
+    ->Args({4096, kDensePick})
+    ->Args({1024, kPlanPick})
+    ->Args({256, kSparsePick});
 
 void BM_BandwidthQuantile(benchmark::State& state) {
   const bt::BandwidthModel model = bt::BandwidthModel::saroiu2002();

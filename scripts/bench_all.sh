@@ -35,7 +35,9 @@ done
 # population — flat across the two args is the peer-table compaction
 # working; the 10^6 point takes ~30 s), and the intra-round
 # thread-scaling sweep (BM_SwarmRoundThreads at 10^5 peers x threads
-# 1/2/4/8: choke_fold_ms + mutual_ms + transfer_compute_ms across the
+# 1/2/4/8, each repetition a 3-round window resumed from one post-warm-up
+# snapshot, as perfbench's swarm_1e5 windows are:
+# choke_fold_ms + mutual_ms + transfer_compute_ms across the
 # sweep is the parallel-phase speedup, serial_ms = transfer commit is
 # the Amdahl remainder, and rerun_frac — the speculative-plan conflict
 # rate — is thread-count invariant; bitwise-identical results per
@@ -55,12 +57,15 @@ done
 # serial Swarm loop on the same closed 100-swarm workload). The set-up
 # path rides along too: BM_RepresentativeSample (the capacity sample at
 # 10^3 and 10^5 peers) and BM_SwarmConstruct/100000 (the constructor it
-# feeds), a micro-level before/after for set-up outside perfbench.
+# feeds), a micro-level before/after for set-up outside perfbench. The
+# rarest-first kernel rides along as BM_RarestFirstPick (ns per pick in
+# the dense, swarm_1e5 plan-pick and sparse tracker-member shapes, with
+# a pick_checksum that must not move between kernels).
 micro_swarm="${build_dir}/bench/micro_swarm"
 if [[ -x "${micro_swarm}" ]]; then
   echo "== micro_swarm -> BENCH_swarm.json"
   "${micro_swarm}" \
-    --benchmark_filter='BM_SwarmRound/.*|BM_SwarmRoundThreads/.*|BM_SwarmChurnRound/.*|BM_SwarmFaults/.*|BM_SwarmLongChurn/.*|BM_SwarmSnapshot/.*|BM_ReferenceSwarmRound/.*|BM_ScenarioReplications/.*|BM_ChurnScenarioReplications/.*|BM_TrackerSimShards/.*|BM_TrackerClosedRounds.*|BM_SerialSwarmLoopRounds.*|BM_RepresentativeSample/.*|BM_SwarmConstruct/.*' \
+    --benchmark_filter='BM_SwarmRound/.*|BM_SwarmRoundThreads/.*|BM_SwarmChurnRound/.*|BM_SwarmFaults/.*|BM_SwarmLongChurn/.*|BM_SwarmSnapshot/.*|BM_ReferenceSwarmRound/.*|BM_ScenarioReplications/.*|BM_ChurnScenarioReplications/.*|BM_TrackerSimShards/.*|BM_TrackerClosedRounds.*|BM_SerialSwarmLoopRounds.*|BM_RepresentativeSample/.*|BM_SwarmConstruct/.*|BM_RarestFirstPick/.*' \
     --benchmark_min_time=0.05 \
     --benchmark_out="${out_dir}/BENCH_swarm.json" \
     --benchmark_out_format=json > /dev/null

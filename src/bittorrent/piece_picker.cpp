@@ -11,71 +11,86 @@
 
 namespace strat::bt {
 
+namespace detail {
+
+template <class Error>
+void throw_bit_error(const char* what) {
+  throw Error(what);
+}
+template void throw_bit_error<std::out_of_range>(const char*);
+template void throw_bit_error<std::invalid_argument>(const char*);
+
+}  // namespace detail
+
 Bitfield::Bitfield(std::size_t bits) : bits_(bits), words_((bits + 63) / 64, 0) {}
 
-bool Bitfield::test(PieceId i) const {
-  if (i >= bits_) throw std::out_of_range("Bitfield::test: bad piece");
-  return (words_[i >> 6] >> (i & 63)) & 1u;
-}
-
-void Bitfield::set(PieceId i) {
-  if (i >= bits_) throw std::out_of_range("Bitfield::set: bad piece");
-  const std::uint64_t bit = std::uint64_t{1} << (i & 63);
-  if (!(words_[i >> 6] & bit)) {
-    words_[i >> 6] |= bit;
-    ++count_;
-  }
-}
-
-void Bitfield::reset(PieceId i) {
-  if (i >= bits_) throw std::out_of_range("Bitfield::reset: bad piece");
-  const std::uint64_t bit = std::uint64_t{1} << (i & 63);
-  if (words_[i >> 6] & bit) {
-    words_[i >> 6] &= ~bit;
-    --count_;
-  }
-}
-
-Bitfield Bitfield::from_words(std::size_t bits, std::vector<std::uint64_t> words) {
-  if (words.size() != (bits + 63) / 64) {
-    throw std::invalid_argument("Bitfield::from_words: word count mismatch");
-  }
-  if (bits % 64 != 0 && !words.empty() &&
-      (words.back() & ~((std::uint64_t{1} << (bits % 64)) - 1)) != 0) {
-    throw std::invalid_argument("Bitfield::from_words: bits set beyond size");
-  }
-  Bitfield out;
-  out.bits_ = bits;
-  out.words_ = std::move(words);
-  out.count_ = 0;
-  for (const std::uint64_t w : out.words_) {
-    out.count_ += static_cast<std::size_t>(std::popcount(w));
-  }
-  return out;
-}
-
 Bitfield Bitfield::random(std::size_t bits, double p, graph::Rng& rng) {
-  std::vector<std::uint64_t> words((bits + 63) / 64);
-  for (std::size_t w = 0; w < words.size(); ++w) {
+  Bitfield out(bits);
+  for (std::size_t w = 0; w < out.words_.size(); ++w) {
     const std::size_t width = std::min<std::size_t>(64, bits - w * 64);
     std::uint64_t word = 0;
     for (std::size_t b = 0; b < width; ++b) {
       word |= static_cast<std::uint64_t>(rng.bernoulli(p)) << b;
     }
-    words[w] = word;
+    out.words_[w] = word;
+    out.count_ += static_cast<std::size_t>(std::popcount(word));
   }
-  return from_words(bits, std::move(words));
+  return out;
 }
 
-bool Bitfield::interested_in(const Bitfield& other) const {
-  if (other.bits_ != bits_) throw std::invalid_argument("Bitfield::interested_in: size mismatch");
-  for (std::size_t w = 0; w < words_.size(); ++w) {
-    if (other.words_[w] & ~words_[w]) return true;
+BitRows BitRows::from_words(std::size_t bits, std::vector<std::uint64_t> words) {
+  BitRows out(bits);
+  if (out.width_ == 0 ? !words.empty() : words.size() % out.width_ != 0) {
+    throw std::invalid_argument("BitRows::from_words: not a whole number of rows");
   }
-  return false;
+  const std::size_t rows = out.width_ == 0 ? 0 : words.size() / out.width_;
+  out.counts_.resize(rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::uint64_t* row = words.data() + r * out.width_;
+    if ((row[out.width_ - 1] & ~detail::last_word_mask(bits)) != 0) {
+      throw std::invalid_argument("BitRows::from_words: bits set beyond size");
+    }
+    std::size_t count = 0;
+    for (std::size_t w = 0; w < out.width_; ++w) {
+      count += static_cast<std::size_t>(std::popcount(row[w]));
+    }
+    out.counts_[r] = count;
+  }
+  out.words_ = std::move(words);
+  return out;
 }
 
-PiecePicker::PiecePicker(std::size_t num_pieces) : availability_(num_pieces, 0) {}
+void BitRows::reserve(std::size_t rows) {
+  words_.reserve(rows * width_);
+  counts_.reserve(rows);
+}
+
+void BitRows::push_back(const Bitfield& b) {
+  if (b.size() != bits_) throw std::invalid_argument("BitRows::push_back: size mismatch");
+  const std::span<const std::uint64_t> w = b.words();
+  words_.insert(words_.end(), w.begin(), w.end());
+  counts_.push_back(b.count());
+}
+
+void BitRows::compact(std::size_t r) noexcept {
+  const std::size_t last = counts_.size() - 1;
+  if (r != last) {
+    std::copy_n(words_.begin() + static_cast<std::ptrdiff_t>(last * width_), width_,
+                words_.begin() + static_cast<std::ptrdiff_t>(r * width_));
+    counts_[r] = counts_[last];
+  }
+  words_.resize(last * width_);
+  counts_.pop_back();
+}
+
+std::size_t BitRows::memory_bytes() const noexcept {
+  return words_.capacity() * sizeof(std::uint64_t) + counts_.capacity() * sizeof(std::size_t);
+}
+
+PiecePicker::PiecePicker(std::size_t num_pieces)
+    : availability_(num_pieces, 0),
+      width_((num_pieces + 63) / 64),
+      tail_mask_(detail::last_word_mask(num_pieces)) {}
 
 void PiecePicker::add_availability(PieceId piece) { ++availability_.at(piece); }
 
@@ -85,13 +100,10 @@ void PiecePicker::remove_availability(PieceId piece) {
   --copies;
 }
 
-void PiecePicker::add_bitfield(const Bitfield& have) {
-  if (have.size() != availability_.size()) {
-    throw std::invalid_argument("PiecePicker::add_bitfield: size mismatch");
-  }
-  const std::span<const std::uint64_t> words = have.words();
-  for (std::size_t w = 0; w < words.size(); ++w) {
-    std::uint64_t mask = words[w];
+void PiecePicker::add_bitfield(Words have) {
+  check_words(have, true);
+  for (std::size_t w = 0; w < have.size(); ++w) {
+    std::uint64_t mask = have[w];
     while (mask != 0) {
       const auto piece =
           static_cast<PieceId>(w * 64 + static_cast<std::size_t>(std::countr_zero(mask)));
@@ -101,13 +113,10 @@ void PiecePicker::add_bitfield(const Bitfield& have) {
   }
 }
 
-void PiecePicker::remove_bitfield(const Bitfield& have) {
-  if (have.size() != availability_.size()) {
-    throw std::invalid_argument("PiecePicker::remove_bitfield: size mismatch");
-  }
-  const std::span<const std::uint64_t> words = have.words();
-  for (std::size_t w = 0; w < words.size(); ++w) {
-    std::uint64_t mask = words[w];
+void PiecePicker::remove_bitfield(Words have) {
+  check_words(have, true);
+  for (std::size_t w = 0; w < have.size(); ++w) {
+    std::uint64_t mask = have[w];
     while (mask != 0) {
       const auto piece =
           static_cast<PieceId>(w * 64 + static_cast<std::size_t>(std::countr_zero(mask)));
@@ -128,9 +137,8 @@ namespace {
 /// the ties, and orders of magnitude fewer RNG calls than per-tie
 /// reservoir sampling — this is the swarm simulator's hottest loop.
 template <typename WordFn>
-std::optional<PieceId> pick_rarest_scalar(const std::vector<std::uint32_t>& availability,
-                                          std::size_t words, WordFn&& candidate_word,
-                                          graph::Rng& rng) {
+std::optional<PieceId> pick_rarest_scalar(const std::uint32_t* availability, std::size_t words,
+                                          WordFn&& candidate_word, graph::Rng& rng) {
   std::uint32_t best_avail = 0;
   std::uint64_t ties = 0;
   for (std::size_t w = 0; w < words; ++w) {
@@ -172,143 +180,119 @@ std::optional<PieceId> pick_rarest_scalar(const std::vector<std::uint32_t>& avai
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 
-/// A bitfield word maps directly onto four 16-lane mask registers, so
-/// the per-set-bit availability gather of the scalar loop becomes four
-/// masked vector loads per word, flat in candidate density. Produces
-/// exactly the scalar loop's (best, tie count, k-th tie) — bitwise
-/// identical picks and RNG consumption on every machine, with or
-/// without the instruction set.
-__attribute__((target("avx512f,avx512bw"), always_inline)) inline std::uint32_t word_min_avx512(
-    const std::uint32_t* avail, std::uint64_t mask) {
-  const __m512i inf = _mm512_set1_epi32(-1);
-  __m512i vmin = inf;
+#define STRAT_PICK_TARGET __attribute__((target("avx512f,avx512bw,bmi,bmi2,popcnt")))
+
+/// A bitfield word's 64 candidates map onto four 16-lane mask
+/// registers, so availability is read with masked vector loads: flat in
+/// candidate density, and a masked-off lane never faults, so the
+/// ragged last word stays inside the availability array. Returns the
+/// word's lanes whose availability equals `best`.
+STRAT_PICK_TARGET __attribute__((always_inline)) inline std::uint64_t word_ties(
+    const std::uint32_t* avail, std::uint64_t mask, __m512i best) {
+  std::uint64_t ties = 0;
   for (int j = 0; j < 4; ++j) {
     const auto m = static_cast<__mmask16>(mask >> (16 * j));
-    if (!m) continue;
-    vmin = _mm512_min_epu32(vmin, _mm512_mask_loadu_epi32(inf, m, avail + 16 * j));
+    const __m512i v = _mm512_maskz_loadu_epi32(m, avail + 16 * j);
+    ties |= static_cast<std::uint64_t>(_mm512_mask_cmpeq_epu32_mask(m, v, best)) << (16 * j);
   }
-  return _mm512_reduce_min_epu32(vmin);
+  return ties;
 }
 
-__attribute__((target("avx512f,avx512bw"), always_inline)) inline std::uint32_t
-word_eq_count_avx512(const std::uint32_t* avail, std::uint64_t mask, std::uint32_t best) {
-  const __m512i inf = _mm512_set1_epi32(-1);
-  const __m512i vb = _mm512_set1_epi32(static_cast<int>(best));
-  std::uint32_t count = 0;
-  for (int j = 0; j < 4; ++j) {
-    const auto m = static_cast<__mmask16>(mask >> (16 * j));
-    if (!m) continue;
-    const __m512i v = _mm512_mask_loadu_epi32(inf, m, avail + 16 * j);
-    count += static_cast<std::uint32_t>(
-        std::popcount(static_cast<std::uint32_t>(_mm512_mask_cmpeq_epu32_mask(m, v, vb))));
-  }
-  return count;
-}
+/// Tie masks kept on the stack: the first 64 words (4096 pieces). Words
+/// past it recompute their mask in the select step.
+constexpr std::size_t kTieWords = 64;
 
+/// One masked-min pass over every candidate word with a single
+/// horizontal reduce at the end, one pass that records each word's tie
+/// mask and counts the ties, one rng.below(ties) draw, then the k-th
+/// tie in piece order by popcount over the tie masks and pdep/tzcnt
+/// inside its word. Produces exactly the scalar kernel's (minimum, tie
+/// count, k-th tie), so picks and RNG consumption are bitwise identical
+/// on every machine, with or without the instruction set.
 template <typename WordFn>
-__attribute__((target("avx512f,avx512bw"))) std::optional<PieceId> pick_rarest_avx512(
-    const std::vector<std::uint32_t>& availability, std::size_t words, WordFn&& candidate_word,
-    graph::Rng& rng) {
-  std::uint32_t best = 0xFFFFFFFFu;
-  bool any = false;
+STRAT_PICK_TARGET std::optional<PieceId> pick_rarest_vector(const std::uint32_t* availability,
+                                                            std::size_t words,
+                                                            WordFn&& candidate_word,
+                                                            graph::Rng& rng) {
+  __m512i vmin = _mm512_set1_epi32(-1);
+  std::uint64_t any = 0;
   for (std::size_t w = 0; w < words; ++w) {
     const std::uint64_t mask = candidate_word(w);
-    if (!mask) continue;
-    any = true;
-    // The last word's tail lanes (beyond num_pieces) are never
-    // candidates — Bitfield keeps them zero — so the masked loads
-    // stay inside the availability array.
-    const std::uint32_t m = word_min_avx512(&availability[w * 64], mask);
-    best = m < best ? m : best;
+    if (mask == 0) continue;
+    any |= mask;
+    const std::uint32_t* avail = availability + w * 64;
+    for (int j = 0; j < 4; ++j) {
+      const auto m = static_cast<__mmask16>(mask >> (16 * j));
+      vmin = _mm512_mask_min_epu32(vmin, m, vmin, _mm512_maskz_loadu_epi32(m, avail + 16 * j));
+    }
   }
-  if (!any) return std::nullopt;
+  if (any == 0) return std::nullopt;
+  const __m512i best = _mm512_set1_epi32(static_cast<int>(_mm512_reduce_min_epu32(vmin)));
+
+  std::uint64_t tie_masks[kTieWords];
   std::uint64_t ties = 0;
   for (std::size_t w = 0; w < words; ++w) {
-    const std::uint64_t mask = candidate_word(w);
-    if (!mask) continue;
-    ties += word_eq_count_avx512(&availability[w * 64], mask, best);
+    const std::uint64_t t = word_ties(availability + w * 64, candidate_word(w), best);
+    if (w < kTieWords) tie_masks[w] = t;
+    ties += static_cast<std::uint64_t>(std::popcount(t));
   }
   std::uint64_t k = ties == 1 ? 0 : rng.below(ties);
   for (std::size_t w = 0; w < words; ++w) {
-    const std::uint64_t mask = candidate_word(w);
-    if (!mask) continue;
-    const std::uint32_t count = word_eq_count_avx512(&availability[w * 64], mask, best);
-    if (k >= count) {
-      k -= count;
-      continue;
+    const std::uint64_t t = w < kTieWords ? tie_masks[w]
+                                          : word_ties(availability + w * 64, candidate_word(w), best);
+    const auto count = static_cast<std::uint64_t>(std::popcount(t));
+    if (k < count) {
+      const std::uint64_t kth = _pdep_u64(std::uint64_t{1} << k, t);
+      return static_cast<PieceId>(w * 64 + static_cast<std::size_t>(std::countr_zero(kth)));
     }
-    std::uint64_t bits = mask;
-    while (bits != 0) {
-      const auto piece =
-          static_cast<PieceId>(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
-      bits &= bits - 1;
-      if (availability[piece] == best) {
-        if (k == 0) return piece;
-        --k;
-      }
-    }
+    k -= count;
   }
-  return std::nullopt;  // unreachable: pass 3 revisits pass 1's candidates
+  return std::nullopt;  // unreachable: the select walks pass 2's tie masks
 }
 
+#undef STRAT_PICK_TARGET
 #pragma GCC diagnostic pop
 
-bool pick_has_avx512() {
-  static const bool ok =
-      __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw");
+bool pick_has_vector() {
+  static const bool ok = __builtin_cpu_supports("avx512f") &&
+                         __builtin_cpu_supports("avx512bw") && __builtin_cpu_supports("bmi") &&
+                         __builtin_cpu_supports("bmi2") && __builtin_cpu_supports("popcnt");
   return ok;
 }
 
 #endif  // STRAT_PICK_AVX512_DISPATCH
 
-/// Dense candidate sets pay ~1 availability load per candidate in the
-/// scalar loop; the vector path is flat (~4 masked loads per word), so
-/// it wins once a pick sees more than about two candidates per lane
-/// group. Sparse sets (endgame tails, nearly-done receivers) stay on
-/// the scalar loop, which is faster there and the only path on
-/// machines without the instruction set.
+/// The vector kernel where the machine has it, else the scalar loop.
 template <typename WordFn>
 std::optional<PieceId> pick_rarest_masked(const std::vector<std::uint32_t>& availability,
                                           std::size_t words, WordFn&& candidate_word,
                                           graph::Rng& rng) {
 #ifdef STRAT_PICK_AVX512_DISPATCH
-  if (pick_has_avx512()) {
-    std::size_t candidates = 0;
-    for (std::size_t w = 0; w < words; ++w) {
-      candidates += static_cast<std::size_t>(std::popcount(candidate_word(w)));
-    }
-    if (candidates >= 128) {
-      return pick_rarest_avx512(availability, words, candidate_word, rng);
-    }
+  if (pick_has_vector()) {
+    return pick_rarest_vector(availability.data(), words, candidate_word, rng);
   }
 #endif
-  return pick_rarest_scalar(availability, words, candidate_word, rng);
+  return pick_rarest_scalar(availability.data(), words, candidate_word, rng);
 }
 
 }  // namespace
 
-std::optional<PieceId> PiecePicker::pick_rarest(const Bitfield& local, const Bitfield& remote,
+std::optional<PieceId> PiecePicker::pick_rarest(Words local, Words remote,
                                                 graph::Rng& rng) const {
-  if (local.size() != remote.size() || local.size() != availability_.size()) {
-    throw std::invalid_argument("PiecePicker::pick_rarest: size mismatch");
-  }
-  const std::span<const std::uint64_t> lw = local.words();
-  const std::span<const std::uint64_t> rw = remote.words();
+  check_words(local, false);
+  check_words(remote, true);
   return pick_rarest_masked(
-      availability_, rw.size(), [&](std::size_t w) { return rw[w] & ~lw[w]; }, rng);
+      availability_, width_, [&](std::size_t w) { return remote[w] & ~local[w]; }, rng);
 }
 
-std::optional<PieceId> PiecePicker::pick_rarest(const Bitfield& local, const Bitfield& remote,
-                                                const Bitfield& excluded, graph::Rng& rng) const {
-  if (local.size() != remote.size() || local.size() != availability_.size() ||
-      excluded.size() != local.size()) {
-    throw std::invalid_argument("PiecePicker::pick_rarest: size mismatch");
-  }
-  const std::span<const std::uint64_t> lw = local.words();
-  const std::span<const std::uint64_t> rw = remote.words();
-  const std::span<const std::uint64_t> ew = excluded.words();
+std::optional<PieceId> PiecePicker::pick_rarest(Words local, Words remote, Words excluded,
+                                                graph::Rng& rng) const {
+  check_words(local, false);
+  check_words(remote, true);
+  check_words(excluded, false);
   return pick_rarest_masked(
-      availability_, rw.size(), [&](std::size_t w) { return rw[w] & ~lw[w] & ~ew[w]; }, rng);
+      availability_, width_,
+      [&](std::size_t w) { return remote[w] & ~local[w] & ~excluded[w]; }, rng);
 }
 
 }  // namespace strat::bt

@@ -333,10 +333,10 @@ void Swarm::save_impl(Writer& w) const {
   const std::size_t rows = table_.size();
   w.u64(rows);
   for (std::size_t r = 0; r < rows; ++r) peer_stats_fields(w, stats_[r]);
-  for (std::size_t r = 0; r < rows; ++r) {
-    const auto words = have_[r].words();
-    w.bytes(words.data(), words.size() * sizeof(std::uint64_t));
-  }
+  // The bitfield arena in one call: rows are whole 8-byte lanes, so the
+  // bytes and the checksum fold equal one write per row.
+  const auto bitfields = have_.words();
+  w.bytes(bitfields.data(), bitfields.size() * sizeof(std::uint64_t));
   for (std::size_t r = 0; r < rows; ++r) {
     const TftChoker::State cs = chokers_[r].state();
     choker_state_fields(w, cs);
@@ -480,13 +480,10 @@ Swarm Swarm::resume_impl(std::istream& in, graph::Rng& rng, const SwarmConfig* o
       peer_stats_fields(r, st);
       detail::require_capacity(st.upload_kbps, "snapshot live peer", /*allow_zero=*/true);
     }
-    const std::size_t words_per_peer = (cfg.num_pieces + 63) / 64;
-    s.have_.reserve(rows);
-    for (std::size_t row = 0; row < rows; ++row) {
-      std::vector<std::uint64_t> words(words_per_peer);
-      r.bytes(words.data(), words.size() * sizeof(std::uint64_t));
-      s.have_.push_back(Bitfield::from_words(cfg.num_pieces, std::move(words)));
-    }
+    // rows x width words, sized only once the stream can hold them;
+    // from_words then checks every row's tail bits and recounts it.
+    s.have_ = BitRows::from_words(
+        cfg.num_pieces, r.pod_array<std::uint64_t>(rows * s.have_.width()));
     s.chokers_.reserve(rows);
     for (std::size_t row = 0; row < rows; ++row) {
       TftChoker::State cs;
@@ -507,9 +504,24 @@ Swarm Swarm::resume_impl(std::istream& in, graph::Rng& rng, const SwarmConfig* o
       s.nbr_.push_back(std::move(nbrs));
       s.nslot_.push_back(std::move(slots));
     }
+    // One entry per (row, piece), checked as each list is read: the
+    // commit erases only the first entry of a piece. The mask is set
+    // and then cleared through each list, linear in the entries; an
+    // out-of-range piece is left to the range check below.
     s.partial_.resize(rows);
+    Bitfield listed(cfg.num_pieces);
     for (auto& partial : s.partial_) {
       r.list(partial, cfg.num_pieces, "partial piece", kPartialPiece);
+      for (const auto& entry : partial) {
+        if (entry.first >= cfg.num_pieces) continue;
+        if (listed.test(entry.first)) {
+          throw SnapshotError("snapshot: partial piece listed twice in one row");
+        }
+        listed.set(entry.first);
+      }
+      for (const auto& entry : partial) {
+        if (entry.first < cfg.num_pieces) listed.reset(entry.first);
+      }
     }
 
     r.expect_tag(kTagRetired, "retired");
@@ -615,14 +627,14 @@ Swarm Swarm::resume_impl(std::istream& in, graph::Rng& rng, const SwarmConfig* o
       }
     }
     for (std::size_t row = 0; row < rows; ++row) {
-      if (s.stats_[row].pieces != s.have_[row].count()) {
+      if (s.stats_[row].pieces != s.have_.count(row)) {
         throw SnapshotError("snapshot: piece counter disagrees with bitfield");
       }
       for (const core::PeerId q : s.unchoked_[row]) {
         if (q >= id_space) throw SnapshotError("snapshot: unchoke target out of range");
       }
       for (const auto& [piece, kb] : s.partial_[row]) {
-        if (piece >= cfg.num_pieces || s.have_[row].test(piece)) {
+        if (piece >= cfg.num_pieces || s.have_.test(row, piece)) {
           throw SnapshotError("snapshot: partial piece invalid or already held");
         }
         if (!(kb >= 0.0) || kb >= cfg.piece_kb) {
@@ -637,7 +649,7 @@ Swarm Swarm::resume_impl(std::istream& in, graph::Rng& rng, const SwarmConfig* o
 
     // Availability: recompute from the live bitfields and prove the
     // stored words match — the derived-state consistency gate.
-    for (std::size_t row = 0; row < rows; ++row) s.picker_.add_bitfield(s.have_[row]);
+    for (std::size_t row = 0; row < rows; ++row) s.picker_.add_bitfield(s.have_.row(row));
     for (PieceId piece = 0; piece < cfg.num_pieces; ++piece) {
       if (s.picker_.availability(piece) != stored_avail[piece]) {
         throw SnapshotError("snapshot: availability disagrees with live bitfields");

@@ -269,24 +269,30 @@ class Reader {
     v = pod_vec<T>(max_elems, what);
   }
 
-  /// Length-prefixed POD vector. A corrupt length field cannot force a
-  /// giant allocation: on a seekable stream the prefix is checked
-  /// against the bytes actually remaining before anything is sized (so
-  /// the result is allocated exactly once, with zero capacity slack);
-  /// on a non-seekable stream the buffer grows in ~1 MB chunks and a
-  /// lying prefix dies on the first short read. Either way the
-  /// checksum folds once over the assembled buffer, matching the
-  /// writer's single pod_span() fold exactly.
+  /// Length-prefixed POD vector: the count, checked against
+  /// `max_elems`, then pod_array().
   template <typename T>
   std::vector<T> pod_vec(std::size_t max_elems, const char* what) {
     const std::uint64_t n64 = u64();
     if (n64 > max_elems) {
       throw SnapshotError(std::string("snapshot: implausible ") + what + " count");
     }
-    const auto n = static_cast<std::size_t>(n64);
+    return pod_array<T>(static_cast<std::size_t>(n64));
+  }
+
+  /// `n` POD elements with no prefix, `n` derived from fields already
+  /// read. A corrupt length cannot force a giant allocation: on a
+  /// seekable stream `n` is checked against the bytes actually
+  /// remaining before anything is sized (so the result is allocated
+  /// exactly once, with zero capacity slack); on a non-seekable stream
+  /// the buffer grows in ~1 MB chunks and a lying length dies on the
+  /// first short read. Either way the checksum folds once over the
+  /// assembled buffer, matching a writer's single bytes() fold exactly.
+  template <typename T>
+  std::vector<T> pod_array(std::size_t n) {
     std::vector<T> out;
     if (remaining_known_) {
-      if (n64 * sizeof(T) > remaining_) {
+      if (n > remaining_ / sizeof(T)) {
         throw SnapshotError("snapshot: truncated stream");
       }
       out.resize(n);

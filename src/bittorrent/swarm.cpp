@@ -76,6 +76,7 @@ Swarm::Swarm(const SwarmConfig& config, std::vector<double> upload_kbps, graph::
     : config_(config),
       rng_(rng),
       picker_(config.num_pieces),
+      have_(config.num_pieces),
       reserved_scratch_(config.num_pieces),
       leechers_(config.num_peers) {
   if (upload_kbps.size() != config.num_peers) {
@@ -136,7 +137,6 @@ Swarm::Swarm(const SwarmConfig& config, std::vector<double> upload_kbps, graph::
   mutual_rounds_.assign(edge_peer_.size(), 0);
 
   stats_.resize(total);
-  have_.assign(total, Bitfield(config.num_pieces));
   chokers_.reserve(total);
   for (std::size_t p = 0; p < total; ++p) {
     const std::size_t slots = (p < config.num_peers && !config.tft_slots_per_peer.empty())
@@ -168,6 +168,22 @@ Swarm::Swarm(const SwarmConfig& config, std::vector<double> upload_kbps, graph::
     std::sort(sorted.begin(), sorted.end());
     seed_capacity = sorted[sorted.size() / 2];
   }
+  // Bitfields first, in id order while rows still equal ids. Their
+  // Bernoulli fills are the only draws of the walk below, so filling
+  // ahead keeps the structural stream's order, and a row the walk
+  // compacts carries its bits with it.
+  const auto initial_bits = [&](std::size_t p) {
+    if (p < config.num_peers) {
+      return config.post_flashcrowd
+                 ? Bitfield::random(config.num_pieces, config.initial_completion, rng)
+                 : Bitfield(config.num_pieces);
+    }
+    Bitfield full(config.num_pieces);
+    for (PieceId piece = 0; piece < config.num_pieces; ++piece) full.set(piece);
+    return full;
+  };
+  have_.reserve(total);
+  for (std::size_t p = 0; p < total; ++p) have_.push_back(initial_bits(p));
   // Initialization walks external ids ascending; a Bernoulli-complete
   // leecher can depart (compacting rows) mid-walk, so every access goes
   // through the table.
@@ -177,15 +193,10 @@ Swarm::Swarm(const SwarmConfig& config, std::vector<double> upload_kbps, graph::
     const bool is_seed = p >= config.num_peers;
     stats_[r].seed = is_seed;
     stats_[r].upload_kbps = is_seed ? seed_capacity : upload_kbps[p];
-    if (is_seed) {
-      for (PieceId piece = 0; piece < config.num_pieces; ++piece) have_[r].set(piece);
-      stats_[r].completion_round = 0.0;
-    } else if (config.post_flashcrowd) {
-      have_[r] = Bitfield::random(config.num_pieces, config.initial_completion, rng);
-    }
-    picker_.add_bitfield(have_[r]);
-    stats_[r].pieces = have_[r].count();
-    if (!is_seed && have_[r].complete()) {
+    if (is_seed) stats_[r].completion_round = 0.0;
+    picker_.add_bitfield(have_.row(r));
+    stats_[r].pieces = have_.count(r);
+    if (!is_seed && have_.complete(r)) {
       // The Bernoulli draws can complete a leecher outright; treat it
       // like a round-0 completion so it never divides by the full run
       // length in leech_download_kbps() and departs consistently.
@@ -377,7 +388,7 @@ core::PeerId Swarm::join(double upload_kbps, const Bitfield& have) {
   }
   ++leechers_;
   ranks_dirty_ = true;
-  if (have_[r].complete()) {
+  if (have_.complete(r)) {
     stats_[r].completion_round = static_cast<double>(round_);
     if (!config_.stay_as_seed) depart_peer(p, static_cast<double>(round_));
   }
@@ -434,7 +445,10 @@ void Swarm::choke_row(Row r, std::vector<ChokeCandidate>& candidates) {
   const auto& row = nbr_[r];
   const auto& slots = nslot_[r];
   candidates.clear();
-  const bool serve_fastest = stats_[r].seed || have_[r].complete();
+  const bool serve_fastest = stats_[r].seed || have_.complete(r);
+  // Neighbour rows sit at random places in the arena: start every load
+  // before the interest loop needs the first one.
+  for (const core::PeerId q : row) have_.prefetch(table_.row_of(q));
   // Adjacency rows never contain departed peers (their edges were
   // released), so every neighbor is a candidate.
   for (std::size_t i = 0; i < row.size(); ++i) {
@@ -527,12 +541,12 @@ void Swarm::record_mutual_unchokes() {
       [&](std::size_t begin, std::size_t end, std::size_t) {
         for (std::size_t row = begin; row < end; ++row) {
           const auto r = static_cast<Row>(row);
-          if (stats_[r].seed || have_[r].complete()) continue;
+          if (stats_[r].seed || have_.complete(r)) continue;
           const core::PeerId p = table_.id_at(r);
           for (core::PeerId q : unchoked_[r]) {
             if (q <= p) continue;
             const Row qr = table_.row_of(q);
-            if (stats_[qr].seed || have_[qr].complete()) continue;
+            if (stats_[qr].seed || have_.complete(qr)) continue;
             const auto& back = unchoked_[qr];
             if (std::find(back.begin(), back.end(), p) != back.end()) {
               ++mutual_rounds_[slot_of(r, q)];
@@ -554,18 +568,18 @@ std::optional<PieceId> Swarm::pick_for(Row qr, Row pr, std::size_t slot_qp, grap
       for (const std::size_t s : slots) {
         if (s == slot_qp) continue;
         const PieceId t = inflight_[s];
-        if (t != kNoPiece && !have_[qr].test(t)) {
+        if (t != kNoPiece && !have_.test(qr, t)) {
           reserved_scratch_.set(t);
           reserved_list_.push_back(t);
         }
       }
-      return picker_.pick_rarest(have_[qr], have_[pr], reserved_scratch_, rng);
+      return picker_.pick_rarest(have_.row(qr), have_.row(pr), reserved_scratch_.words(), rng);
     }
     // Endgame phase: the missing set is smaller than the receiver's
     // inbound unchoke count — duplicate in-flight targets are allowed
     // (first completion cancels the rest via the staleness re-pick).
   }
-  return picker_.pick_rarest(have_[qr], have_[pr], rng);
+  return picker_.pick_rarest(have_.row(qr), have_.row(pr), rng);
 }
 
 std::optional<PieceId> Swarm::plan_pick(const detail::TransferLane& lane, Row qr, Row pr,
@@ -581,7 +595,7 @@ std::optional<PieceId> Swarm::plan_pick(const detail::TransferLane& lane, Row qr
   if (endgame_dup && lane.completed.empty()) {
     // Endgame phase: duplicate in-flight targets are allowed and there
     // is no lane-local state to hold back — pick over the raw bitfields.
-    return picker_.pick_rarest(have_[qr], have_[pr], rng);
+    return picker_.pick_rarest(have_.row(qr), have_.row(pr), rng);
   }
   if (scratch.reserved.size() != config_.num_pieces) {
     scratch.reserved = Bitfield(config_.num_pieces);
@@ -609,7 +623,7 @@ std::optional<PieceId> Swarm::plan_pick(const detail::TransferLane& lane, Row qr
       for (const std::size_t s : nslot_[qr]) {
         if (s == lane.slot_qp) continue;
         const PieceId t = inflight_[s];
-        if (t != kNoPiece && !have_[qr].test(t)) {
+        if (t != kNoPiece && !have_.test(qr, t)) {
           scratch.reserved.set(t);
           scratch.reserved_list.push_back(t);
         }
@@ -627,13 +641,14 @@ std::optional<PieceId> Swarm::plan_pick(const detail::TransferLane& lane, Row qr
       scratch.reserved_partials.push_back(entry.first);
     }
   }
-  const auto pick = picker_.pick_rarest(have_[qr], have_[pr], scratch.reserved, rng);
+  const auto pick =
+      picker_.pick_rarest(have_.row(qr), have_.row(pr), scratch.reserved.words(), rng);
   if (pick || scratch.reserved_partials.empty()) return pick;
   // Fallback tier: everything else is reserved or held — let the
   // partially-downloaded pieces back in. The bits stay in
   // reserved_list, so the next call's reset loop remains correct.
   for (const PieceId t : scratch.reserved_partials) scratch.reserved.reset(t);
-  return picker_.pick_rarest(have_[qr], have_[pr], scratch.reserved, rng);
+  return picker_.pick_rarest(have_.row(qr), have_.row(pr), scratch.reserved.words(), rng);
 }
 
 double Swarm::partial_progress(Row qr, PieceId piece) const {
@@ -644,10 +659,10 @@ double Swarm::partial_progress(Row qr, PieceId piece) const {
 }
 
 void Swarm::complete_piece(core::PeerId q, Row qr, PieceId piece) {
-  have_[qr].set(piece);
+  have_.set(qr, piece);
   picker_.add_availability(piece);
-  stats_[qr].pieces = have_[qr].count();
-  if (have_[qr].complete() && stats_[qr].completion_round < 0.0) {
+  stats_[qr].pieces = have_.count(qr);
+  if (have_.complete(qr) && stats_[qr].completion_round < 0.0) {
     stats_[qr].completion_round = static_cast<double>(round_ + 1);
     if (!config_.stay_as_seed && !stats_[qr].seed) {
       depart_peer(q, static_cast<double>(round_ + 1));
@@ -660,7 +675,7 @@ void Swarm::depart_peer(core::PeerId p, double when) {
   stats_[pr].leave_round = when;
   ++departures_;
   // Its copies leave the swarm: rarest-first must stop counting them.
-  picker_.remove_bitfield(have_[pr]);
+  picker_.remove_bitfield(have_.row(pr));
   partial_[pr].clear();
   unchoked_[pr].clear();
   release_all_edges(p, pr);
@@ -681,7 +696,6 @@ void Swarm::depart_peer(core::PeerId p, double when) {
   const auto last = static_cast<Row>(table_.size());  // the old last row
   if (rem.row != last) {
     stats_[rem.row] = stats_[last];
-    have_[rem.row] = std::move(have_[last]);
     chokers_[rem.row] = std::move(chokers_[last]);
     unchoked_[rem.row] = std::move(unchoked_[last]);
     nbr_[rem.row] = std::move(nbr_[last]);
@@ -692,9 +706,9 @@ void Swarm::depart_peer(core::PeerId p, double when) {
       incoming_unchokes_[rem.row] = incoming_unchokes_[last];
     }
   }
+  have_.compact(rem.row);
   faults_.compact(rem.row, last);
   stats_.pop_back();
-  have_.pop_back();
   chokers_.pop_back();
   unchoked_.pop_back();
   nbr_.pop_back();
@@ -717,7 +731,7 @@ double Swarm::send_to(core::PeerId p, core::PeerId q, std::size_t slot_pq, doubl
     const Row pr = table_.row_of(p);
     const std::size_t slot_qp = mirror_[slot_pq];  // receiver-owned slot
     PieceId target = inflight_[slot_qp];
-    if (target == kNoPiece || have_[qr].test(target) || !have_[pr].test(target)) {
+    if (target == kNoPiece || have_.test(qr, target) || !have_.test(pr, target)) {
       const auto pick = pick_for(qr, pr, slot_qp, rng);
       if (!pick) break;
       target = *pick;
@@ -753,6 +767,14 @@ void Swarm::plan_transfers(core::PeerId p, TransferScratch& scratch) {
   // Active transfers: unchoked neighbors that actually want data.
   // (receiver, sender-side slot): the slot is loop-invariant per pair,
   // so resolve it once instead of per redistribution pass.
+  // Receivers sit at random places in the arena and the partial table:
+  // start those loads before the interest checks and the plan need them.
+  for (const core::PeerId q : unchoked_[pr]) {
+    const Row qr = table_.row_of(q);
+    if (qr == PeerTable::kNoRow) continue;
+    have_.prefetch(qr);
+    detail::prefetch(&partial_[qr]);
+  }
   scratch.hungry.clear();
   for (core::PeerId q : unchoked_[pr]) {
     const Row qr = table_.row_of(q);
@@ -787,8 +809,8 @@ void Swarm::plan_transfers(core::PeerId p, TransferScratch& scratch) {
         const Row qr = static_cast<Row>(lane->row);
         return detail::plan_lane_send(
             config_.piece_kb, *lane, scratch.grants, share,
-            [&](PieceId t) { return have_[pr].test(t); },
-            [&](PieceId t) { return have_[qr].test(t); },
+            [&](PieceId t) { return have_.test(pr, t); },
+            [&](PieceId t) { return have_.test(qr, t); },
             [&](PieceId t) { return partial_progress(qr, t); },
             [&](const detail::TransferLane& l) { return plan_pick(l, qr, pr, stream, scratch); });
       });
@@ -831,7 +853,7 @@ void Swarm::commit_transfers(std::size_t chunks) {
         lane.kb += grant.kb;
         if (lane.stale) continue;
         const Row qr = lane.row;
-        if (qr == PeerTable::kNoRow || have_[qr].test(grant.piece) ||
+        if (qr == PeerTable::kNoRow || have_.test(qr, grant.piece) ||
             partial_progress(qr, grant.piece) != grant.base_kb) {
           lane.stale = true;
           ++stale_lanes;
@@ -1066,7 +1088,7 @@ std::size_t Swarm::completed_leechers() const {
   // bitwise equivalent of scanning every bitfield ever.
   std::size_t done = retired_completed_;
   for (Row r = 0; r < table_.size(); ++r) {
-    if (!stats_[r].seed && have_[r].complete()) ++done;
+    if (!stats_[r].seed && have_.complete(r)) ++done;
   }
   return done;
 }
@@ -1260,9 +1282,7 @@ Swarm::MemoryFootprint Swarm::memory_footprint() const {
       out.peer_state_bytes += flat(lane.completed);
     }
   }
-  for (const Bitfield& b : have_) {
-    out.peer_state_bytes += sizeof(Bitfield) + b.words().size() * sizeof(std::uint64_t);
-  }
+  out.peer_state_bytes += have_.memory_bytes();
   out.edge_slot_bytes = flat(edge_peer_) + flat(mirror_) + flat(slot_gen_) + flat(free_slots_) +
                         flat(rate_in_) + flat(now_in_) + flat(rate_out_) + flat(now_out_) +
                         flat(inflight_) + flat(mutual_rounds_);

@@ -808,6 +808,7 @@ class Swarm {
       : config_(config),
         rng_(rng),
         picker_(config.num_pieces),
+        have_(config.num_pieces),
         reserved_scratch_(config.num_pieces) {}
   /// Shared loader behind both resume() overloads (`override` may be
   /// null); defined in snapshot.cpp next to save().
@@ -886,7 +887,7 @@ class Swarm {
   /// final stats are archived and the table row is compacted away.
   void depart_peer(core::PeerId p, double when);
   [[nodiscard]] bool wants_from(Row receiver, Row sender) const {
-    return have_[receiver].interested_in(have_[sender]);
+    return have_.interested(receiver, sender);
   }
   /// Edge slot of neighbor q in row pr's sorted adjacency.
   [[nodiscard]] std::size_t slot_of(Row pr, core::PeerId q) const;
@@ -938,7 +939,7 @@ class Swarm {
   // "row-indexed" compacts in lockstep with table_ removals.
   PeerTable table_;
   std::vector<PeerStats> stats_;    // row-indexed
-  std::vector<Bitfield> have_;      // row-indexed
+  BitRows have_;                    // row-indexed piece bitfields, one word arena
   std::vector<TftChoker> chokers_;  // row-indexed
   std::vector<std::vector<core::PeerId>> unchoked_;  // row-indexed, this round
   // Per-peer adjacency (row-indexed): nbr_[r] is the external neighbor

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <iterator>
 #include <set>
+#include <string>
+#include <vector>
 
 namespace strat::bt {
 namespace {
@@ -228,37 +230,179 @@ TEST(Bitfield, RandomMatchesThePerPieceBernoulliLoop) {
 }
 
 TEST(PiecePicker, PickMatchesScalarContractAtEveryDensity) {
-  // 1029 pieces: a ragged tail word, so the kernel's masked loads and
-  // the tail-lane handling are exercised too.
-  const std::size_t n = 1029;
-  PiecePicker picker(n);
-  graph::Rng setup(2024);
-  for (PieceId t = 0; t < n; ++t) {
-    // Clustered availability (many ties) to stress tie counting.
-    const auto copies = 1 + static_cast<std::uint32_t>(setup.below(7));
-    for (std::uint32_t c = 0; c < copies; ++c) picker.add_availability(t);
-  }
-  for (const double density : {0.01, 0.1, 0.4, 0.8, 0.99}) {
-    Bitfield local(n);
-    Bitfield remote(n);
-    Bitfield excluded(n);
+  // Ragged tail words (1, 65, 1029 pieces) exercise the masked loads at
+  // the end of the availability array; 8192 pieces is 128 words, past
+  // the kernel's 64 stack-held tie masks. The span entry points are
+  // called directly, as the swarm calls them.
+  for (const std::size_t n : {1u, 64u, 65u, 256u, 1024u, 1029u, 8192u}) {
+    PiecePicker picker(n);
+    graph::Rng setup(2024);
     for (PieceId t = 0; t < n; ++t) {
-      if (setup.bernoulli(0.4)) local.set(t);
-      if (setup.bernoulli(density)) remote.set(t);
-      if (setup.bernoulli(0.1)) excluded.set(t);
+      // Clustered availability (many ties) to stress tie counting.
+      const auto copies = 1 + static_cast<std::uint32_t>(setup.below(7));
+      for (std::uint32_t c = 0; c < copies; ++c) picker.add_availability(t);
     }
-    graph::Rng a(99);
-    graph::Rng b(99);
-    for (int i = 0; i < 200; ++i) {
-      ASSERT_EQ(picker.pick_rarest(local, remote, a), reference_pick(picker, local, remote, nullptr, b))
-          << "density " << density << " iter " << i;
-      ASSERT_EQ(picker.pick_rarest(local, remote, excluded, a),
-                reference_pick(picker, local, remote, &excluded, b))
-          << "density " << density << " iter " << i;
-      // Same draw count: the streams must stay in lockstep.
-      ASSERT_EQ(a(), b()) << "RNG divergence at density " << density << " iter " << i;
+    for (const double density : {0.01, 0.1, 0.4, 0.8, 0.99}) {
+      Bitfield local(n);
+      Bitfield remote(n);
+      Bitfield excluded(n);
+      for (PieceId t = 0; t < n; ++t) {
+        if (setup.bernoulli(0.4)) local.set(t);
+        if (setup.bernoulli(density)) remote.set(t);
+        if (setup.bernoulli(0.1)) excluded.set(t);
+      }
+      graph::Rng a(99);
+      graph::Rng b(99);
+      for (int i = 0; i < 200; ++i) {
+        ASSERT_EQ(picker.pick_rarest(local.words(), remote.words(), a),
+                  reference_pick(picker, local, remote, nullptr, b))
+            << n << " pieces, density " << density << " iter " << i;
+        ASSERT_EQ(picker.pick_rarest(local.words(), remote.words(), excluded.words(), a),
+                  reference_pick(picker, local, remote, &excluded, b))
+            << n << " pieces, density " << density << " iter " << i;
+        // Same draw count: the streams must stay in lockstep.
+        ASSERT_EQ(a(), b()) << "RNG divergence at " << n << " pieces, density " << density
+                            << " iter " << i;
+      }
     }
   }
+}
+
+TEST(PiecePicker, AllTiesPickUniformlyInPieceOrder) {
+  // Every availability equal: every candidate is a tie, so the pick is
+  // the k-th candidate for the one draw, across word boundaries.
+  for (const std::size_t n : {65u, 1029u, 8192u}) {
+    PiecePicker picker(n);
+    for (PieceId t = 0; t < n; ++t) picker.add_availability(t);
+    graph::Rng setup(7 + n);
+    const Bitfield local = Bitfield::random(n, 0.3, setup);
+    const Bitfield remote = Bitfield::random(n, 0.6, setup);
+    graph::Rng a(5);
+    graph::Rng b(5);
+    std::set<PieceId> seen;
+    for (int i = 0; i < 300; ++i) {
+      const auto got = picker.pick_rarest(local.words(), remote.words(), a);
+      ASSERT_EQ(got, reference_pick(picker, local, remote, nullptr, b)) << n << " iter " << i;
+      ASSERT_EQ(a(), b()) << "RNG divergence at " << n << " iter " << i;
+      seen.insert(*got);
+    }
+    std::size_t candidates = 0;
+    for (PieceId t = 0; t < n; ++t) candidates += remote.test(t) && !local.test(t);
+    EXPECT_GT(seen.size(), std::min<std::size_t>(candidates, 300) / 2)
+        << n << " pieces: the draw must spread over the ties";
+  }
+}
+
+TEST(PiecePicker, TieAtTheLastBitOfTheLastWord) {
+  // Piece 127 is bit 63 of word 1: the top lane of the last mask
+  // register, and the highest bit the select step can land on.
+  const std::size_t n = 128;
+  PiecePicker picker(n);
+  for (PieceId t = 0; t < n; ++t) {
+    for (int c = 0; c < 3; ++c) picker.add_availability(t);
+  }
+  picker.remove_availability(127);
+  const Bitfield local(n);
+  Bitfield remote(n);
+  for (PieceId t = 0; t < n; t += 3) remote.set(t);
+  remote.set(127);
+  graph::Rng rng(11);
+  EXPECT_EQ(picker.pick_rarest(local.words(), remote.words(), rng), PieceId{127})
+      << "the unique minimum";
+  // A second tie at piece 0: the draw chooses between the first and the
+  // last bit of the candidate set.
+  picker.remove_availability(0);
+  graph::Rng a(12);
+  graph::Rng b(12);
+  std::set<PieceId> seen;
+  for (int i = 0; i < 64; ++i) {
+    const auto got = picker.pick_rarest(local.words(), remote.words(), a);
+    ASSERT_EQ(got, reference_pick(picker, local, remote, nullptr, b)) << "iter " << i;
+    seen.insert(*got);
+  }
+  EXPECT_EQ(seen, (std::set<PieceId>{0, 127}));
+}
+
+TEST(PiecePicker, SpanEntryPointsRejectWrongWidthsAndStrayTailBits) {
+  PiecePicker picker(70);  // two words, six valid bits in the second
+  graph::Rng rng(1);
+  const std::vector<std::uint64_t> one(1, 0);
+  const std::vector<std::uint64_t> two(2, 0);
+  std::vector<std::uint64_t> stray(2, 0);
+  stray[1] = std::uint64_t{1} << 6;  // piece 70: beyond num_pieces
+  EXPECT_THROW((void)picker.pick_rarest(one, two, rng), std::invalid_argument);
+  EXPECT_THROW((void)picker.pick_rarest(two, two, one, rng), std::invalid_argument);
+  EXPECT_THROW((void)picker.pick_rarest(two, stray, rng), std::invalid_argument);
+  EXPECT_THROW(picker.add_bitfield(stray), std::invalid_argument);
+  EXPECT_THROW(picker.add_bitfield(Bitfield(69)), std::invalid_argument);
+  // A stray bit in a span that only removes candidates is harmless.
+  EXPECT_FALSE(picker.pick_rarest(stray, two, rng).has_value());
+}
+
+/// BitRows against one Bitfield per row, after every operation.
+void expect_rows_match(const BitRows& rows, const std::vector<Bitfield>& want,
+                       const std::string& where) {
+  ASSERT_EQ(rows.rows(), want.size()) << where;
+  for (std::size_t r = 0; r < want.size(); ++r) {
+    EXPECT_TRUE(std::ranges::equal(rows.row(r), want[r].words())) << where << " row " << r;
+    EXPECT_EQ(rows.count(r), want[r].count()) << where << " row " << r;
+    EXPECT_EQ(rows.complete(r), want[r].complete()) << where << " row " << r;
+    for (std::size_t s = 0; s < want.size(); ++s) {
+      EXPECT_EQ(rows.interested(r, s), want[r].interested_in(want[s]))
+          << where << " rows " << r << ", " << s;
+    }
+  }
+}
+
+TEST(BitRows, MatchesOneBitfieldPerRow) {
+  for (const std::size_t bits : {1u, 63u, 64u, 65u, 1024u, 1029u}) {
+    const std::string where = std::to_string(bits) + " bits";
+    graph::Rng rng(31 + bits);
+    BitRows rows(bits);
+    EXPECT_EQ(rows.width(), (bits + 63) / 64);
+    std::vector<Bitfield> want;
+    for (const double p : {0.0, 0.2, 0.5, 0.9, 1.0, 0.5, 0.7}) {
+      want.push_back(Bitfield::random(bits, p, rng));
+      rows.push_back(want.back());
+    }
+    expect_rows_match(rows, want, where + ", pushed");
+    for (int i = 0; i < 200; ++i) {
+      const auto r = static_cast<std::size_t>(rng.below(want.size()));
+      const auto piece = static_cast<PieceId>(rng.below(bits));
+      EXPECT_EQ(rows.test(r, piece), want[r].test(piece)) << where;
+      rows.set(r, piece);
+      want[r].set(piece);
+    }
+    expect_rows_match(rows, want, where + ", set");
+    // Compaction as PeerTable does it: the last row moves into the hole.
+    for (const std::size_t r : {2u, 4u, 0u}) {
+      rows.compact(r);
+      if (r + 1 != want.size()) want[r] = want.back();
+      want.pop_back();
+      expect_rows_match(rows, want, where + ", compacted row " + std::to_string(r));
+    }
+    rows.compact(want.size() - 1);  // the last row itself: a plain pop
+    want.pop_back();
+    expect_rows_match(rows, want, where + ", popped");
+    // The checkpoint path: the arena round-trips, counts recomputed.
+    const BitRows copy =
+        BitRows::from_words(bits, std::vector<std::uint64_t>(rows.words().begin(), rows.words().end()));
+    expect_rows_match(copy, want, where + ", from_words");
+  }
+  EXPECT_THROW(BitRows(8).push_back(Bitfield(9)), std::invalid_argument);
+}
+
+TEST(BitRows, FromWordsRejectsRaggedArenasAndStrayTailBits) {
+  EXPECT_THROW((void)BitRows::from_words(65, std::vector<std::uint64_t>(3, 0)),
+               std::invalid_argument);
+  std::vector<std::uint64_t> words(4, 0);
+  words[3] = std::uint64_t{1} << 1;  // row 1, piece 65 of 65
+  EXPECT_THROW((void)BitRows::from_words(65, words), std::invalid_argument);
+  words[3] = 1;  // piece 64: in range
+  const BitRows ok = BitRows::from_words(65, words);
+  EXPECT_EQ(ok.rows(), 2u);
+  EXPECT_EQ(ok.count(1), 1u);
+  EXPECT_TRUE(ok.test(1, 64));
 }
 
 }  // namespace

@@ -764,6 +764,80 @@ TEST(SwarmSnapshot, RejectsCorruptChurnDeadlineCount) {
   EXPECT_THROW(restore_churn_driver(in, restored), SnapshotError);
 }
 
+/// Offset of row 0's partial-piece list, walked forward over the
+/// fixed-width fields and length prefixes of a snapshot whose config
+/// has no per-peer slot list; every section tag on the way is checked.
+std::size_t partial_lists_offset(const std::string& bytes, std::size_t pieces,
+                                 std::size_t& rows) {
+  std::size_t at = 12;  // magic, version
+  const auto word = [&](std::size_t width) -> std::uint64_t {
+    if (at + width > bytes.size()) {
+      ADD_FAILURE() << "the walk ran past the stream at " << at;
+      return 0;
+    }
+    return width == 4 ? u32_at(bytes, at) : u64_at(bytes, at);
+  };
+  const auto section = [&](std::uint32_t tag, std::size_t body) {
+    EXPECT_EQ(word(4), tag) << "section tag at " << at;
+    at += 4 + body;
+  };
+  const auto pod = [&](std::size_t width) { at += 8 + width * word(8); };
+  section(1, 22 * 8 + 4);      // config: 22 eight-byte fields, 4 flags
+  section(2, 8 + 4 * 8 + 9);   // choke key, xoshiro words, Box-Muller cache
+  section(3, 8);               // id space
+  rows = word(8);
+  pod(4);                      // live ids
+  pod(4);                      // row generations
+  section(4, 5 * 8);           // counters
+  section(5, 8);               // slot-pool size
+  for (const std::size_t width : {4u, 4u, 4u, 4u, 8u, 8u, 4u, 4u}) pod(width);
+  section(6, 8);               // row count
+  at += rows * (7 * 8 + 1);    // stats
+  at += rows * ((pieces + 63) / 64) * 8;  // bitfields
+  at += rows * (3 * 8 + 4);    // choker state
+  for (std::size_t r = 0; r < rows; ++r) pod(4);  // unchoke sets
+  for (std::size_t r = 0; r < rows; ++r) at += 8 + 8 * word(8);  // neighbours + slots
+  return at;
+}
+
+TEST(SwarmSnapshot, RejectsAPieceListedTwiceInOneRowsPartials) {
+  // The simulator keeps one partial entry per (row, piece): send_to and
+  // the commit find an entry before they add one, and the commit erases
+  // only the first. A snapshot with a repeated piece must die at load,
+  // as the list is read, not one round later at the next save.
+  SwarmConfig cfg = base_config(60);
+  cfg.piece_kb = 4096.0;  // pieces span rounds: several partials per row
+  cfg.stay_as_seed = true;
+  graph::Rng rng(kSeed);
+  Swarm swarm(cfg, capacities(60), rng);
+  swarm.run(3);
+  std::string bytes = save_to_string(swarm);
+  std::size_t rows = 0;
+  std::size_t at = partial_lists_offset(bytes, cfg.num_pieces, rows);
+  std::size_t patched = 0;
+  for (std::size_t r = 0; r < rows; ++r) {
+    ASSERT_LE(at + 8, bytes.size()) << "partial list " << r;
+    const std::uint64_t entries = u64_at(bytes, at);
+    if (patched == 0 && entries >= 2) {
+      // Entry 1's piece becomes entry 0's (entries are u32 piece + f64 KB).
+      std::memcpy(bytes.data() + at + 8 + 12, bytes.data() + at + 8, 4);
+      patched = at;
+    }
+    at += 8 + 12 * entries;
+  }
+  ASSERT_LE(at + 4, bytes.size());
+  ASSERT_EQ(u32_at(bytes, at), 7u) << "the walk must end on the retired tag";
+  ASSERT_NE(patched, 0u) << "no row holds two partial pieces";
+  try {
+    (void)resume_from_string(bytes);
+    ADD_FAILURE() << "a piece listed twice in one row was accepted";
+  } catch (const SnapshotError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("listed twice"), std::string::npos) << what;
+    EXPECT_EQ(what.find("checksum"), std::string::npos) << what;
+  }
+}
+
 /// A pipe-like stream buffer: reads work, tellg()/seekg() fail (the
 /// std::streambuf defaults), so the Reader cannot learn the remaining
 /// bytes and must grow lists chunk by chunk.
