@@ -9,6 +9,8 @@
 #   test_strat_lint  the linter's own unit tests: seeded-violation
 #                    fixtures per rule, the clean-tree regression, and
 #                    the delete-a-save-line R4 demo
+#   test_bench_pairs the paired A/B benchmark runner's statistics
+#                    helpers on canned numbers (label `tools`)
 #
 # Python 3 ships on every CI image and dev box this repo targets; when
 # it is genuinely absent the lint tier is skipped with a notice (same
@@ -35,3 +37,11 @@ add_test(NAME test_strat_lint
 set_tests_properties(strat_lint test_strat_lint PROPERTIES
   LABELS "lint"
   TIMEOUT 120)
+
+add_test(NAME test_bench_pairs
+  COMMAND Python3::Interpreter
+          ${CMAKE_CURRENT_SOURCE_DIR}/scripts/test_bench_pairs.py)
+
+set_tests_properties(test_bench_pairs PROPERTIES
+  LABELS "tools"
+  TIMEOUT 60)

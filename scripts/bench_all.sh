@@ -43,7 +43,10 @@ done
 # rate — is thread-count invariant; bitwise-identical results per
 # seed), and the checkpoint
 # cost (BM_SwarmSnapshot at 10^4/10^5 peers: snapshot_mb plus save/
-# load ms, with save_load_vs_round < 1.0 as the affordability bar),
+# load ms, with save_load_vs_round < 1.0 as the affordability bar; the
+# bar failed until the loader read in-memory snapshots in place — on a
+# 4-vCPU Xeon host it read 1.26-1.54 at 10^4 and 1.12-1.50 at 10^5
+# peers before, 0.70-0.84 and 0.67-0.78 after),
 # the fault-injection pair (BM_SwarmFaults arg 0/1: faults-off must
 # stay within noise of BM_SwarmChurnRound — the zero-cost-when-off
 # gate — and arg 1 prices the combined outage + flaky-connect + NAT +

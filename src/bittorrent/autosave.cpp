@@ -1,10 +1,14 @@
 #include "bittorrent/autosave.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <system_error>
+#include <utility>
 
 #include "bittorrent/snapshot.hpp"
 #include "bittorrent/tracker_sim.hpp"
@@ -14,12 +18,29 @@ namespace strat::bt {
 namespace {
 
 /// `auto-<zero-padded round>.snap` — round numbers, never timestamps,
-/// so generation order == lexicographic filename order and the whole
-/// scheme stays deterministic (strat-lint R3).
+/// so the whole scheme stays deterministic (strat-lint R3). Past round
+/// 99999999 the name grows a ninth digit, which is why generations are
+/// ordered by parsed_round(), never by name.
 std::filesystem::path generation_path(const std::filesystem::path& dir, std::size_t round) {
   char name[32];
   std::snprintf(name, sizeof name, "auto-%08zu.snap", round);
   return dir / name;
+}
+
+/// The round a generation file name carries, or nullopt for any other
+/// name (.tmp leftovers, unrelated files, digits that overflow).
+std::optional<std::size_t> parsed_round(std::string_view name) {
+  constexpr std::string_view kPrefix = "auto-";
+  constexpr std::string_view kSuffix = ".snap";
+  if (!name.starts_with(kPrefix) || !name.ends_with(kSuffix)) return std::nullopt;
+  const std::string_view digits =
+      name.substr(kPrefix.size(), name.size() - kPrefix.size() - kSuffix.size());
+  std::size_t round = 0;
+  const auto [end, ec] = std::from_chars(digits.data(), digits.data() + digits.size(), round);
+  if (digits.empty() || ec != std::errc() || end != digits.data() + digits.size()) {
+    return std::nullopt;
+  }
+  return round;
 }
 
 }  // namespace
@@ -54,15 +75,19 @@ void Autosaver::write(std::size_t round, std::string_view payload) const {
 }
 
 std::vector<std::filesystem::path> autosave_files(const std::filesystem::path& dir) {
-  std::vector<std::filesystem::path> out;
+  std::vector<std::pair<std::size_t, std::filesystem::path>> found;
   std::error_code ec;
   std::filesystem::directory_iterator it(dir, ec);
-  if (ec) return out;
+  if (ec) return {};
   for (const std::filesystem::directory_entry& entry : it) {
-    const std::string name = entry.path().filename().string();
-    if (name.starts_with("auto-") && name.ends_with(".snap")) out.push_back(entry.path());
+    const std::optional<std::size_t> round = parsed_round(entry.path().filename().string());
+    if (round) found.emplace_back(*round, entry.path());
   }
-  std::sort(out.begin(), out.end(), std::greater<>());
+  // Newest round first; equal rounds (differently padded names) by name.
+  std::sort(found.begin(), found.end(), std::greater<>());
+  std::vector<std::filesystem::path> out;
+  out.reserve(found.size());
+  for (auto& [round, path] : found) out.push_back(std::move(path));
   return out;
 }
 

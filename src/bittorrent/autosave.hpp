@@ -14,8 +14,10 @@
 // fully succeeds — a crash mid-write leaves at worst a stale .tmp, and
 // a reader never observes a half-written .snap under POSIX rename
 // atomicity. Filenames carry the zero-padded round number (never a
-// wall-clock timestamp — strat-lint R3 bans time-derived values), so
-// lexicographic order is generation order and pruning/recovery need no
+// wall-clock timestamp — strat-lint R3 bans time-derived values), and
+// generations are ordered by that number as parsed from the name (past
+// round 99999999 the name outgrows its eight-digit padding, so name
+// order would not be round order): pruning and recovery need no
 // filesystem metadata.
 //
 // Recovery is validation-first: recover_latest_swarm() /
@@ -47,9 +49,9 @@ class Autosaver {
     return round != 0 && round % every_ == 0;
   }
 
-  /// Writes one generation: payload to `auto-<round>.snap.tmp`, fsync'd
-  /// close, atomic rename to `auto-<round>.snap`, then prunes the
-  /// oldest generations beyond `keep`. Creates the directory on first
+  /// Writes one generation: payload to `auto-<round>.snap.tmp`, flushed
+  /// and closed, atomic rename to `auto-<round>.snap`, then prunes the
+  /// oldest generations (by round number) beyond `keep`. Creates the directory on first
   /// use. Throws std::runtime_error if the filesystem write fails.
   void write(std::size_t round, std::string_view payload) const;
 
@@ -63,10 +65,10 @@ class Autosaver {
   std::filesystem::path dir_;
 };
 
-/// The autosave generations under `dir`, newest first (filenames embed
-/// zero-padded round numbers, so lexicographic descending is newest
-/// first). Ignores .tmp leftovers and unrelated files; an absent
-/// directory yields an empty list.
+/// The autosave generations under `dir`, newest first: ordered by the
+/// round number each `auto-<round>.snap` name carries, not by the name
+/// itself. Ignores .tmp leftovers and every name whose round does not
+/// parse; an absent directory yields an empty list.
 [[nodiscard]] std::vector<std::filesystem::path> autosave_files(const std::filesystem::path& dir);
 
 }  // namespace strat::bt

@@ -113,6 +113,15 @@ void PiecePicker::add_bitfield(Words have) {
   }
 }
 
+void PiecePicker::add_rows(Words arena, std::size_t rows) {
+  if (width_ == 0 ? !arena.empty() : arena.size() % width_ != 0 || arena.size() / width_ != rows) {
+    throw std::invalid_argument("PiecePicker::add_rows: arena is not rows x bitfield width");
+  }
+  for (std::size_t r = 0; r < rows; ++r) check_words(arena.subspan(r * width_, width_), true);
+  if (detail::add_rows_vector(availability_, arena, rows, width_)) return;
+  for (std::size_t r = 0; r < rows; ++r) add_bitfield(arena.subspan(r * width_, width_));
+}
+
 void PiecePicker::remove_bitfield(Words have) {
   check_words(have, true);
   for (std::size_t w = 0; w < have.size(); ++w) {
@@ -250,6 +259,65 @@ STRAT_PICK_TARGET std::optional<PieceId> pick_rarest_vector(const std::uint32_t*
   return std::nullopt;  // unreachable: the select walks pass 2's tie masks
 }
 
+/// Rows per flush of add_rows' byte counters: a byte holds 255.
+constexpr std::size_t kFlushRows = 255;
+/// Word columns whose byte counters stay in registers over one block.
+constexpr std::size_t kTileWords = 8;
+
+/// Adds word column w's 64 byte counters into counts[w * 64, ...),
+/// masked at the end of the `pieces`-long array.
+STRAT_PICK_TARGET inline void flush_column(std::uint32_t* counts, std::size_t pieces,
+                                           std::size_t w, __m512i bytes) {
+  const __m128i quarter[4] = {
+      _mm512_extracti32x4_epi32(bytes, 0), _mm512_extracti32x4_epi32(bytes, 1),
+      _mm512_extracti32x4_epi32(bytes, 2), _mm512_extracti32x4_epi32(bytes, 3)};
+  for (std::size_t j = 0; j < 4; ++j) {
+    const std::size_t first = w * 64 + 16 * j;
+    if (first >= pieces) return;
+    const std::size_t lanes = std::min<std::size_t>(16, pieces - first);
+    const auto m = static_cast<__mmask16>((1u << lanes) - 1);
+    const __m512i sum = _mm512_add_epi32(_mm512_maskz_loadu_epi32(m, counts + first),
+                                         _mm512_cvtepu8_epi32(quarter[j]));
+    _mm512_mask_storeu_epi32(counts + first, m, sum);
+  }
+}
+
+/// Subtracts rows [r0, r1) of word columns [w0, w0 + cols) from their
+/// byte counters: each word becomes a 64-byte 0/-1 mask (vpmovm2b).
+/// Inlined with a constant `cols` for a full tile, so the counters stay
+/// in registers.
+STRAT_PICK_TARGET __attribute__((always_inline)) inline void count_tile(
+    __m512i* acc, std::size_t cols, const std::uint64_t* arena, std::size_t width,
+    std::size_t w0, std::size_t r0, std::size_t r1) {
+  for (std::size_t r = r0; r < r1; ++r) {
+    const std::uint64_t* word = arena + r * width + w0;
+    for (std::size_t j = 0; j < cols; ++j) {
+      acc[j] = _mm512_sub_epi8(acc[j], _mm512_movm_epi8(static_cast<__mmask64>(word[j])));
+    }
+  }
+}
+
+/// Column counts over blocks of 255 rows, eight word columns at a time,
+/// widened into the u32 counts once per block.
+STRAT_PICK_TARGET void add_rows_avx512(std::uint32_t* counts, std::size_t pieces,
+                                       const std::uint64_t* arena, std::size_t rows,
+                                       std::size_t width) {
+  for (std::size_t r0 = 0; r0 < rows; r0 += kFlushRows) {
+    const std::size_t r1 = std::min(rows, r0 + kFlushRows);
+    for (std::size_t w0 = 0; w0 < width; w0 += kTileWords) {
+      const std::size_t tile = std::min(kTileWords, width - w0);
+      __m512i acc[kTileWords];
+      for (__m512i& a : acc) a = _mm512_setzero_si512();
+      if (tile == kTileWords) {
+        count_tile(acc, kTileWords, arena, width, w0, r0, r1);
+      } else {
+        count_tile(acc, tile, arena, width, w0, r0, r1);
+      }
+      for (std::size_t j = 0; j < tile; ++j) flush_column(counts, pieces, w0 + j, acc[j]);
+    }
+  }
+}
+
 #undef STRAT_PICK_TARGET
 #pragma GCC diagnostic pop
 
@@ -276,6 +344,23 @@ std::optional<PieceId> pick_rarest_masked(const std::vector<std::uint32_t>& avai
 }
 
 }  // namespace
+
+namespace detail {
+
+bool add_rows_vector([[maybe_unused]] std::span<std::uint32_t> counts,
+                     [[maybe_unused]] std::span<const std::uint64_t> arena,
+                     [[maybe_unused]] std::size_t rows,
+                     [[maybe_unused]] std::size_t width) noexcept {
+#ifdef STRAT_PICK_AVX512_DISPATCH
+  if (pick_has_vector()) {
+    add_rows_avx512(counts.data(), counts.size(), arena.data(), rows, width);
+    return true;
+  }
+#endif
+  return false;
+}
+
+}  // namespace detail
 
 std::optional<PieceId> PiecePicker::pick_rarest(Words local, Words remote,
                                                 graph::Rng& rng) const {

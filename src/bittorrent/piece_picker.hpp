@@ -45,6 +45,17 @@ inline bool lacks_any(const std::uint64_t* have, const std::uint64_t* offer,
   return false;
 }
 
+/// The AVX-512BW kernel behind PiecePicker::add_rows, exposed so tests
+/// can pin it against the scalar loop: adds every set bit of the
+/// `rows` x `width`-word row-major `arena` into `counts` (bit i of a
+/// row's word w counts toward piece w*64+i; `arena` holds at least
+/// rows x width words, `counts` one entry per piece, and no row sets a
+/// bit at or beyond counts.size()).
+/// Returns false without touching `counts` where the machine lacks
+/// AVX-512BW.
+bool add_rows_vector(std::span<std::uint32_t> counts, std::span<const std::uint64_t> arena,
+                     std::size_t rows, std::size_t width) noexcept;
+
 /// Starts loading the cache line at `p` ahead of a random read.
 inline void prefetch(const void* p) noexcept {
 #if defined(__GNUC__) || defined(__clang__)
@@ -204,6 +215,16 @@ class PiecePicker {
   /// Registers every piece of a joining peer's (partial) bitfield.
   void add_bitfield(Words have);
   void add_bitfield(const Bitfield& have) { add_bitfield(checked(have)); }
+
+  /// add_bitfield() for each of `rows` bitfields stored row-major in
+  /// `arena` (BitRows::words()), in one pass: the AVX-512BW kernel
+  /// keeps 64 byte counters per word column and flushes them every 255
+  /// rows; elsewhere it is the per-row loop. Integer counts, so the
+  /// result equals the per-row loop's exactly. Throws
+  /// std::invalid_argument, before counting anything, unless `arena`
+  /// is `rows` bitfields' worth of words with no bit set beyond
+  /// num_pieces.
+  void add_rows(Words arena, std::size_t rows);
 
   /// Drops every piece of a departing peer's bitfield. Throws
   /// std::logic_error if any counter is already zero.

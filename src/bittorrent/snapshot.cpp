@@ -5,7 +5,6 @@
 
 #include <cstring>
 #include <limits>
-#include <sstream>
 
 #include "bittorrent/peer_table.hpp"
 #include "bittorrent/piece_picker.hpp"
@@ -33,54 +32,63 @@ void write_section(std::ostream& out, const std::string& section, const char* wh
   if (!out) throw SnapshotError(std::string(what) + ": stream write failed");
 }
 
-Reader::Reader(std::istream& in) : in_(in), hash_(kHashBasis) {
+Reader::Reader(std::string_view bytes)
+    : cur_(reinterpret_cast<const unsigned char*>(bytes.data())),
+      end_(cur_ + bytes.size()),
+      hash_(kHashBasis) {}
+
+Reader::Reader(std::istream& in) : in_(&in), hash_(kHashBasis) {
   // On a seekable stream, learn how many bytes remain so pod_vec can
   // reject a lying length prefix before allocating anything.
-  const std::istream::pos_type cur = in_.tellg();
+  const std::istream::pos_type cur = in.tellg();
+  bounded_ = false;
   if (cur != std::istream::pos_type(-1)) {
-    in_.seekg(0, std::ios::end);
-    const std::istream::pos_type end = in_.tellg();
-    in_.seekg(cur);
-    if (end != std::istream::pos_type(-1) && end >= cur && in_.good()) {
-      remaining_ = static_cast<std::uint64_t>(end - cur);
-      remaining_known_ = true;
+    in.seekg(0, std::ios::end);
+    const std::istream::pos_type end = in.tellg();
+    in.seekg(cur);
+    if (end != std::istream::pos_type(-1) && end >= cur && in.good()) {
+      behind_ = static_cast<std::uint64_t>(end - cur);
+      bounded_ = true;
     } else {
-      in_.clear();
-      in_.seekg(cur);
+      in.clear();
+      in.seekg(cur);
     }
   } else {
-    in_.clear();  // tellg on a pipe sets failbit; reads must still work
+    in.clear();  // tellg on a pipe sets failbit; reads must still work
   }
 }
 
-void Reader::raw_read_slow(void* data, std::size_t n) {
-  // Caller (the inline raw_read) already accounted `remaining_` and
-  // handled the served-entirely-from-buffer case.
+void Reader::take_slow(void* data, std::size_t n) {
+  // The inline take() already served every read the window holds.
+  if (in_ == nullptr) throw SnapshotError("snapshot: truncated stream");
   auto* dst = static_cast<unsigned char*>(data);
-  const std::size_t buffered = rend_ - rpos_;
+  const std::size_t buffered = window();
   if (buffered > 0) {
-    std::memcpy(dst, rbuf_.data() + rpos_, buffered);
+    std::memcpy(dst, cur_, buffered);
     dst += buffered;
     n -= buffered;
   }
-  rpos_ = rend_ = 0;
+  cur_ = end_ = nullptr;
+  const auto consumed = [&](std::streamsize got) {
+    behind_ -= std::min<std::uint64_t>(behind_, static_cast<std::uint64_t>(got));
+    return static_cast<std::size_t>(got);
+  };
   // Large reads go straight through; so does everything on a
   // non-seekable stream, where an over-read could not be seeked back
   // for a companion section that follows on the same stream.
-  if (n >= kIoBuf || !remaining_known_) {
-    in_.read(reinterpret_cast<char*>(dst), static_cast<std::streamsize>(n));
-    if (static_cast<std::size_t>(in_.gcount()) != n) {
-      throw SnapshotError("snapshot: truncated stream");
-    }
+  if (n >= kIoBuf || !bounded_) {
+    in_->read(reinterpret_cast<char*>(dst), static_cast<std::streamsize>(n));
+    if (consumed(in_->gcount()) != n) throw SnapshotError("snapshot: truncated stream");
     return;
   }
   if (rbuf_.empty()) rbuf_.resize(kIoBuf);
-  in_.read(reinterpret_cast<char*>(rbuf_.data()), static_cast<std::streamsize>(rbuf_.size()));
-  rend_ = static_cast<std::size_t>(in_.gcount());
-  if (rend_ < n) throw SnapshotError("snapshot: truncated stream");
-  in_.clear();  // a short final refill sets eofbit; the bytes are still good
+  in_->read(reinterpret_cast<char*>(rbuf_.data()), static_cast<std::streamsize>(rbuf_.size()));
+  const std::size_t got = consumed(in_->gcount());
+  if (got < n) throw SnapshotError("snapshot: truncated stream");
+  in_->clear();  // a short final refill sets eofbit; the bytes are still good
   std::memcpy(dst, rbuf_.data(), n);
-  rpos_ = n;
+  cur_ = rbuf_.data() + n;
+  end_ = rbuf_.data() + got;
 }
 
 void Reader::expect_tag(std::uint32_t t, const char* section) {
@@ -92,13 +100,14 @@ void Reader::expect_tag(std::uint32_t t, const char* section) {
 void Reader::verify_checksum() {
   const std::uint64_t expected = mix64(hash_);  // snapshot hash before the footer
   std::uint64_t stored;
-  raw_read(&stored, 8);
+  take(&stored, 8);
   // Return any unconsumed read-ahead so the stream position lands
   // exactly after the footer — a companion section may follow.
-  const std::size_t leftover = rend_ - rpos_;
-  if (leftover > 0) {
-    in_.seekg(-static_cast<std::istream::off_type>(leftover), std::ios::cur);
-    rpos_ = rend_ = 0;
+  const std::size_t leftover = window();
+  if (in_ != nullptr && leftover > 0) {
+    in_->seekg(-static_cast<std::istream::off_type>(leftover), std::ios::cur);
+    behind_ += leftover;
+    cur_ = end_ = nullptr;
   }
   if (stored != expected) throw SnapshotError("snapshot: checksum mismatch (corrupt stream)");
 }
@@ -245,6 +254,9 @@ void retired_pair_fields(Io& io, T& e) {
 constexpr auto kPartialPiece = [](auto& io, auto& e) { partial_piece_fields(io, e); };
 constexpr auto kRetiredPair = [](auto& io, auto& e) { retired_pair_fields(io, e); };
 
+/// Slots the adjacency walk prefetches its mirror lookups ahead.
+constexpr std::size_t kMirrorAhead = 8;
+
 }  // namespace
 
 void Swarm::save(std::ostream& out) const {
@@ -375,15 +387,18 @@ void Swarm::save_impl(Writer& w) const {
   w.finish();
 }
 
-Swarm Swarm::resume(std::istream& in, graph::Rng& rng) { return resume_impl(in, rng, nullptr); }
-
-Swarm Swarm::resume(std::istream& in, graph::Rng& rng, const SwarmConfig& config) {
-  return resume_impl(in, rng, &config);
+Swarm Swarm::resume(std::istream& in, graph::Rng& rng) {
+  Reader r(in);
+  return resume_impl(r, rng, nullptr);
 }
 
-Swarm Swarm::resume_impl(std::istream& in, graph::Rng& rng, const SwarmConfig* override_config) {
+Swarm Swarm::resume(std::istream& in, graph::Rng& rng, const SwarmConfig& config) {
+  Reader r(in);
+  return resume_impl(r, rng, &config);
+}
+
+Swarm Swarm::resume_impl(Reader& r, graph::Rng& rng, const SwarmConfig* override_config) {
   try {
-    Reader r(in);
     if (r.u64() != kSnapshotMagic) throw SnapshotError("snapshot: bad magic");
     const std::uint32_t version = r.u32();
     if (version != kSnapshotVersion) {
@@ -599,6 +614,15 @@ Swarm Swarm::resume_impl(std::istream& in, graph::Rng& rng, const SwarmConfig* o
       }
       adjacency_slots += slots.size();
       for (std::size_t i = 0; i < nbrs.size(); ++i) {
+        // The mirror lookups land at random in the pool: start them a
+        // few slots ahead (only for in-range indices).
+        if (i + kMirrorAhead < slots.size() && slots[i + kMirrorAhead] < pool) {
+          const std::uint32_t ahead = s.mirror_[slots[i + kMirrorAhead]];
+          if (ahead < pool) {
+            detail::prefetch(s.mirror_.data() + ahead);
+            detail::prefetch(s.edge_peer_.data() + ahead);
+          }
+        }
         if (i > 0 && nbrs[i] <= nbrs[i - 1]) {
           throw SnapshotError("snapshot: adjacency row not strictly sorted");
         }
@@ -621,11 +645,15 @@ Swarm Swarm::resume_impl(std::istream& in, graph::Rng& rng, const SwarmConfig* o
     if (adjacency_slots + s.free_slots_.size() != pool) {
       throw SnapshotError("snapshot: slot pool leaks (live + free != capacity)");
     }
+    // Branch-free over 32-bit compares, so the scan vectorizes (~5x the
+    // early-exit loop on a 3x10^6-slot pool); num_pieces <= kMaxPieces.
+    const auto piece_limit = static_cast<PieceId>(cfg.num_pieces);
+    unsigned stray_piece = 0;
     for (const PieceId piece : s.inflight_) {
-      if (piece != kNoPiece && piece >= cfg.num_pieces) {
-        throw SnapshotError("snapshot: in-flight piece out of range");
-      }
+      stray_piece |=
+          static_cast<unsigned>(piece != kNoPiece) & static_cast<unsigned>(piece >= piece_limit);
     }
+    if (stray_piece != 0) throw SnapshotError("snapshot: in-flight piece out of range");
     for (std::size_t row = 0; row < rows; ++row) {
       if (s.stats_[row].pieces != s.have_.count(row)) {
         throw SnapshotError("snapshot: piece counter disagrees with bitfield");
@@ -649,17 +677,18 @@ Swarm Swarm::resume_impl(std::istream& in, graph::Rng& rng, const SwarmConfig* o
 
     // Availability: recompute from the live bitfields and prove the
     // stored words match — the derived-state consistency gate.
-    for (std::size_t row = 0; row < rows; ++row) s.picker_.add_bitfield(s.have_.row(row));
+    s.picker_.add_rows(s.have_.words(), rows);
     for (PieceId piece = 0; piece < cfg.num_pieces; ++piece) {
       if (s.picker_.availability(piece) != stored_avail[piece]) {
         throw SnapshotError("snapshot: availability disagrees with live bitfields");
       }
     }
 
-    // Derived caches: ranks rebuild deterministically (no RNG), the
-    // structural generator resumes the checkpointed sequence.
+    // The structural generator resumes the checkpointed sequence; the
+    // bandwidth ranks (a derived cache no round phase reads) are left
+    // dirty for the first stratification() or reciprocated_pairs().
     rng.restore(rng_state);
-    s.refresh_ranks_force();
+    s.ranks_dirty_ = true;
     return s;
   } catch (const SnapshotError&) {
     throw;
@@ -676,14 +705,16 @@ std::string save_to_string(const Swarm& swarm) {
   return out;
 }
 
-ResumedSwarm resume_from_string(const std::string& snapshot) {
-  std::istringstream in(snapshot, std::ios::binary);
-  return ResumedSwarm(in);
+ResumedSwarm::ResumedSwarm(std::string_view snapshot, const SwarmConfig* config)
+    : rng_(std::make_unique<graph::Rng>()) {
+  Reader r(snapshot);
+  swarm_.emplace(Swarm::resume_impl(r, *rng_, config));
 }
 
+ResumedSwarm resume_from_string(const std::string& snapshot) { return ResumedSwarm(snapshot); }
+
 ResumedSwarm resume_from_string(const std::string& snapshot, const SwarmConfig& config) {
-  std::istringstream in(snapshot, std::ios::binary);
-  return ResumedSwarm(in, config);
+  return ResumedSwarm(snapshot, &config);
 }
 
 std::vector<ResumedSwarm> fork_snapshot(const std::string& snapshot, std::size_t copies) {

@@ -69,6 +69,7 @@
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -103,6 +104,9 @@ inline constexpr std::size_t kIoBuf = 64 * 1024;
 // changes the polynomial sum mod 2^64, so every single-lane corruption
 // is detected even before the final avalanche.
 inline constexpr std::uint64_t kFoldMul = 0x9E3779B97F4A7C15ULL;
+inline constexpr std::uint64_t kFoldMul2 = kFoldMul * kFoldMul;
+inline constexpr std::uint64_t kFoldMul3 = kFoldMul2 * kFoldMul;
+inline constexpr std::uint64_t kFoldMul4 = kFoldMul3 * kFoldMul;
 
 /// SplitMix64 finalizer, applied once when the checksum footer is
 /// emitted / verified: the per-lane fold below is a plain
@@ -117,13 +121,26 @@ constexpr std::uint64_t mix64(std::uint64_t z) noexcept {
 }
 
 /// Folds `n` bytes into `hash`, 8-byte lanes plus a zero-padded,
-/// length-salted tail. Writer and Reader call this once per *logical*
-/// field/array, so both sides fold identical lane sequences regardless
-/// of I/O buffering. Inline (with the small-op fast paths below)
-/// because a 10^5-peer snapshot makes ~2M logical writes — per-call
-/// overhead would dominate the pass.
+/// length-salted tail: hash = hash * M + lane per lane. Writer and
+/// Reader call this once per *logical* field/array, so both sides fold
+/// identical lane sequences regardless of I/O buffering. Bulk spans
+/// fold four lanes at a time as h*M^4 + l0*M^3 + l1*M^2 + l2*M + l3
+/// (mod 2^64), which is exactly four single-lane steps, so the footer
+/// does not depend on which path a span took; the three lane products
+/// are independent of h, leaving one multiply per 32 bytes on the
+/// dependency chain instead of four. Short calls and tails take the
+/// single-lane path. Inline because a 10^5-peer snapshot makes ~2M
+/// logical writes — per-call overhead would dominate the pass.
 inline std::uint64_t fold_bytes(std::uint64_t hash, const void* data, std::size_t n) noexcept {
   const auto* p = static_cast<const unsigned char*>(data);
+  while (n >= 32) {
+    std::uint64_t lane[4];
+    std::memcpy(lane, p, 32);
+    hash = hash * kFoldMul4 + ((lane[0] * kFoldMul3 + lane[1] * kFoldMul2) +
+                               (lane[2] * kFoldMul + lane[3]));
+    p += 32;
+    n -= 32;
+  }
   while (n >= 8) {
     std::uint64_t lane;
     std::memcpy(&lane, p, 8);
@@ -221,19 +238,32 @@ class Writer {
 void write_section(std::ostream& out, const std::string& section, const char* what);
 
 /// Checksummed reader, mirror of Writer: every read throws
-/// SnapshotError("...truncated") on a short stream, and
+/// SnapshotError("...truncated") on a short source, and
 /// verify_checksum() compares the running hash with the stored footer.
-/// On seekable streams, small reads are served from a ~64 KB
-/// read-ahead buffer (one istream call per refill, not per field —
-/// per-call overhead would otherwise dominate a 10^5-peer load);
-/// verify_checksum() seeks the stream back over any unconsumed
-/// read-ahead so a companion section can follow on the same stream.
+/// Every read is served from one contiguous window [cur, end); the two
+/// sources differ only in what lies behind it:
+///   - a byte view (Reader(std::string_view)) is the whole window: reads
+///     copy straight out of the caller's bytes, nothing is staged, and a
+///     read past the end is truncation;
+///   - an std::istream refills the window through a ~64 KB read-ahead
+///     buffer (one istream call per refill, not per field — per-call
+///     overhead would otherwise dominate a 10^5-peer load); large reads
+///     and every read of a non-seekable stream bypass it, and
+///     verify_checksum() seeks back over any unconsumed read-ahead so a
+///     companion section can follow on the same stream.
+/// remaining() is the window for a view and the seek-measured rest for
+/// a seekable stream, so a lying count dies with the same message on
+/// both; a non-seekable stream has no bound and grows buffers in ~1 MB
+/// chunks instead.
 class Reader {
  public:
+  explicit Reader(std::string_view bytes);
   explicit Reader(std::istream& in);
+  Reader(const Reader&) = delete;
+  Reader& operator=(const Reader&) = delete;
 
   void bytes(void* data, std::size_t n) {
-    raw_read(data, n);
+    take(data, n);
     fold(data, n);
   }
   std::uint8_t u8() {
@@ -282,29 +312,29 @@ class Reader {
 
   /// `n` POD elements with no prefix, `n` derived from fields already
   /// read. A corrupt length cannot force a giant allocation: on a
-  /// seekable stream `n` is checked against the bytes actually
-  /// remaining before anything is sized (so the result is allocated
-  /// exactly once, with zero capacity slack); on a non-seekable stream
+  /// bounded source `n` is checked against remaining() before anything
+  /// is sized (so the result is allocated exactly once, with zero
+  /// capacity slack, and filled by one copy); on a non-seekable stream
   /// the buffer grows in ~1 MB chunks and a lying length dies on the
   /// first short read. Either way the checksum folds once over the
   /// assembled buffer, matching a writer's single bytes() fold exactly.
   template <typename T>
   std::vector<T> pod_array(std::size_t n) {
     std::vector<T> out;
-    if (remaining_known_) {
-      if (n > remaining_ / sizeof(T)) {
+    if (bounded_) {
+      if (n > remaining() / sizeof(T)) {
         throw SnapshotError("snapshot: truncated stream");
       }
       out.resize(n);
-      raw_read(out.data(), n * sizeof(T));
+      take(out.data(), n * sizeof(T));
     } else {
       const std::size_t chunk = chunk_elems<T>();
       out.reserve(std::min(n, chunk));
       while (out.size() < n) {
-        const std::size_t take = std::min(chunk, n - out.size());
+        const std::size_t take_n = std::min(chunk, n - out.size());
         const std::size_t have = out.size();
-        out.resize(have + take);
-        raw_read(out.data() + have, take * sizeof(T));
+        out.resize(have + take_n);
+        take(out.data() + have, take_n * sizeof(T));
       }
       out.shrink_to_fit();  // loaded state should carry no growth slack
     }
@@ -314,11 +344,10 @@ class Reader {
 
   /// Count-prefixed list, each element read by `elem(*this, x)`. The
   /// count is checked against `max_elems` and then, before anything is
-  /// sized, against the bytes remaining at the element's minimum
-  /// encoded width (a Sizer over a default element, whose own lists
-  /// are empty). On a non-seekable stream at most one ~1 MB chunk is
-  /// reserved up front, as in pod_vec(), and a lying count dies on the
-  /// first short read.
+  /// sized, against remaining() at the element's minimum encoded width
+  /// (a Sizer over a default element, whose own lists are empty). On a
+  /// non-seekable stream at most one ~1 MB chunk is reserved up front,
+  /// as in pod_vec(), and a lying count dies on the first short read.
   template <typename T, typename Elem>
   void list(std::vector<T>& v, std::size_t max_elems, const char* what, Elem elem) {
     const std::uint64_t n = u64();
@@ -329,11 +358,11 @@ class Reader {
     const T probe{};
     Sizer min_width;
     elem(min_width, probe);
-    if (remaining_known_ && n > remaining_ / min_width.size()) {
+    if (bounded_ && n > remaining() / min_width.size()) {
       throw SnapshotError(std::string("snapshot: ") + what + " count exceeds the stream");
     }
     v.clear();
-    v.reserve(remaining_known_ ? count : std::min(count, chunk_elems<T>()));
+    v.reserve(bounded_ ? count : std::min(count, chunk_elems<T>()));
     for (std::size_t i = 0; i < count; ++i) elem(*this, v.emplace_back());
   }
 
@@ -345,34 +374,40 @@ class Reader {
   static constexpr std::size_t chunk_elems() {
     return std::max<std::size_t>(1, (std::size_t{1} << 20) / sizeof(T));
   }
-  /// Reads without folding (pod_vec folds the assembled buffer once);
-  /// small reads come straight out of the read-ahead buffer.
-  void raw_read(void* data, std::size_t n) {
+  [[nodiscard]] std::size_t window() const noexcept {
+    return static_cast<std::size_t>(end_ - cur_);
+  }
+  /// Bytes left of the source: the window plus, on a seekable stream,
+  /// what lies behind it. Meaningful only when bounded_.
+  [[nodiscard]] std::uint64_t remaining() const noexcept { return window() + behind_; }
+  /// Reads without folding (pod_array folds the assembled buffer once);
+  /// reads the window holds are one memcpy.
+  void take(void* data, std::size_t n) {
     if (n == 0) return;
-    if (remaining_known_) remaining_ -= std::min<std::uint64_t>(remaining_, n);
-    if (n <= rend_ - rpos_) {
-      std::memcpy(data, rbuf_.data() + rpos_, n);
-      rpos_ += n;
+    if (n <= window()) {
+      std::memcpy(data, cur_, n);
+      cur_ += n;
       return;
     }
-    raw_read_slow(data, n);
+    take_slow(data, n);
   }
-  /// Buffer exhausted: drain it, then refill (seekable) or read the
-  /// stream directly (large reads, non-seekable streams).
-  void raw_read_slow(void* data, std::size_t n);
+  /// Window exhausted: truncation for a view; for a stream, drain the
+  /// window, then refill it (seekable) or read the stream directly
+  /// (large reads, non-seekable streams).
+  void take_slow(void* data, std::size_t n);
   /// Folds `n` bytes into the running checksum without reading.
   void fold(const void* data, std::size_t n) {
     if (n == 0) return;
     hash_ = fold_bytes(hash_, data, n);
   }
 
-  std::istream& in_;
+  const unsigned char* cur_ = nullptr;
+  const unsigned char* end_ = nullptr;
+  std::istream* in_ = nullptr;  // null for a view
   std::uint64_t hash_;
-  std::uint64_t remaining_ = 0;   // bytes left of the *logical* position
-  bool remaining_known_ = false;  // false on pipes: fall back to chunked reads
-  std::vector<unsigned char> rbuf_;  // read-ahead, seekable streams only
-  std::size_t rpos_ = 0;
-  std::size_t rend_ = 0;
+  std::uint64_t behind_ = 0;  // seekable stream bytes not yet in the window
+  bool bounded_ = true;       // false on pipes: fall back to chunked reads
+  std::vector<unsigned char> rbuf_;  // the window's storage on a stream
 };
 
 /// Bound on a ChurnDriver's deadline count (one per live leecher).
@@ -453,6 +488,11 @@ class ResumedSwarm {
       : rng_(std::make_unique<graph::Rng>()), swarm_(Swarm::resume(in, *rng_)) {}
   ResumedSwarm(std::istream& in, const SwarmConfig& config)
       : rng_(std::make_unique<graph::Rng>()), swarm_(Swarm::resume(in, *rng_, config)) {}
+  /// Resumes from snapshot bytes in memory, read in place: the loader
+  /// copies each field straight out of `snapshot` into the swarm, with
+  /// no intermediate stream. `config`, when given, is the override of
+  /// Swarm::resume(in, rng, config).
+  explicit ResumedSwarm(std::string_view snapshot, const SwarmConfig* config = nullptr);
 
   ResumedSwarm(ResumedSwarm&&) = default;
   ResumedSwarm& operator=(ResumedSwarm&&) = delete;  // Swarm holds a reference member
@@ -471,7 +511,8 @@ class ResumedSwarm {
 /// save() into a string buffer — the fork input.
 [[nodiscard]] std::string save_to_string(const Swarm& swarm);
 
-/// Resumes one (rng, swarm) pair from an in-memory snapshot.
+/// Resumes one (rng, swarm) pair from an in-memory snapshot, read in
+/// place (see ResumedSwarm(std::string_view, ...)).
 [[nodiscard]] ResumedSwarm resume_from_string(const std::string& snapshot);
 [[nodiscard]] ResumedSwarm resume_from_string(const std::string& snapshot,
                                               const SwarmConfig& config);
@@ -485,7 +526,8 @@ class ResumedSwarm {
 [[nodiscard]] std::optional<ResumedSwarm> recover_latest_swarm(const std::filesystem::path& dir);
 
 /// Warm-started what-if sweeps: resumes `copies` fully independent
-/// (rng, swarm) pairs from one snapshot. Every fork starts bitwise
+/// (rng, swarm) pairs from one snapshot, each read in place from the
+/// caller's bytes. Every fork starts bitwise
 /// identical — drive each under a divergent ChurnSpec (or any other
 /// schedule) to explore futures of the same equilibrated swarm without
 /// re-simulating the ramp-up; drive one under the original schedule

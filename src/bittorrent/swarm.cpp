@@ -184,6 +184,9 @@ Swarm::Swarm(const SwarmConfig& config, std::vector<double> upload_kbps, graph::
   };
   have_.reserve(total);
   for (std::size_t p = 0; p < total; ++p) have_.push_back(initial_bits(p));
+  // Every row's copies in one pass; a leecher the walk below departs
+  // removes its row again, so the counts end as a per-row add would.
+  picker_.add_rows(have_.words(), have_.rows());
   // Initialization walks external ids ascending; a Bernoulli-complete
   // leecher can depart (compacting rows) mid-walk, so every access goes
   // through the table.
@@ -194,7 +197,6 @@ Swarm::Swarm(const SwarmConfig& config, std::vector<double> upload_kbps, graph::
     stats_[r].seed = is_seed;
     stats_[r].upload_kbps = is_seed ? seed_capacity : upload_kbps[p];
     if (is_seed) stats_[r].completion_round = 0.0;
-    picker_.add_bitfield(have_.row(r));
     stats_[r].pieces = have_.count(r);
     if (!is_seed && have_.complete(r)) {
       // The Bernoulli draws can complete a leecher outright; treat it

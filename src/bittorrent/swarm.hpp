@@ -534,7 +534,9 @@ inline std::size_t rebuild_bandwidth_ranks(const std::vector<PeerStats>& stats,
 /// The simulator.
 namespace snapshot_detail {
 class Writer;  // snapshot.hpp — save_impl() serializes through it
+class Reader;  // snapshot.hpp — resume_impl() loads through it
 }  // namespace snapshot_detail
+class ResumedSwarm;  // snapshot.hpp — resumes from bytes in memory
 
 class Swarm {
  public:
@@ -810,10 +812,12 @@ class Swarm {
         picker_(config.num_pieces),
         have_(config.num_pieces),
         reserved_scratch_(config.num_pieces) {}
-  /// Shared loader behind both resume() overloads (`override` may be
-  /// null); defined in snapshot.cpp next to save().
-  [[nodiscard]] static Swarm resume_impl(std::istream& in, graph::Rng& rng,
+  /// The one loader behind every resume path, stream or in-memory
+  /// bytes (`override` may be null); defined in snapshot.cpp next to
+  /// save().
+  [[nodiscard]] static Swarm resume_impl(snapshot_detail::Reader& r, graph::Rng& rng,
                                          const SwarmConfig* override_config);
+  friend class ResumedSwarm;  // its in-memory constructor calls resume_impl
   /// Shared body behind both save() overloads; defined in snapshot.cpp.
   void save_impl(snapshot_detail::Writer& w) const;
   /// Cheap upper bound on save()'s byte count, so the string overload
@@ -1064,7 +1068,7 @@ class Swarm {
   // join() only marks them dirty, so churn-heavy rounds never pay the
   // O(L log L) sort — the readers (stratification, reciprocated_pairs)
   // refresh on demand.
-  // strat-lint: not-serialized -- derived cache; refresh_ranks_force() on load
+  // strat-lint: not-serialized -- derived cache; the loader marks it dirty
   mutable std::vector<std::size_t> bandwidth_rank_;
   // strat-lint: not-serialized -- dirty bit of the derived rank cache
   mutable bool ranks_dirty_ = false;

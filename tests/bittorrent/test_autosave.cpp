@@ -111,6 +111,29 @@ TEST(Autosaver, WritesPrunesAndIgnoresStrays) {
   EXPECT_TRUE(fs::exists(dir / "notes.txt"));
 }
 
+TEST(Autosaver, GenerationsPastEightDigitsStayNewestFirst) {
+  // File names pad the round to eight digits, so round 100000000 has
+  // nine: ordered as strings it would sort below 99999999 and be pruned
+  // the moment it landed. Generations are ordered by round number.
+  const fs::path dir = scratch_dir("nine_digits");
+  const Autosaver saver(1, dir, /*keep=*/2);
+  for (std::size_t round = 99999998; round <= 100000001; ++round) {
+    saver.write(round, "gen " + std::to_string(round));
+  }
+  const auto files = autosave_files(dir);
+  ASSERT_EQ(files.size(), 2u);
+  EXPECT_EQ(files[0].filename(), "auto-100000001.snap") << "newest first";
+  EXPECT_EQ(files[1].filename(), "auto-100000000.snap");
+  EXPECT_FALSE(fs::exists(dir / "auto-99999999.snap")) << "older generations pruned";
+  // A name whose round does not parse is neither listed nor pruned.
+  std::ofstream(dir / "auto-latest.snap") << "not a round number";
+  saver.write(100000002, "gen 100000002");
+  const auto after = autosave_files(dir);
+  ASSERT_EQ(after.size(), 2u);
+  EXPECT_EQ(after[0].filename(), "auto-100000002.snap");
+  EXPECT_TRUE(fs::exists(dir / "auto-latest.snap"));
+}
+
 TEST(Autosaver, MissingOrEmptyDirectoryRecoversNothing) {
   const fs::path dir = scratch_dir("absent");
   EXPECT_TRUE(autosave_files(dir).empty());

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <iterator>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -403,6 +404,66 @@ TEST(BitRows, FromWordsRejectsRaggedArenasAndStrayTailBits) {
   EXPECT_EQ(ok.rows(), 2u);
   EXPECT_EQ(ok.count(1), 1u);
   EXPECT_TRUE(ok.test(1, 64));
+}
+
+TEST(PiecePicker, AddRowsMatchesPerRowAddBitfield) {
+  // Row counts straddle the vector kernel's 255-row byte-counter flush;
+  // full rows drive every counter of a block to exactly 255. Widths
+  // cover ragged last words and the 8-column register tiles. Both
+  // pickers start from the same nonzero counts: add_rows adds.
+  bool vector_ran = false;
+  for (const std::size_t bits : {1u, 63u, 64u, 65u, 1024u, 1029u}) {
+    for (const std::size_t rows : {0u, 1u, 254u, 255u, 256u, 511u, 1000u}) {
+      for (const double p : {1.0, 0.4}) {
+        const std::string where =
+            std::to_string(bits) + " bits, " + std::to_string(rows) + " rows, p " + std::to_string(p);
+        graph::Rng rng(17 + bits * 7 + rows);
+        const Bitfield base = Bitfield::random(bits, 0.5, rng);
+        BitRows arena(bits);
+        arena.reserve(rows);
+        for (std::size_t r = 0; r < rows; ++r) arena.push_back(Bitfield::random(bits, p, rng));
+        PiecePicker want(bits);
+        PiecePicker got(bits);
+        want.add_bitfield(base);
+        got.add_bitfield(base);
+        for (std::size_t r = 0; r < rows; ++r) want.add_bitfield(arena.row(r));
+        got.add_rows(arena.words(), rows);
+        std::vector<std::uint32_t> counts(bits);
+        for (PieceId t = 0; t < bits; ++t) {
+          ASSERT_EQ(got.availability(t), want.availability(t)) << where << " piece " << t;
+          counts[t] = static_cast<std::uint32_t>(base.test(t));
+        }
+        // The AVX-512BW kernel on its own, where this machine runs it.
+        if (detail::add_rows_vector(counts, arena.words(), rows, arena.width())) {
+          vector_ran = true;
+          for (PieceId t = 0; t < bits; ++t) {
+            ASSERT_EQ(counts[t], want.availability(t)) << where << " piece " << t << " (vector)";
+          }
+        }
+      }
+    }
+  }
+  if (!vector_ran) GTEST_LOG_(INFO) << "no AVX-512BW here: only the scalar loop was checked";
+}
+
+TEST(PiecePicker, AddRowsRejectsBadArenasBeforeCounting) {
+  PiecePicker picker(70);  // two words, six valid bits in the second
+  std::vector<std::uint64_t> words(6, ~std::uint64_t{0} >> 58);  // three rows
+  EXPECT_THROW(picker.add_rows(words, 2), std::invalid_argument);
+  EXPECT_THROW(picker.add_rows(std::span<const std::uint64_t>(words).first(5), 2),
+               std::invalid_argument);
+  words[5] = std::uint64_t{1} << 6;  // row 2, piece 70: beyond num_pieces
+  EXPECT_THROW(picker.add_rows(words, 3), std::invalid_argument);
+  for (PieceId t = 0; t < 70; ++t) {
+    ASSERT_EQ(picker.availability(t), 0u) << "a rejected arena counted piece " << t;
+  }
+  words[5] = 1;
+  picker.add_rows(words, 3);
+  EXPECT_EQ(picker.availability(0), 3u);
+  EXPECT_EQ(picker.availability(5), 3u);
+  EXPECT_EQ(picker.availability(6), 0u);
+  EXPECT_EQ(picker.availability(64), 3u);
+  EXPECT_EQ(picker.availability(69), 2u);
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -764,11 +765,21 @@ TEST(SwarmSnapshot, RejectsCorruptChurnDeadlineCount) {
   EXPECT_THROW(restore_churn_driver(in, restored), SnapshotError);
 }
 
-/// Offset of row 0's partial-piece list, walked forward over the
-/// fixed-width fields and length prefixes of a snapshot whose config
-/// has no per-peer slot list; every section tag on the way is checked.
-std::size_t partial_lists_offset(const std::string& bytes, std::size_t pieces,
-                                 std::size_t& rows) {
+/// Byte offsets into the table and per-row sections, walked forward
+/// over the fixed-width fields and length prefixes of a snapshot whose
+/// config has no per-peer slot list; every section tag on the way is
+/// checked.
+struct RowSections {
+  std::size_t live_ids = 0;  // row 0's external id (u32 per row)
+  std::size_t rows = 0;
+  std::size_t stats = 0;    // 57 bytes per row
+  std::size_t chokers = 0;  // 28 bytes per row
+  std::vector<std::size_t> neighbors;  // per row: its neighbor list's u64 count
+  std::size_t partials = 0;            // row 0's partial-piece list
+};
+
+RowSections row_sections(const std::string& bytes, std::size_t pieces) {
+  RowSections out;
   std::size_t at = 12;  // magic, version
   const auto word = [&](std::size_t width) -> std::uint64_t {
     if (at + width > bytes.size()) {
@@ -785,19 +796,34 @@ std::size_t partial_lists_offset(const std::string& bytes, std::size_t pieces,
   section(1, 22 * 8 + 4);      // config: 22 eight-byte fields, 4 flags
   section(2, 8 + 4 * 8 + 9);   // choke key, xoshiro words, Box-Muller cache
   section(3, 8);               // id space
-  rows = word(8);
+  out.rows = word(8);
+  out.live_ids = at + 8;
   pod(4);                      // live ids
   pod(4);                      // row generations
   section(4, 5 * 8);           // counters
   section(5, 8);               // slot-pool size
   for (const std::size_t width : {4u, 4u, 4u, 4u, 8u, 8u, 4u, 4u}) pod(width);
   section(6, 8);               // row count
-  at += rows * (7 * 8 + 1);    // stats
-  at += rows * ((pieces + 63) / 64) * 8;  // bitfields
-  at += rows * (3 * 8 + 4);    // choker state
-  for (std::size_t r = 0; r < rows; ++r) pod(4);  // unchoke sets
-  for (std::size_t r = 0; r < rows; ++r) at += 8 + 8 * word(8);  // neighbours + slots
-  return at;
+  out.stats = at;
+  at += out.rows * (7 * 8 + 1);  // stats
+  at += out.rows * ((pieces + 63) / 64) * 8;  // bitfields
+  out.chokers = at;
+  at += out.rows * (3 * 8 + 4);  // choker state
+  for (std::size_t r = 0; r < out.rows; ++r) pod(4);  // unchoke sets
+  for (std::size_t r = 0; r < out.rows; ++r) {
+    out.neighbors.push_back(at);
+    at += 8 + 8 * word(8);  // neighbours + slots
+  }
+  out.partials = at;
+  return out;
+}
+
+/// Offset of row 0's partial-piece list (see row_sections).
+std::size_t partial_lists_offset(const std::string& bytes, std::size_t pieces,
+                                 std::size_t& rows) {
+  const RowSections sections = row_sections(bytes, pieces);
+  rows = sections.rows;
+  return sections.partials;
 }
 
 TEST(SwarmSnapshot, RejectsAPieceListedTwiceInOneRowsPartials) {
@@ -987,6 +1013,270 @@ TEST(SwarmSnapshot, RejectsChurnSectionAsSwarmSnapshot) {
   std::ostringstream out(std::ios::binary);
   save_churn_driver(out, churn);
   EXPECT_THROW((void)resume_from_string(std::move(out).str()), SnapshotError);
+}
+
+// --- the checksum fold ------------------------------------------------------
+
+/// The fold one 8-byte lane at a time, as the format defines it.
+std::uint64_t single_lane_fold(std::uint64_t hash, const unsigned char* p, std::size_t n) {
+  for (; n >= 8; p += 8, n -= 8) {
+    std::uint64_t lane;
+    std::memcpy(&lane, p, 8);
+    hash = hash * snapshot_detail::kFoldMul + lane;
+  }
+  if (n > 0) {
+    std::uint64_t lane = 0;
+    std::memcpy(&lane, p, n);
+    hash = hash * snapshot_detail::kFoldMul + (lane + n);
+  }
+  return hash;
+}
+
+TEST(SnapshotFormat, FourLaneFoldEqualsTheSingleLaneFold) {
+  // Bulk spans fold four lanes per step; every length up to 300 bytes
+  // covers each mix of 32-byte blocks, whole lanes and tails, from
+  // misaligned starts.
+  graph::Rng rng(2007);
+  std::vector<unsigned char> buf(300 + 7);
+  for (std::size_t n = 0; n <= 300; ++n) {
+    for (unsigned char& b : buf) b = static_cast<unsigned char>(rng.below(256));
+    const std::uint64_t start = rng();
+    const std::size_t offset = n % 8;
+    EXPECT_EQ(snapshot_detail::fold_bytes(start, buf.data() + offset, n),
+              single_lane_fold(start, buf.data() + offset, n))
+        << n << " bytes";
+  }
+}
+
+// --- one loader, three sources -------------------------------------------
+//
+// resume_from_string reads the caller's bytes in place; an
+// std::istringstream goes through the stream read-ahead with a
+// seek-measured bound; a pipe has no bound at all. The first two must
+// agree on every outcome — the same SnapshotError message or
+// byte-equal re-saves — and the pipe must throw exactly when they do.
+
+/// A load's outcome: the SnapshotError message, or the re-saved bytes.
+struct LoadOutcome {
+  bool threw = false;
+  std::string text;
+};
+
+template <typename Load>
+LoadOutcome outcome_of(Load&& load) {
+  try {
+    const ResumedSwarm resumed = load();
+    return {false, save_to_string(resumed.swarm())};
+  } catch (const SnapshotError& e) {
+    return {true, e.what()};
+  }
+}
+
+void expect_sources_agree(const std::string& bytes, const std::string& where) {
+  const LoadOutcome view = outcome_of([&] { return resume_from_string(bytes); });
+  const LoadOutcome stream = outcome_of([&] {
+    std::istringstream in(bytes, std::ios::binary);
+    return ResumedSwarm(in);
+  });
+  const LoadOutcome pipe = outcome_of([&] {
+    PipeBuf buf(bytes);
+    std::istream in(&buf);
+    return ResumedSwarm(in);
+  });
+  EXPECT_EQ(view.threw, stream.threw) << where;
+  EXPECT_EQ(view.text, stream.text) << where;
+  EXPECT_EQ(pipe.threw, view.threw) << where;
+}
+
+TEST(SnapshotSources, TruncationSweepAgrees) {
+  const std::string bytes = tiny_snapshot();
+  for (std::size_t len = 0; len <= bytes.size(); ++len) {
+    expect_sources_agree(bytes.substr(0, len), "prefix length " + std::to_string(len));
+  }
+}
+
+TEST(SnapshotSources, SingleByteCorruptionSweepAgrees) {
+  const std::string bytes = tiny_snapshot();
+  for (std::size_t at = 0; at < bytes.size(); ++at) {
+    std::string corrupt = bytes;
+    corrupt[at] = static_cast<char>(corrupt[at] ^ 0xFF);
+    expect_sources_agree(corrupt, "byte offset " + std::to_string(at));
+  }
+}
+
+TEST(SnapshotSources, PinnedMidOutageSnapshotLoadsAlike) {
+  const PinnedRun run = pinned_mid_outage_run();
+  expect_sources_agree(run.swarm, "pinned snapshot");
+  EXPECT_EQ(save_to_string(resume_from_string(run.swarm).swarm()), run.swarm);
+  // A companion section after the swarm: the bound is the whole buffer
+  // on every source, and the churn section still follows the footer.
+  expect_sources_agree(run.swarm + run.churn, "pinned snapshot + churn section");
+}
+
+// --- the first error does not depend on threads ----------------------------
+//
+// Two rows break two different rules, one early and one late; the
+// loader's row checks must report the early row's rule at every
+// thread count.
+
+/// M^e mod 2^64 for the fold multiplier M; e < 0 through M's inverse
+/// (M is odd, so Newton's iteration converges 2-adically).
+std::uint64_t fold_pow(long e) {
+  std::uint64_t base = snapshot_detail::kFoldMul;
+  if (e < 0) {
+    std::uint64_t inv = base;
+    for (int i = 0; i < 6; ++i) inv *= 2 - base * inv;
+    base = inv;
+    e = -e;
+  }
+  std::uint64_t out = 1;
+  for (long i = 0; i < e; ++i) out *= base;
+  return out;
+}
+
+/// Writes `value` over the `width`-byte field at `at` (one fold lane)
+/// and rewrites the 8-byte lane at `comp`, `lanes` fold lanes after it
+/// (before, if negative), so the footer still matches. The running
+/// hash is sum(lane_i * M^(L-1-i)) mod 2^64 before the finalizer, so a
+/// lane moved by d is cancelled by moving the other by -d * M^lanes.
+void patch_lane(std::string& bytes, std::size_t at, std::uint64_t value, std::size_t width,
+                std::size_t comp, long lanes) {
+  std::uint64_t old = 0;
+  std::memcpy(&old, bytes.data() + at, width);
+  std::memcpy(bytes.data() + at, &value, width);
+  const std::uint64_t moved = value - old;
+  const std::uint64_t fixed = u64_at(bytes, comp) - moved * fold_pow(lanes);
+  std::memcpy(bytes.data() + comp, &fixed, 8);
+}
+
+constexpr std::size_t kRulePeers = 600;
+
+SwarmConfig rule_config() {
+  SwarmConfig cfg = base_config(kRulePeers);
+  cfg.stay_as_seed = true;  // no departures: rows stay in id order
+  return cfg;
+}
+
+std::string rule_snapshot() {
+  graph::Rng rng(kSeed);
+  Swarm swarm(rule_config(), capacities(kRulePeers), rng);
+  swarm.run(3);
+  return save_to_string(swarm);
+}
+
+/// The message of resume_from_string(bytes) at `threads`, or "" if it
+/// loads.
+std::string load_error(const std::string& bytes, std::size_t threads) {
+  SwarmConfig cfg = rule_config();
+  cfg.threads = threads;
+  try {
+    (void)resume_from_string(bytes, cfg);
+  } catch (const SnapshotError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+using Patch = std::function<void(std::string&)>;
+
+/// Requires `low` alone, `high` alone and both together to fail with
+/// the named rules at threads {1, 2, 8}: both together name `low`'s.
+void expect_low_row_wins(const std::string& bytes, const Patch& low, const char* low_rule,
+                         const Patch& high, const char* high_rule) {
+  std::string low_only = bytes;
+  low(low_only);
+  std::string high_only = bytes;
+  high(high_only);
+  std::string both = bytes;
+  low(both);
+  high(both);
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    EXPECT_EQ(load_error(low_only, threads), std::string("snapshot: ") + low_rule) << threads;
+    EXPECT_EQ(load_error(high_only, threads), std::string("snapshot: ") + high_rule) << threads;
+    EXPECT_EQ(load_error(both, threads), std::string("snapshot: ") + low_rule) << threads;
+  }
+}
+
+constexpr std::size_t kLowRow = 2;
+constexpr std::size_t kHighRow = kRulePeers - 20;
+
+TEST(SnapshotChecks, AdjacencyWalkReportsTheLowestRowAtAnyThreadCount) {
+  const std::string bytes = rule_snapshot();
+  ASSERT_EQ(load_error(bytes, 1), "");
+  const RowSections at = row_sections(bytes, rule_config().num_pieces);
+  ASSERT_EQ(at.rows, kRulePeers + 2);
+  for (const std::size_t row : {kLowRow, kHighRow}) {
+    ASSERT_GE(u64_at(bytes, at.neighbors[row]), 4u) << "row " << row << " needs two lanes";
+  }
+  // Neighbour lane 0 holds ids 0 and 1, lane 1 ids 2 and 3; lane 1
+  // absorbs the change, and the row's walk stops before reading it.
+  const auto duplicate = [&](std::string& b) {
+    const std::size_t lane0 = at.neighbors[kLowRow] + 8;
+    const std::uint64_t first = u32_at(b, lane0);
+    patch_lane(b, lane0, first | (first << 32), 8, lane0 + 8, 1);
+  };
+  const auto self = [&](std::string& b) {
+    const std::size_t lane0 = at.neighbors[kHighRow] + 8;
+    const std::uint64_t owner = u32_at(b, at.live_ids + 4 * kHighRow);
+    patch_lane(b, lane0, owner | (std::uint64_t{u32_at(b, lane0 + 4)} << 32), 8, lane0 + 8, 1);
+  };
+  expect_low_row_wins(bytes, duplicate, "adjacency row not strictly sorted", self,
+                      "adjacency names a departed or self peer");
+}
+
+TEST(SnapshotChecks, RowChecksReportTheLowestRowAtAnyThreadCount) {
+  const std::string bytes = rule_snapshot();
+  ASSERT_EQ(load_error(bytes, 1), "");
+  const RowSections at = row_sections(bytes, rule_config().num_pieces);
+  // Stats: the piece counter is the lane before completion_round.
+  // Choker state: the optimistic target (a 4-byte lane) follows
+  // rounds_since_rotation. Neither absorbing field is checked.
+  const auto pieces = [&](std::string& b) {
+    const std::size_t field = at.stats + kLowRow * 57 + 24;
+    patch_lane(b, field, u64_at(b, field) + 1, 8, field + 8, 1);
+  };
+  const auto optimistic = [&](std::string& b) {
+    const std::size_t field = at.chokers + kHighRow * 28 + 24;
+    patch_lane(b, field, kRulePeers + 40, 4, field - 8, -1);
+  };
+  expect_low_row_wins(bytes, pieces, "piece counter disagrees with bitfield", optimistic,
+                      "optimistic target out of range");
+}
+
+// --- ranks on demand --------------------------------------------------------
+
+TEST(SwarmSnapshot, RanksComputedOnDemandMatchTheUninterruptedRun) {
+  // The loader leaves the bandwidth ranks dirty; the first reader sorts
+  // them. Live-only ranks (retain_departed off) move with departures,
+  // so both archive modes are checked, right after the resume and after
+  // more rounds.
+  constexpr std::size_t kPeers = 120;
+  for (const bool retain : {true, false}) {
+    SwarmConfig cfg = base_config(kPeers);
+    cfg.retain_departed = retain;
+    graph::Rng rng(kSeed);
+    Swarm swarm(cfg, capacities(kPeers), rng);
+    ChurnDriver<Swarm> churn(churny_spec(), cfg, capacities(kPeers), rng);
+    churn.attach(swarm);
+    for (std::size_t r = 0; r < 15; ++r) {
+      churn.before_round(swarm);
+      swarm.run_round();
+    }
+    ASSERT_GT(swarm.departures(), 0u);
+    ResumedSwarm resumed = resume_from_string(save_to_string(swarm));
+    for (int window = 0; window < 2; ++window) {
+      const std::string where = std::string(retain ? "archive" : "live-only") + ", window " +
+                                std::to_string(window);
+      EXPECT_EQ(resumed.swarm().reciprocated_pairs(), swarm.reciprocated_pairs()) << where;
+      const StratificationReport a = swarm.stratification();
+      const StratificationReport b = resumed.swarm().stratification();
+      EXPECT_EQ(b.reciprocated_pairs, a.reciprocated_pairs) << where;
+      EXPECT_EQ(b.mean_normalized_offset, a.mean_normalized_offset) << where;
+      EXPECT_EQ(b.partner_rank_correlation, a.partner_rank_correlation) << where;
+      swarm.run(5);
+      resumed.swarm().run(5);
+    }
+  }
 }
 
 }  // namespace
