@@ -4,11 +4,12 @@
 # simulation-level differential test could catch a violation:
 #
 #   strat_lint       lints src/, bench/, tests/, examples/, tools/
-#                    against rules R1-R5 and cross-checks the file
+#                    against rules R1-R6 and cross-checks the file
 #                    glob against compile_commands.json
 #   test_strat_lint  the linter's own unit tests: seeded-violation
-#                    fixtures per rule, the clean-tree regression, and
-#                    the delete-a-save-line R4 demo
+#                    fixtures per rule, the clean-tree regression, the
+#                    delete-a-save-line R4 demo and the put-back-a-
+#                    thread R6 demo
 #   test_bench_pairs the paired A/B benchmark runner's statistics
 #                    helpers on canned numbers (label `tools`)
 #

@@ -2,7 +2,7 @@
 # Runs the whole static-analysis pass with one command, mirroring
 # scripts/bench_all.sh:
 #
-#   1. strat-lint        repo-specific contract rules R1-R5 (always)
+#   1. strat-lint        repo-specific contract rules R1-R6 (always)
 #   2. its self-tests    seeded-violation fixtures + clean-tree gate
 #   3. clang-tidy        bugprone/performance/concurrency/nodiscard
 #   4. cppcheck          warning/performance/portability
@@ -29,7 +29,7 @@ else
   echo "  cmake -B ${build_dir} -S .   (CMAKE_EXPORT_COMPILE_COMMANDS is ON by default)" >&2
 fi
 
-echo "== strat-lint (contract rules R1-R5)"
+echo "== strat-lint (contract rules R1-R6)"
 python3 tools/strat_lint/strat_lint.py "${strat_lint_args[@]}"
 
 echo "== strat-lint self-tests"

@@ -1,13 +1,14 @@
 #include "analysis/monte_carlo.hpp"
 
+#include <algorithm>
 #include <stdexcept>
-#include <thread>
 
 #include "core/acceptance.hpp"
 #include "core/matching.hpp"
 #include "core/ranking.hpp"
 #include "core/solver.hpp"
 #include "graph/erdos_renyi.hpp"
+#include "sim/parallel.hpp"
 
 namespace strat::analysis {
 
@@ -32,54 +33,6 @@ std::vector<double> MonteCarloResult::probability_row(std::size_t t_index, std::
   return row;
 }
 
-namespace {
-
-MonteCarloResult make_empty(const MonteCarloOptions& options) {
-  MonteCarloResult out;
-  out.freq.assign(options.tracked.size(),
-                  std::vector<std::vector<std::uint64_t>>(
-                      options.b0, std::vector<std::uint64_t>(options.n, 0)));
-  out.unmatched.assign(options.tracked.size(), std::vector<std::uint64_t>(options.b0, 0));
-  return out;
-}
-
-void run_worker(const MonteCarloOptions& options, std::size_t realizations, graph::Rng rng,
-                MonteCarloResult& out) {
-  const core::GlobalRanking ranking = core::GlobalRanking::identity(options.n);
-  for (std::size_t r = 0; r < realizations; ++r) {
-    const graph::Graph g = graph::erdos_renyi_gnp(options.n, options.p, rng);
-    const core::ExplicitAcceptance acc(g, ranking);
-    const core::Matching m = core::stable_configuration(
-        acc, ranking,
-        std::vector<std::uint32_t>(options.n, static_cast<std::uint32_t>(options.b0)));
-    for (std::size_t t = 0; t < options.tracked.size(); ++t) {
-      const auto mates = m.mates(options.tracked[t]);
-      for (std::size_t c = 0; c < options.b0; ++c) {
-        if (c < mates.size()) {
-          ++out.freq[t][c][mates[c]];
-        } else {
-          ++out.unmatched[t][c];
-        }
-      }
-    }
-  }
-  out.realizations = realizations;
-}
-
-void merge(MonteCarloResult& into, const MonteCarloResult& from) {
-  into.realizations += from.realizations;
-  for (std::size_t t = 0; t < into.freq.size(); ++t) {
-    for (std::size_t c = 0; c < into.freq[t].size(); ++c) {
-      for (std::size_t j = 0; j < into.freq[t][c].size(); ++j) {
-        into.freq[t][c][j] += from.freq[t][c][j];
-      }
-      into.unmatched[t][c] += from.unmatched[t][c];
-    }
-  }
-}
-
-}  // namespace
-
 MonteCarloResult estimate_mate_distribution(const MonteCarloOptions& options, graph::Rng& rng) {
   if (options.p < 0.0 || options.p > 1.0) {
     throw std::invalid_argument("estimate_mate_distribution: p out of [0,1]");
@@ -89,26 +42,40 @@ MonteCarloResult estimate_mate_distribution(const MonteCarloOptions& options, gr
   for (core::PeerId t : options.tracked) {
     if (t >= options.n) throw std::invalid_argument("estimate_mate_distribution: bad peer");
   }
-  const std::size_t threads = std::max<std::size_t>(1, options.threads);
-  if (threads == 1) {
-    MonteCarloResult out = make_empty(options);
-    run_worker(options, options.realizations, rng.split(), out);
-    return out;
+  const std::size_t tracked = options.tracked.size();
+  const std::size_t b0 = options.b0;
+  const core::GlobalRanking ranking = core::GlobalRanking::identity(options.n);
+  const std::vector<std::uint32_t> capacity(options.n, static_cast<std::uint32_t>(b0));
+  // Realization r draws from its own counter stream and writes only its
+  // own slots (tracked x b0 mate ids, kNoPeer where a choice stays
+  // empty), so the tally below is the same at any thread count.
+  const std::uint64_t key = rng();
+  std::vector<core::PeerId> slots(options.realizations * tracked * b0, core::kNoPeer);
+  sim::parallel_for(options.realizations, options.threads, [&](std::size_t r) {
+    graph::Rng stream = graph::Rng::stream(key, r, 0);
+    const graph::Graph g = graph::erdos_renyi_gnp(options.n, options.p, stream);
+    const core::Matching m =
+        core::stable_configuration(core::ExplicitAcceptance(g, ranking), ranking, capacity);
+    for (std::size_t t = 0; t < tracked; ++t) {
+      const auto mates = m.mates(options.tracked[t]);
+      std::copy_n(mates.begin(), std::min(mates.size(), b0), slots.data() + (r * tracked + t) * b0);
+    }
+  });
+
+  MonteCarloResult out;
+  out.realizations = options.realizations;
+  out.freq.assign(tracked, std::vector<std::vector<std::uint64_t>>(
+                               b0, std::vector<std::uint64_t>(options.n, 0)));
+  out.unmatched.assign(tracked, std::vector<std::uint64_t>(b0, 0));
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    const std::size_t t = i / b0 % tracked;
+    const std::size_t c = i % b0;
+    if (slots[i] == core::kNoPeer) {
+      ++out.unmatched[t][c];
+    } else {
+      ++out.freq[t][c][slots[i]];
+    }
   }
-  std::vector<MonteCarloResult> partials(threads);
-  for (auto& partial : partials) partial = make_empty(options);
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  const std::size_t base = options.realizations / threads;
-  const std::size_t extra = options.realizations % threads;
-  for (std::size_t w = 0; w < threads; ++w) {
-    const std::size_t quota = base + (w < extra ? 1 : 0);
-    pool.emplace_back(run_worker, std::cref(options), quota, rng.split(),
-                      std::ref(partials[w]));
-  }
-  for (auto& worker : pool) worker.join();
-  MonteCarloResult out = make_empty(options);
-  for (const auto& partial : partials) merge(out, partial);
   return out;
 }
 

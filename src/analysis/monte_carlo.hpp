@@ -5,8 +5,10 @@
 // weeks") and comparing the first- and second-choice distributions of
 // peer 3000 with Algorithm 3's output. This module is that estimator:
 // draw G(n, p), solve the unique stable b0-matching exactly, record the
-// c-th best mate of each tracked peer, repeat. Optionally multithreaded
-// (independent RNG streams, merged at the end).
+// c-th best mate of each tracked peer, repeat. Realization r draws
+// from the counter stream Rng::stream(key, r, 0), where key is one draw
+// from the caller's generator, and the realizations fan out over
+// sim::parallel_for, so the result is identical at any thread count.
 #pragma once
 
 #include <cstddef>
@@ -25,7 +27,8 @@ struct MonteCarloOptions {
   std::size_t realizations = 1000;
   /// Peers whose per-choice mate distributions are tracked.
   std::vector<core::PeerId> tracked;
-  /// Worker threads (1 = sequential).
+  /// Worker threads (<= 1 runs inline). Results are identical at any
+  /// value.
   std::size_t threads = 1;
 };
 

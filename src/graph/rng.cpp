@@ -126,8 +126,6 @@ std::uint64_t Rng::skip_geometric(double p) noexcept {
   return static_cast<std::uint64_t>(std::floor(std::log(u) / std::log1p(-p)));
 }
 
-Rng Rng::split() noexcept { return Rng((*this)() ^ 0xA3EC647659359ACDULL); }
-
 Rng Rng::stream(std::uint64_t key, std::uint64_t a, std::uint64_t b) noexcept {
   // Each coordinate is offset by a distinct odd constant and folded
   // through a full avalanche round, so (key, a, b) triples that differ

@@ -77,9 +77,6 @@ class Rng {
     }
   }
 
-  /// Derives an independent child generator (for parallel workers).
-  [[nodiscard]] Rng split() noexcept;
-
   /// Counter-based stream derivation: a generator keyed purely by
   /// `(key, a, b)` — no sequential state involved, so the stream for a
   /// given coordinate triple is the same no matter how many other
@@ -87,7 +84,9 @@ class Rng {
   /// coordinates are mixed through SplitMix64 finalizer rounds before
   /// seeding. This is what makes per-peer randomness (key = run key,
   /// a = peer id, b = round) independent of iteration order: the swarm
-  /// choke phase draws from these instead of one shared generator.
+  /// choke phase draws from these instead of one shared generator, and
+  /// Monte-Carlo realization r from stream(key, r, 0). It is the only
+  /// way to derive one generator from another.
   [[nodiscard]] static Rng stream(std::uint64_t key, std::uint64_t a, std::uint64_t b) noexcept;
 
   /// The complete generator state, exposed so simulations can be

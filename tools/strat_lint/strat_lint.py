@@ -6,8 +6,10 @@ that, before this tool, were enforced only dynamically:
 
   * bitwise determinism at any thread count (per-peer counter-based RNG
     streams, no iteration-order-dependent state mutation),
-  * the PR-5 parallel-phase discipline (no shared sequential RNG inside
-    ``sim::parallel_for_chunks`` lambdas, FP reductions merged serially),
+  * the parallel-phase discipline (no shared sequential RNG inside
+    ``sim::parallel_for`` / ``parallel_for_chunks`` lambdas, FP
+    reductions merged serially, every thread owned by the one
+    ``sim::WorkerPool``),
   * snapshot completeness (every ``Swarm``/``ChurnDriver`` state member
     is serialized, or carries a written waiver).
 
@@ -19,11 +21,11 @@ strat-lint pins each contract with one rule:
                          runs; anything order-dependent downstream —
                          FP accumulation, RNG draws, container mutation
                          order — silently breaks bitwise lockstep).
-  R2  parallel-rng       no use of the shared sequential ``rng_`` (or
-                         any non-``Rng::stream`` / order-dependent
-                         randomness such as ``.split()``) inside a
+  R2  parallel-rng       no use of the shared sequential ``rng_``
+                         inside a ``sim::parallel_for`` or
                          ``sim::parallel_for_chunks`` lambda body, nor
-                         in same-file functions the lambda calls.
+                         in same-file functions the lambda calls
+                         (parallel draws come from ``Rng::stream``).
   R3  banned-randomness  no ``std::random_device``, ``std::rand`` /
                          ``srand``, C ``time()``, or
                          ``std::chrono::system_clock`` anywhere —
@@ -41,6 +43,14 @@ strat-lint pins each contract with one rule:
                          ``parallel_for_chunks`` lambda — cross-chunk
                          FP reductions must use per-chunk scratch
                          merged in a deterministic serial commit.
+  R6  raw-thread         no ``std::thread`` / ``std::jthread`` object
+                         and no ``std::async`` outside
+                         ``src/sim/worker_pool.*`` (``std::thread::id``,
+                         ``std::thread::hardware_concurrency()`` and
+                         ``std::this_thread`` stay legal): a hand-rolled
+                         pool splits work by its thread count, so every
+                         fan-out goes through ``sim::parallel_for`` or
+                         ``parallel_for_chunks`` on the shared pool.
 
 Suppressions (same line or the line directly above the finding)::
 
@@ -82,8 +92,9 @@ R2 = "parallel-rng"
 R3 = "banned-randomness"
 R4 = "snapshot-complete"
 R5 = "float-reduction"
+R6 = "raw-thread"
 
-RULE_IDS = {R1: "R1", R2: "R2", R3: "R3", R4: "R4", R5: "R5"}
+RULE_IDS = {R1: "R1", R2: "R2", R3: "R3", R4: "R4", R5: "R5", R6: "R6"}
 
 CXX_SUFFIXES = {".cpp", ".cc", ".cxx", ".hpp", ".hh", ".h"}
 
@@ -249,13 +260,13 @@ def check_unordered_iter(path: Path, stripped: str, extra_decls: set[str]) -> li
 
 
 # --------------------------------------------------------------------------
-# R2 + R5: parallel_for_chunks lambda discipline
+# R2 + R5: parallel loop lambda discipline
 # --------------------------------------------------------------------------
 
-PARALLEL_CALL_RE = re.compile(r"\bparallel_for_chunks\s*(?:<[^;{>]*>)?\s*\(")
+PARALLEL_CALL_RE = re.compile(r"\b(parallel_for(?:_chunks)?)\s*(?:<[^;{>]*>)?\s*\(")
+PARALLEL_LOOPS = {"parallel_for", "parallel_for_chunks"}
 LAMBDA_INTRO_RE = re.compile(r"\[[^\[\]]*\]\s*(?:\([^()]*\))?\s*(?:mutable\s*)?(?:noexcept\s*)?(?:->[^{]*)?\{")
 SHARED_RNG_RE = re.compile(r"\brng_\b")
-SPLIT_CALL_RE = re.compile(r"\.\s*split\s*\(")
 CALLEE_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
 CXX_KEYWORDS = {
     "for", "if", "while", "switch", "return", "sizeof", "static_cast",
@@ -268,9 +279,9 @@ LOCAL_DECL_RE = re.compile(
     r"\s*[&*]?\s+(\w+)\s*(?:=|;|\{|\[)")
 
 
-def lambda_bodies(stripped: str) -> list[tuple[int, str]]:
-    """(body start offset, body text) of every lambda passed to a
-    parallel_for_chunks call."""
+def lambda_bodies(stripped: str) -> list[tuple[str, int, str]]:
+    """(loop name, body start offset, body text) of every lambda passed
+    to a parallel_for or parallel_for_chunks call."""
     bodies = []
     for call in PARALLEL_CALL_RE.finditer(stripped):
         close = match_brace_like(stripped, call.end() - 1, "(", ")")
@@ -278,7 +289,7 @@ def lambda_bodies(stripped: str) -> list[tuple[int, str]]:
         for lam in LAMBDA_INTRO_RE.finditer(args):
             body_open = call.end() + lam.end() - 1
             body_close = match_brace(stripped, body_open)
-            bodies.append((body_open + 1, stripped[body_open + 1:body_close]))
+            bodies.append((call.group(1), body_open + 1, stripped[body_open + 1:body_close]))
     return bodies
 
 
@@ -309,35 +320,31 @@ def function_body(stripped: str, name: str) -> str | None:
 
 def check_parallel_lambdas(path: Path, stripped: str) -> list[Finding]:
     findings = []
-    for body_start, body in lambda_bodies(stripped):
-        # R2: the shared sequential generator (or order-dependent
-        # derivation) must never be touched from a parallel worker.
+    for loop, body_start, body in lambda_bodies(stripped):
+        # R2: the shared sequential generator must never be touched
+        # from a parallel worker.
         for m in SHARED_RNG_RE.finditer(body):
             findings.append(Finding(
                 path, line_of(stripped, body_start + m.start()), R2,
-                "shared sequential rng_ used inside a parallel_for_chunks lambda: "
+                f"shared sequential rng_ used inside a {loop} lambda: "
                 "draws become schedule-dependent; use a counter-based per-item "
                 "stream (Rng::stream(key, id, round)) instead"))
-        for m in SPLIT_CALL_RE.finditer(body):
-            findings.append(Finding(
-                path, line_of(stripped, body_start + m.start()), R2,
-                "Rng::split() inside a parallel_for_chunks lambda: the derived "
-                "stream depends on how many splits ran before it; use "
-                "Rng::stream(key, id, round) instead"))
         # R2, one level deep: same-file functions the lambda calls.
         reported: set[str] = set()
         for m in CALLEE_RE.finditer(body):
             callee = m.group(1)
-            if callee in CXX_KEYWORDS or callee in reported or callee == "parallel_for_chunks":
+            if callee in CXX_KEYWORDS or callee in reported or callee in PARALLEL_LOOPS:
                 continue
             callee_body = function_body(stripped, callee)
             if callee_body and SHARED_RNG_RE.search(callee_body):
                 reported.add(callee)
                 findings.append(Finding(
                     path, line_of(stripped, body_start + m.start()), R2,
-                    f"parallel_for_chunks lambda calls {callee}(), which uses the "
+                    f"{loop} lambda calls {callee}(), which uses the "
                     "shared sequential rng_; route its randomness through "
                     "Rng::stream or hoist the call out of the parallel phase"))
+        if loop != "parallel_for_chunks":
+            continue
         # R5: compound accumulation into shared unindexed captures.
         locals_ = {d.group(1) for d in LOCAL_DECL_RE.finditer(body)}
         for m in COMPOUND_ACCUM_RE.finditer(body):
@@ -382,6 +389,43 @@ def check_banned_randomness(path: Path, stripped: str) -> list[Finding]:
         for m in pattern.finditer(stripped):
             findings.append(Finding(path, line_of(stripped, m.start()), R3, why))
     return findings
+
+
+# --------------------------------------------------------------------------
+# R6: threads outside the worker pool
+# --------------------------------------------------------------------------
+
+# A thread object is `std::thread` / `std::jthread` not followed by `::`
+# (std::thread::id and std::thread::hardware_concurrency() name no
+# thread; std::this_thread never matches).
+RAW_THREAD_RE = re.compile(r"\bstd\s*::\s*j?thread\b(?!\s*::)")
+ASYNC_RE = re.compile(r"\bstd\s*::\s*async\s*\(")
+# The one file stem allowed to own threads, repo-relative.
+THREAD_HOME = "src/sim/worker_pool"
+
+
+def check_raw_thread(path: Path, stripped: str) -> list[Finding]:
+    findings = []
+    for m in RAW_THREAD_RE.finditer(stripped):
+        findings.append(Finding(
+            path, line_of(stripped, m.start()), R6,
+            f"{m.group(0)} outside {THREAD_HOME}.*: a hand-rolled pool splits work "
+            "by its thread count; fan out through sim::parallel_for or "
+            "parallel_for_chunks on the shared sim::WorkerPool"))
+    for m in ASYNC_RE.finditer(stripped):
+        findings.append(Finding(
+            path, line_of(stripped, m.start()), R6,
+            f"std::async outside {THREAD_HOME}.*: it spawns threads the worker pool "
+            "does not own; fan out through sim::parallel_for instead"))
+    return findings
+
+
+def is_thread_home(path: Path, root: Path) -> bool:
+    try:
+        rel = path.resolve().relative_to(root.resolve())
+    except ValueError:
+        return False
+    return rel.with_suffix("").as_posix() == THREAD_HOME
 
 
 # --------------------------------------------------------------------------
@@ -617,6 +661,8 @@ def lint_file(path: Path, cfg: LintConfig) -> list[Finding]:
         findings += [f for f in lamb if f.rule in cfg.rules]
     if R3 in cfg.rules:
         findings += check_banned_randomness(path, stripped)
+    if R6 in cfg.rules and not is_thread_home(path, cfg.root):
+        findings += check_raw_thread(path, stripped)
     allowed = suppressed_lines(raw)
     return [f for f in findings if f.rule not in allowed.get(f.line, set())]
 

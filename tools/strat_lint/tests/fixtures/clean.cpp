@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -13,6 +14,9 @@ struct Rng {
   static Rng stream(std::uint64_t key, std::uint64_t id, std::uint64_t round);
   double uniform();
 };
+
+template <typename Body>
+void parallel_for(std::size_t count, unsigned threads, Body body);
 
 template <typename Body>
 void parallel_for_chunks(std::size_t count, unsigned threads,
@@ -55,6 +59,20 @@ void deterministic_phase(std::vector<double>& out, unsigned threads,
     total += v;
   }
   out[0] = total;
+}
+
+void deterministic_replications(std::vector<double>& out, unsigned threads,
+                                std::uint64_t key) {
+  parallel_for(out.size(), threads, [&](std::size_t i) {
+    Rng stream = Rng::stream(key, i, 0);
+    out[i] = stream.uniform();
+  });
+}
+
+std::size_t worker_budget() {
+  const std::thread::id caller = std::this_thread::get_id();  // an id, not a thread
+  (void)caller;
+  return std::thread::hardware_concurrency();  // a query, not a thread
 }
 
 long long profile_now() {

@@ -1,5 +1,6 @@
 // Fixture: seeded R2 violations — shared sequential RNG touched from a
-// parallel_for_chunks worker, directly, via split(), and via a callee.
+// parallel_for_chunks worker, directly and via a callee, and from a
+// parallel_for worker.
 #include <cstddef>
 #include <vector>
 
@@ -7,8 +8,10 @@ namespace fixture {
 
 struct Rng {
   double uniform();
-  Rng split();
 };
+
+template <typename Body>
+void parallel_for(std::size_t count, unsigned threads, Body body);
 
 template <typename Body>
 void parallel_for_chunks(std::size_t count, unsigned threads,
@@ -26,10 +29,14 @@ struct Phase {
                           for (std::size_t i = begin; i < end; ++i) {
                             draws_[i] = rng_.uniform();  // VIOLATION: shared rng_ in worker
                           }
-                          Rng local = rng_.split();  // VIOLATION: order-dependent split
-                          draws_[begin] += local.uniform();
                           draws_[end - 1] += draw_helper();  // VIOLATION: callee uses rng_
                         });
+  }
+
+  void replicate(unsigned threads) {
+    parallel_for(draws_.size(), threads, [&](std::size_t i) {
+      draws_[i] = rng_.uniform();  // VIOLATION: shared rng_ in a parallel_for worker
+    });
   }
 };
 

@@ -9,9 +9,10 @@ Three layers:
     produces nothing;
   * repo regression — the real tree under ``src/``, ``bench/``,
     ``tests/`` is clean, so any new violation fails tier-1;
-  * snapshot-contract demo — deleting a serialized ``Swarm`` member's
-    save line from a copy of ``snapshot.cpp`` makes R4 fire without
-    running a single simulation.
+  * deletion demos — deleting a serialized ``Swarm`` member's save line
+    from a copy of ``snapshot.cpp`` makes R4 fire, and putting a
+    ``std::thread`` worker back into a copy of ``monte_carlo.cpp`` makes
+    R6 fire, without running a single simulation.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ sys.path.insert(0, str(TOOL_DIR))
 
 import strat_lint  # noqa: E402
 from strat_lint import (  # noqa: E402
-    R1, R2, R3, R4, R5,
+    R1, R2, R3, R4, R5, R6,
     LintConfig, SnapshotContract,
     check_snapshot_complete, lint_file, run_lint,
 )
@@ -66,8 +67,8 @@ class FixtureDetectionTest(unittest.TestCase):
         self.assertEqual(rules_of(findings), {R2})
         messages = [f.message for f in findings]
         self.assertTrue(any("shared sequential rng_" in m for m in messages))
-        self.assertTrue(any("split()" in m for m in messages))
         self.assertTrue(any("draw_helper()" in m for m in messages))
+        self.assertTrue(any("inside a parallel_for lambda" in m for m in messages))
 
     def test_r3_banned_randomness(self):
         findings = self.lint_fixture("r3_banned_randomness.cpp")
@@ -99,6 +100,14 @@ class FixtureDetectionTest(unittest.TestCase):
         self.assertEqual(rules_of(findings), {R5})
         lhs = {f.message.split("'")[1].split(" ")[0] for f in findings}
         self.assertEqual(lhs, {"total", "touched"})
+
+    def test_r6_raw_thread(self):
+        findings = self.lint_fixture("r6_raw_thread.cpp")
+        self.assertEqual(rules_of(findings), {R6})
+        self.assertEqual(len(findings), 3)  # thread vector, jthread, async
+        messages = " ".join(f.message for f in findings)
+        for spawner in ("std::thread", "std::jthread", "std::async"):
+            self.assertIn(spawner + " outside", messages)
 
     def test_clean_fixture_is_silent(self):
         findings = self.lint_fixture("clean.cpp")
@@ -201,6 +210,42 @@ class SnapshotDeletionDemoTest(unittest.TestCase):
             any(f.rule == R4 and "FaultState::retry_round_" in f.message
                 and "not written" in f.message for f in findings),
             "R4 must flag the dropped fault save line: " +
+            "; ".join(f.message for f in findings))
+
+
+class RawThreadDemoTest(unittest.TestCase):
+    """Acceptance demo: putting a std::thread worker back into a copy of
+    the Monte-Carlo estimator makes R6 fail locally, while the copied
+    worker pool, the one home of raw threads, stays clean."""
+
+    FILES = [
+        "src/analysis/monte_carlo.cpp",
+        "src/sim/worker_pool.hpp",
+        "src/sim/worker_pool.cpp",
+    ]
+
+    def test_thread_worker_in_estimator_fires_r6(self):
+        anchor = "namespace strat::analysis {\n"
+        with tempfile.TemporaryDirectory() as tmpdir:
+            tmp = Path(tmpdir)
+            for rel in self.FILES:
+                dst = tmp / rel
+                dst.parent.mkdir(parents=True, exist_ok=True)
+                shutil.copyfile(REPO_ROOT / rel, dst)
+            estimator = tmp / "src/analysis/monte_carlo.cpp"
+            text = estimator.read_text()
+            self.assertIn(anchor, text)
+            estimator.write_text(text.replace(
+                anchor,
+                anchor + "\nvoid spawn_worker() {\n"
+                "  std::thread worker([] {});\n"
+                "  worker.join();\n"
+                "}\n", 1))
+            cfg = LintConfig(root=tmp, rules={R6})
+            findings = [f for rel in self.FILES for f in lint_file(tmp / rel, cfg)]
+        self.assertEqual(
+            {f.path.name for f in findings}, {"monte_carlo.cpp"},
+            "R6 must flag the std::thread worker and nothing in the pool: " +
             "; ".join(f.message for f in findings))
 
 
