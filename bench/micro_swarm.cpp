@@ -255,7 +255,6 @@ void BM_SwarmLongChurn(benchmark::State& state) {
       static_cast<double>(target_arrivals) / static_cast<double>(kRounds);
   spec.arrival_completion = 0.5;
   spec.reannounce_interval = 10;
-  spec.arrival_bandwidth = bt::ChurnSpec::ArrivalBandwidth::kModel;
   spec.arrival_model = model;
   for (auto _ : state) {
     graph::Rng rng(7);

@@ -166,7 +166,7 @@ class ReferenceSwarm {
   PeerTable table_;
   // Sender-order snapshot for transfer_step (mirrors Swarm's).
   std::vector<core::PeerId> order_scratch_;
-  // Two-stage transfer scratch (mirrors Swarm's per-chunk TransferScratch;
+  // Two-stage transfer scratch (mirrors Swarm's per-chunk RoundScratch;
   // one set suffices since this plane plans serially).
   std::vector<core::PeerId> hungry_scratch_;
   std::vector<core::PeerId> next_hungry_scratch_;

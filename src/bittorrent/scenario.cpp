@@ -115,12 +115,8 @@ ScenarioResult run_scenario(const SwarmScenario& scenario, std::uint64_t seed) {
   }
   graph::Rng rng(seed);
   Swarm swarm(scenario.config, scenario.upload_kbps, rng);
-  if (!scenario.churn.active()) {
-    swarm.run(scenario.warmup_rounds);
-    swarm.reset_stratification();
-    swarm.run(scenario.measure_rounds);
-    return summarize(swarm, seed);
-  }
+  // An inactive spec draws nothing and changes nothing, so a closed
+  // swarm runs the same loop.
   std::vector<double> pool = scenario.churn.arrival_upload_kbps.empty()
                                  ? scenario.upload_kbps
                                  : scenario.churn.arrival_upload_kbps;
@@ -227,7 +223,7 @@ MultiSwarmResult run_multi_swarm(const MultiSwarmSpec& spec, std::uint64_t seed,
     }
   }
   TrackerConfig tcfg;
-  tcfg.shards = threads == 0 ? 1 : threads;
+  tcfg.shards = threads;
   tcfg.dynamic_capacity_split = false;
   TrackerSim tracker(tcfg, std::move(seeds), spec.upload_kbps, seed);
   tracker.run(spec.warmup_rounds);

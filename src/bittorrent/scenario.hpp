@@ -69,20 +69,16 @@ struct ChurnSpec {
   /// Bernoulli per piece), mirroring post_flashcrowd initialization.
   double arrival_completion = 0.0;
 
-  /// How arrivals get their upload capacity: cycle a fixed pool (the
-  /// pre-existing behavior) or draw each arrival independently from an
-  /// empirical capacity distribution — the open-system analogue of the
-  /// paper's Figure 10 / Table 1 upstream-bandwidth CDF.
-  enum class ArrivalBandwidth { kCyclePool, kModel };
-  ArrivalBandwidth arrival_bandwidth = ArrivalBandwidth::kCyclePool;
-
-  /// Distribution sampled per arrival when arrival_bandwidth == kModel
-  /// (e.g. BandwidthModel::saroiu2002()). One inverse-CDF draw from the
-  /// swarm RNG per arrival, so both data planes stay in lockstep.
+  /// How arrivals get their upload capacity: when set, each arrival
+  /// draws it independently from this empirical distribution (e.g.
+  /// BandwidthModel::saroiu2002(), the open-system analogue of the
+  /// paper's Figure 10 / Table 1 upstream-bandwidth CDF) — one
+  /// inverse-CDF draw from the swarm RNG per arrival, so both data
+  /// planes stay in lockstep. Unset: arrivals cycle a fixed pool.
   std::optional<BandwidthModel> arrival_model;
 
-  /// Capacities handed to arrivals, cycled in order (kCyclePool only).
-  /// Empty = cycle the scenario's leecher capacity list.
+  /// Capacities handed to arrivals, cycled in order (no arrival_model
+  /// only). Empty = cycle the scenario's leecher capacity list.
   std::vector<double> arrival_upload_kbps;
 
   /// Rounds between tracker re-announce sweeps topping every live
@@ -120,20 +116,15 @@ template <typename SwarmT>
 class ChurnDriver {
  public:
   /// `arrival_pool` provides arrival capacities (cycled); required
-  /// whenever the spec can create arrivals.
+  /// whenever the spec can create arrivals and has no arrival_model.
   ChurnDriver(const ChurnSpec& spec, const SwarmConfig& config, std::vector<double> arrival_pool,
               graph::Rng& rng)
       : spec_(spec), config_(config), pool_(std::move(arrival_pool)), rng_(rng) {
     detail::validate_churn_spec(spec_, "ChurnDriver");
     const bool makes_arrivals =
         spec_.arrivals != ChurnSpec::Arrivals::kNone || spec_.replacement_rate > 0.0;
-    if (makes_arrivals && spec_.arrival_bandwidth == ChurnSpec::ArrivalBandwidth::kCyclePool &&
-        pool_.empty()) {
+    if (makes_arrivals && !spec_.arrival_model.has_value() && pool_.empty()) {
       throw std::invalid_argument("ChurnDriver: arrival capacity pool required");
-    }
-    if (spec_.arrival_bandwidth == ChurnSpec::ArrivalBandwidth::kModel &&
-        !spec_.arrival_model.has_value()) {
-      throw std::invalid_argument("ChurnDriver: arrival bandwidth model required");
     }
   }
 
@@ -275,9 +266,8 @@ class ChurnDriver {
   // `now` deadlines join_injected stamps equal the `now` callers used
   // to pass — rounds_elapsed() is constant across a before_round().
   core::PeerId join_fresh(SwarmT& swarm) {
-    const double kbps = spec_.arrival_bandwidth == ChurnSpec::ArrivalBandwidth::kModel
-                            ? spec_.arrival_model->sample(rng_)
-                            : pool_[next_capacity_++ % pool_.size()];
+    const double kbps = spec_.arrival_model.has_value() ? spec_.arrival_model->sample(rng_)
+                                                        : pool_[next_capacity_++ % pool_.size()];
     return join_injected(swarm, kbps);
   }
 
@@ -414,9 +404,9 @@ struct MultiSwarmResult {
 
 /// Runs every member swarm. A thin shim over TrackerSim
 /// (tracker_sim.hpp) since the tracker layer landed: `threads` maps to
-/// TrackerConfig::shards and the capacity split is frozen at
-/// construction (the historical semantics). Deterministic at any
-/// thread count, bitwise.
+/// TrackerConfig::shards (0 = one per hardware thread) and the
+/// capacity split is frozen at construction (the historical
+/// semantics). Deterministic at any thread count, bitwise.
 [[nodiscard]] MultiSwarmResult run_multi_swarm(const MultiSwarmSpec& spec, std::uint64_t seed,
                                                std::size_t threads = 1);
 

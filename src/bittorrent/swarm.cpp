@@ -77,7 +77,6 @@ Swarm::Swarm(const SwarmConfig& config, std::vector<double> upload_kbps, graph::
       rng_(rng),
       picker_(config.num_pieces),
       have_(config.num_pieces),
-      reserved_scratch_(config.num_pieces),
       leechers_(config.num_peers) {
   if (upload_kbps.size() != config.num_peers) {
     throw std::invalid_argument("Swarm: one upload capacity per leecher required");
@@ -476,57 +475,24 @@ void Swarm::choke_step() {
   const std::size_t n = table_.size();
   const std::size_t threads = fan_out();
   const std::size_t chunks = sim::chunk_count(n, threads, kRowGrain);
-  if (choke_scratch_.size() < chunks) choke_scratch_.resize(chunks);
+  if (scratch_.size() < chunks) scratch_.resize(chunks);
   sim::parallel_for_chunks(n, threads, kRowGrain,
                            [&](std::size_t begin, std::size_t end, std::size_t chunk) {
-                             auto& scratch = choke_scratch_[chunk];
+                             auto& candidates = scratch_[chunk].candidates;
                              for (std::size_t r = begin; r < end; ++r) {
-                               choke_row(static_cast<Row>(r), scratch);
+                               choke_row(static_cast<Row>(r), candidates);
                              }
                            });
 }
 
 void Swarm::count_incoming_unchokes() {
-  const std::size_t n = table_.size();
-  const std::size_t threads = fan_out();
-  // One tally per worker, not per chunk: each tally is O(rows), so a
-  // grain of ceil(n / threads) keeps memory and the merge at the old
-  // per-worker cost.
-  const std::size_t grain = std::max(kRowGrain, (n + threads - 1) / threads);
-  const std::size_t chunks = sim::chunk_count(n, threads, grain);
-  if (chunks <= 1) {
-    incoming_unchokes_.assign(n, 0);
-    for (Row r = 0; r < table_.size(); ++r) {
-      for (const core::PeerId q : unchoked_[r]) ++incoming_unchokes_[table_.row_of(q)];
-    }
-    return;
+  // Serial: only endgame mode runs this tally, one pass over the
+  // unchoke sets; a fan-out would need an O(rows) buffer per worker
+  // and a merge.
+  incoming_unchokes_.assign(table_.size(), 0);
+  for (Row r = 0; r < table_.size(); ++r) {
+    for (const core::PeerId q : unchoked_[r]) ++incoming_unchokes_[table_.row_of(q)];
   }
-  // No zero-fill on this path: the merge pass overwrites every element.
-  incoming_unchokes_.resize(n);
-  // Scatter increments race, so each chunk tallies into its own buffer;
-  // the merge is integer addition — associative and commutative, hence
-  // bitwise identical to the serial count at any thread count.
-  if (incoming_scratch_.size() < chunks) incoming_scratch_.resize(chunks);
-  sim::parallel_for_chunks(n, threads, grain,
-                           [&](std::size_t begin, std::size_t end, std::size_t chunk) {
-                             auto& local = incoming_scratch_[chunk];
-                             local.assign(n, 0);
-                             for (std::size_t r = begin; r < end; ++r) {
-                               for (const core::PeerId q : unchoked_[r]) {
-                                 ++local[table_.row_of(q)];
-                               }
-                             }
-                           });
-  sim::parallel_for_chunks(n, threads, kRowGrain,
-                           [&](std::size_t begin, std::size_t end, std::size_t) {
-                             for (std::size_t r = begin; r < end; ++r) {
-                               std::uint32_t sum = 0;
-                               for (std::size_t c = 0; c < chunks; ++c) {
-                                 sum += incoming_scratch_[c][r];
-                               }
-                               incoming_unchokes_[r] = sum;
-                             }
-                           });
 }
 
 void Swarm::record_mutual_unchokes() {
@@ -564,18 +530,9 @@ std::optional<PieceId> Swarm::pick_for(Row qr, Row pr, std::size_t slot_qp, grap
     if (missing >= incoming_unchokes_[qr]) {
       // Non-endgame phase: each sender gets a distinct missing piece —
       // exclude pieces already in flight to q from other neighbors.
-      for (const PieceId piece : reserved_list_) reserved_scratch_.reset(piece);
-      reserved_list_.clear();
-      const auto& slots = nslot_[qr];
-      for (const std::size_t s : slots) {
-        if (s == slot_qp) continue;
-        const PieceId t = inflight_[s];
-        if (t != kNoPiece && !have_.test(qr, t)) {
-          reserved_scratch_.set(t);
-          reserved_list_.push_back(t);
-        }
-      }
-      return picker_.pick_rarest(have_.row(qr), have_.row(pr), reserved_scratch_.words(), rng);
+      commit_.clear_reserved(config_.num_pieces);
+      reserve_inflight(qr, slot_qp, commit_);
+      return picker_.pick_rarest(have_.row(qr), have_.row(pr), commit_.reserved.words(), rng);
     }
     // Endgame phase: the missing set is smaller than the receiver's
     // inbound unchoke count — duplicate in-flight targets are allowed
@@ -584,8 +541,16 @@ std::optional<PieceId> Swarm::pick_for(Row qr, Row pr, std::size_t slot_qp, grap
   return picker_.pick_rarest(have_.row(qr), have_.row(pr), rng);
 }
 
+void Swarm::reserve_inflight(Row qr, std::size_t slot_qp, RoundScratch& scratch) const {
+  for (const std::size_t s : nslot_[qr]) {
+    if (s == slot_qp) continue;
+    const PieceId t = inflight_[s];
+    if (t != kNoPiece && !have_.test(qr, t)) scratch.reserve(t);
+  }
+}
+
 std::optional<PieceId> Swarm::plan_pick(const detail::TransferLane& lane, Row qr, Row pr,
-                                        graph::Rng& rng, TransferScratch& scratch) {
+                                        graph::Rng& rng, RoundScratch& scratch) {
   bool endgame_dup = false;
   if (config_.endgame) {
     // Endgame discipline against the *local* view: the receiver's
@@ -599,38 +564,22 @@ std::optional<PieceId> Swarm::plan_pick(const detail::TransferLane& lane, Row qr
     // is no lane-local state to hold back — pick over the raw bitfields.
     return picker_.pick_rarest(have_.row(qr), have_.row(pr), rng);
   }
-  if (scratch.reserved.size() != config_.num_pieces) {
-    scratch.reserved = Bitfield(config_.num_pieces);
-  }
-  for (const PieceId piece : scratch.reserved_list) scratch.reserved.reset(piece);
-  scratch.reserved_list.clear();
-  scratch.reserved_partials.clear();
+  scratch.clear_reserved(config_.num_pieces);
   // Locally completed pieces are held in the plan's view even though
   // the snapshot bitfield doesn't know yet. Reserved FIRST so the
   // partial scan below can't classify them into the releasable soft
   // tier (a lane-completed piece usually still has snapshot partial
   // progress) — releasing one would let the lane re-complete it.
   for (const PieceId t : lane.completed) {
-    if (scratch.reserved.test(t)) continue;
-    scratch.reserved.set(t);
-    scratch.reserved_list.push_back(t);
+    if (!scratch.reserved.test(t)) scratch.reserve(t);
   }
   if (!endgame_dup) {
-    if (config_.endgame) {
-      // Non-endgame phase of an endgame run: each sender gets a distinct
-      // missing piece — hard-exclude pieces already in flight to q from
-      // other neighbors. Reservations come from the phase-start
-      // in-flight snapshot (the compute stage never mutates it), not the
-      // live mid-phase state the serial algorithm used to see.
-      for (const std::size_t s : nslot_[qr]) {
-        if (s == lane.slot_qp) continue;
-        const PieceId t = inflight_[s];
-        if (t != kNoPiece && !have_.test(qr, t)) {
-          scratch.reserved.set(t);
-          scratch.reserved_list.push_back(t);
-        }
-      }
-    }
+    // Non-endgame phase of an endgame run: each sender gets a distinct
+    // missing piece — hard-exclude pieces already in flight to q from
+    // other neighbors. Reservations come from the phase-start in-flight
+    // snapshot (the compute stage never mutates it), not the live
+    // mid-phase state the serial algorithm used to see.
+    if (config_.endgame) reserve_inflight(qr, lane.slot_qp, scratch);
     // Soft-demote every piece the receiver already has partial progress
     // on: some lane is (or recently was) feeding it, so a speculative
     // fresh pick landing there is nearly guaranteed stale at commit.
@@ -638,8 +587,7 @@ std::optional<PieceId> Swarm::plan_pick(const detail::TransferLane& lane, Row qr
     // candidate exists, so orphaned partials still get adopted.
     for (const auto& entry : partial_[qr]) {
       if (scratch.reserved.test(entry.first)) continue;
-      scratch.reserved.set(entry.first);
-      scratch.reserved_list.push_back(entry.first);
+      scratch.reserve(entry.first);
       scratch.reserved_partials.push_back(entry.first);
     }
   }
@@ -763,12 +711,21 @@ double Swarm::send_to(core::PeerId p, core::PeerId q, std::size_t slot_pq, doubl
   return budget - remaining;
 }
 
-void Swarm::plan_transfers(core::PeerId p, TransferScratch& scratch) {
+bool Swarm::collect_hungry(Row pr, RoundScratch& scratch) const {
+  // The sender-side slot is loop-invariant per pair, so it is resolved
+  // once here instead of per redistribution pass.
+  scratch.hungry.clear();
+  for (const core::PeerId q : unchoked_[pr]) {
+    const Row qr = table_.row_of(q);
+    if (qr == PeerTable::kNoRow) continue;  // departed
+    if (wants_from(qr, pr)) scratch.hungry.emplace_back(q, slot_of(pr, q));
+  }
+  return !scratch.hungry.empty();
+}
+
+void Swarm::plan_transfers(core::PeerId p, RoundScratch& scratch) {
   const Row pr = table_.row_of(p);
   if (pr == PeerTable::kNoRow) return;
-  // Active transfers: unchoked neighbors that actually want data.
-  // (receiver, sender-side slot): the slot is loop-invariant per pair,
-  // so resolve it once instead of per redistribution pass.
   // Receivers sit at random places in the arena and the partial table:
   // start those loads before the interest checks and the plan need them.
   for (const core::PeerId q : unchoked_[pr]) {
@@ -777,13 +734,7 @@ void Swarm::plan_transfers(core::PeerId p, TransferScratch& scratch) {
     have_.prefetch(qr);
     detail::prefetch(&partial_[qr]);
   }
-  scratch.hungry.clear();
-  for (core::PeerId q : unchoked_[pr]) {
-    const Row qr = table_.row_of(q);
-    if (qr == PeerTable::kNoRow) continue;  // departed before this phase
-    if (wants_from(qr, pr)) scratch.hungry.emplace_back(q, slot_of(pr, q));
-  }
-  if (scratch.hungry.empty()) return;
+  if (!collect_hungry(pr, scratch)) return;
   // One lane per receiver: the lane carries the plan-local view of the
   // in-flight target and partial progress so repeated redistribution
   // passes against the same receiver resume where the last one stopped
@@ -827,8 +778,8 @@ void Swarm::commit_transfers(std::size_t chunks) {
   // and ascending, so walking chunk 0's plans, then chunk 1's, ... is
   // exactly the serial sender order regardless of thread count.
   for (std::size_t c = 0; c < chunks; ++c) {
-    for (const detail::SenderPlan& plan : transfer_scratch_[c].plans) {
-      const std::vector<detail::TransferGrant>& grants = transfer_scratch_[c].grants;
+    for (const detail::SenderPlan& plan : scratch_[c].plans) {
+      const std::vector<detail::TransferGrant>& grants = scratch_[c].grants;
       if (table_.row_of(plan.sender) == PeerTable::kNoRow) continue;  // departed mid-commit
       // Group the plan's grants by lane (receiver) and validate each
       // lane against live state: a grant is stale if its receiver
@@ -941,22 +892,12 @@ void Swarm::commit_transfers(std::size_t chunks) {
           leftover +=
               lane.kb - send_to(plan.sender, lane.receiver, lane.slot_pq, lane.kb, repairs);
         }
-        if (leftover > kBudgetEpsilon) {
-          const Row rpr = table_.row_of(plan.sender);
-          hungry_scratch_.clear();
-          for (core::PeerId q : unchoked_[rpr]) {
-            const Row qr = table_.row_of(q);
-            if (qr == PeerTable::kNoRow) continue;  // completed and departed
-            if (wants_from(qr, rpr)) hungry_scratch_.emplace_back(q, slot_of(rpr, q));
-          }
-          if (!hungry_scratch_.empty()) {
-            detail::redistribute_upload(leftover, hungry_scratch_, next_hungry_scratch_,
-                                        [&](const std::pair<core::PeerId, std::size_t>& item,
-                                            double share) {
-                                          return send_to(plan.sender, item.first, item.second,
-                                                         share, repairs);
-                                        });
-          }
+        if (leftover > kBudgetEpsilon && collect_hungry(table_.row_of(plan.sender), commit_)) {
+          detail::redistribute_upload(
+              leftover, commit_.hungry, commit_.next_hungry,
+              [&](const std::pair<core::PeerId, std::size_t>& item, double share) {
+                return send_to(plan.sender, item.first, item.second, share, repairs);
+              });
         }
         profile_.transfer_rerun_seconds += seconds_since(r0, std::chrono::steady_clock::now());
       }
@@ -974,10 +915,10 @@ void Swarm::transfer_step() {
   const std::size_t n = order_scratch_.size();
   const std::size_t threads = fan_out();
   const std::size_t chunks = sim::chunk_count(n, threads, kRowGrain);
-  if (transfer_scratch_.size() < chunks) transfer_scratch_.resize(chunks);
+  if (scratch_.size() < chunks) scratch_.resize(chunks);
   for (std::size_t c = 0; c < chunks; ++c) {
-    transfer_scratch_[c].grants.clear();
-    transfer_scratch_[c].plans.clear();
+    scratch_[c].grants.clear();
+    scratch_[c].plans.clear();
   }
   // Compute stage: every sender plans against the immutable phase-start
   // snapshot, writing only into its chunk's buffers. No shared state is
@@ -985,7 +926,7 @@ void Swarm::transfer_step() {
   // below replays the plans in serial sender order.
   sim::parallel_for_chunks(n, threads, kRowGrain,
                            [&](std::size_t begin, std::size_t end, std::size_t chunk) {
-                             TransferScratch& scratch = transfer_scratch_[chunk];
+                             RoundScratch& scratch = scratch_[chunk];
                              for (std::size_t i = begin; i < end; ++i) {
                                plan_transfers(order_scratch_[i], scratch);
                              }
@@ -1270,20 +1211,19 @@ Swarm::MemoryFootprint Swarm::memory_footprint() const {
   out.peer_state_bytes = table_.row_bytes() + flat(stats_) + flat(chokers_) +
                          nested(unchoked_) + nested(nbr_) + nested(nslot_) + nested(partial_) +
                          flat(incoming_unchokes_) + flat(order_scratch_) +
-                         nested(choke_scratch_) + nested(incoming_scratch_) +
-                         flat(commit_lanes_) + flat(transfer_scratch_) +
-                         flat(hungry_scratch_) + flat(next_hungry_scratch_) +
-                         flat(faults_.nat_) + flat(faults_.retry_round_) +
-                         flat(faults_.retry_count_) + flat(faults_.announce_seq_);
-  for (const TransferScratch& s : transfer_scratch_) {
-    out.peer_state_bytes += flat(s.hungry) + flat(s.next_hungry) + flat(s.lanes) +
-                            flat(s.grants) + flat(s.plans) +
-                            s.reserved.words().size() * sizeof(std::uint64_t) +
-                            flat(s.reserved_list) + flat(s.reserved_partials);
-    for (const detail::TransferLane& lane : s.lanes) {
-      out.peer_state_bytes += flat(lane.completed);
-    }
-  }
+                         flat(commit_lanes_) + flat(scratch_) + flat(faults_.nat_) +
+                         flat(faults_.retry_round_) + flat(faults_.retry_count_) +
+                         flat(faults_.announce_seq_);
+  const auto scratch_bytes = [&](const RoundScratch& s) {
+    std::size_t bytes = flat(s.candidates) + flat(s.hungry) + flat(s.next_hungry) +
+                        flat(s.lanes) + flat(s.grants) + flat(s.plans) +
+                        s.reserved.words().size() * sizeof(std::uint64_t) +
+                        flat(s.reserved_list) + flat(s.reserved_partials);
+    for (const detail::TransferLane& lane : s.lanes) bytes += flat(lane.completed);
+    return bytes;
+  };
+  for (const RoundScratch& s : scratch_) out.peer_state_bytes += scratch_bytes(s);
+  out.peer_state_bytes += scratch_bytes(commit_);
   out.peer_state_bytes += have_.memory_bytes();
   out.edge_slot_bytes = flat(edge_peer_) + flat(mirror_) + flat(slot_gen_) + flat(free_slots_) +
                         flat(rate_in_) + flat(now_in_) + flat(rate_out_) + flat(now_out_) +

@@ -69,11 +69,11 @@
 // That split is what lets SwarmConfig::threads fan the intra-round
 // phases out over sim::parallel_for_chunks: choke score/select
 // (per-row reads of an effectively immutable rate/bitfield snapshot,
-// per-row writes of the unchoke sets), the endgame incoming-unchoke
-// count (per-worker tallies merged by integer addition), mutual-unchoke
-// recording (each pair counted by integer increment on a slot its
-// lower endpoint's row owns), transfer compute (below) and the rate
-// fold (slot-pool map). Rows are capacity-sorted, so per-row cost is
+// per-row writes of the unchoke sets), mutual-unchoke recording (each
+// pair counted by integer increment on a slot its lower endpoint's row
+// owns), transfer compute (below) and the rate fold (slot-pool map).
+// The endgame incoming-unchoke count, run in endgame mode only, stays
+// one serial loop. Rows are capacity-sorted, so per-row cost is
 // skewed; each phase splits its range into several contiguous chunks
 // per worker, claimed on demand. The transfer phase — where mid-round
 // completion departures mutate shared state — splits into that
@@ -164,8 +164,8 @@ struct SwarmConfig {
   /// the archive and reject this flag.
   bool retain_departed = true;
   /// Worker threads for the intra-round parallel phases (choke
-  /// score/select, endgame unchoke counting, mutual-unchoke recording,
-  /// transfer compute, rate folding); the transfer commit stays
+  /// score/select, mutual-unchoke recording, transfer compute, rate
+  /// folding); the endgame unchoke count and the transfer commit stay
   /// serial. Results are bitwise identical at any value: choke and
   /// transfer randomness come from per-peer counter-based streams, so
   /// neither row order nor thread count can reorder draws. 1 = serial
@@ -767,7 +767,7 @@ class Swarm {
   /// whole-round times that the serial commit stage dilutes.
   struct PhaseProfile {
     double choke_seconds = 0.0;     // parallel: score/select fan-out
-    double endgame_seconds = 0.0;   // parallel: incoming-unchoke count
+    double endgame_seconds = 0.0;   // serial: incoming-unchoke count (endgame mode)
     double mutual_seconds = 0.0;    // parallel: mutual-unchoke recording
     double transfer_seconds = 0.0;  // whole transfer phase (compute + commit)
     double fold_seconds = 0.0;      // parallel: rate smoothing fold
@@ -810,8 +810,7 @@ class Swarm {
       : config_(config),
         rng_(rng),
         picker_(config.num_pieces),
-        have_(config.num_pieces),
-        reserved_scratch_(config.num_pieces) {}
+        have_(config.num_pieces) {}
   /// The one loader behind every resume path, stream or in-memory
   /// bytes (`override` may be null); defined in snapshot.cpp next to
   /// save().
@@ -825,7 +824,7 @@ class Swarm {
   /// snapshot would cost more than the serialization itself).
   [[nodiscard]] std::size_t snapshot_byte_bound() const;
 
-  struct TransferScratch;
+  struct RoundScratch;
 
   void choke_step();
   /// Score/select for one row, drawing from the row's per-peer stream;
@@ -840,13 +839,19 @@ class Swarm {
   /// Compute stage: plans sender p's whole round against the immutable
   /// phase-start snapshot (read-only on shared state), appending grants
   /// and the sender plan to the calling worker's `scratch`.
-  void plan_transfers(core::PeerId p, TransferScratch& scratch);
+  void plan_transfers(core::PeerId p, RoundScratch& scratch);
   /// Rarest-first pick for the compute stage: endgame reservations come
   /// from the phase-start in-flight snapshot and the lane's local
   /// completions are always excluded (via the chunk-private bitfield).
   [[nodiscard]] std::optional<PieceId> plan_pick(const detail::TransferLane& lane, Row qr,
-                                                Row pr, graph::Rng& rng,
-                                                TransferScratch& scratch);
+                                                Row pr, graph::Rng& rng, RoundScratch& scratch);
+  /// Fills `scratch.hungry` with sender row pr's active transfers: its
+  /// live unchoked neighbors that want data, as (receiver, sender-side
+  /// slot). Returns false when there are none.
+  bool collect_hungry(Row pr, RoundScratch& scratch) const;
+  /// Endgame request discipline: reserves in `scratch` every piece in
+  /// flight to receiver row qr from a neighbor other than slot_qp's.
+  void reserve_inflight(Row qr, std::size_t slot_qp, RoundScratch& scratch) const;
   /// Commit stage: replays every plan in sender order, validating each
   /// (sender, receiver) lane's grant chain against live state. Valid
   /// lanes apply verbatim; a stale lane (receiver departed, piece
@@ -963,25 +968,20 @@ class Swarm {
   // strat-lint: not-serialized -- host-side checkpoint policy
   // (autosave_every), never simulation state; a resumed run re-arms it.
   std::optional<Autosaver> autosaver_;
-  // Endgame-mode scratch: per-row count of inbound unchokes this round
-  // (row-indexed, compacted mid-round with the table), and a reusable
-  // exclusion bitfield for the request discipline (reserved_list_
-  // tracks its set bits for O(deg) clears).
+  // Endgame-mode per-row count of inbound unchokes this round
+  // (row-indexed, compacted mid-round with the table).
   // strat-lint: not-serialized -- rebuilt from unchoked_ every round
   std::vector<std::uint32_t> incoming_unchokes_;
-  // strat-lint: not-serialized -- sized by the ResumeTag ctor, cleared per use
-  Bitfield reserved_scratch_;
-  // strat-lint: not-serialized -- per-transfer scratch, cleared per use
-  std::vector<PieceId> reserved_list_;
   // Sender-order snapshot for transfer_step (externals stay valid
   // while completion departures compact rows mid-round).
   // strat-lint: not-serialized -- rebuilt at the top of every transfer_step
   std::vector<core::PeerId> order_scratch_;
-  // Per-chunk scratch of the transfer compute stage: the planned
-  // grants, the hungry/next-hungry redistribution lists (hoisted from
-  // per-call locals), per-receiver lane state and the pick exclusion
-  // bitfield. One instance per chunk, indexed by chunk id.
-  struct TransferScratch {
+  // One round's working buffers: the choke candidates, the planned
+  // grants and sender plans, the hungry/next-hungry redistribution
+  // lists, per-receiver lane state and the pick exclusion bitfield
+  // (reserved_list tracks its set bits for O(deg) clears).
+  struct RoundScratch {
+    std::vector<ChokeCandidate> candidates;
     std::vector<std::pair<core::PeerId, std::size_t>> hungry;       // (receiver, sender slot)
     std::vector<std::pair<core::PeerId, std::size_t>> next_hungry;
     std::vector<detail::TransferLane> lanes;
@@ -990,9 +990,28 @@ class Swarm {
     Bitfield reserved;  // sized lazily to num_pieces
     std::vector<PieceId> reserved_list;
     std::vector<PieceId> reserved_partials;  // soft tier, released on fallback
+
+    /// Clears every reservation (sizing the bitfield on first use).
+    void clear_reserved(std::size_t pieces) {
+      if (reserved.size() != pieces) reserved = Bitfield(pieces);
+      for (const PieceId piece : reserved_list) reserved.reset(piece);
+      reserved_list.clear();
+      reserved_partials.clear();
+    }
+    void reserve(PieceId piece) {
+      reserved.set(piece);
+      reserved_list.push_back(piece);
+    }
   };
-  // strat-lint: not-serialized -- per-worker compute scratch, cleared per phase
-  std::vector<TransferScratch> transfer_scratch_;
+  // One instance per chunk of the parallel row phases, indexed by chunk
+  // id: choke and transfer compute split the same rows at the same
+  // grain, so they share it.
+  // strat-lint: not-serialized -- per-chunk scratch, cleared per use
+  std::vector<RoundScratch> scratch_;
+  // The serial commit stage's instance (repair redistribution lists and
+  // the live pick's exclusion bitfield).
+  // strat-lint: not-serialized -- commit-stage scratch, cleared per use
+  RoundScratch commit_;
   // Per-plan lane table for the commit's validation pass, indexed by
   // the grants' plan-local lane ordinal: receiver, its sender-side
   // slot, its row as resolved at grouping time (rows cannot move
@@ -1010,21 +1029,6 @@ class Swarm {
   };
   // strat-lint: not-serialized -- commit-stage scratch, cleared per plan
   std::vector<CommitLane> commit_lanes_;
-  // Repair-path redistribution lists, (receiver, sender-side slot) like
-  // the per-chunk hungry scratch (hoisted members: the commit stage is
-  // caller-only, so one pair suffices).
-  // strat-lint: not-serialized -- cleared per use
-  std::vector<std::pair<core::PeerId, std::size_t>> hungry_scratch_;
-  // strat-lint: not-serialized -- cleared per use
-  std::vector<std::pair<core::PeerId, std::size_t>> next_hungry_scratch_;
-  // Per-chunk scratch for the parallel phases: one candidates buffer
-  // per choke chunk (the hoisted per-row allocation), one O(rows) tally
-  // vector per endgame-count chunk (that phase runs one chunk per
-  // worker). Sized lazily to the chunk count.
-  // strat-lint: not-serialized -- per-chunk scratch, resized to the chunk count
-  std::vector<std::vector<ChokeCandidate>> choke_scratch_;
-  // strat-lint: not-serialized -- per-chunk scratch, resized to the chunk count
-  std::vector<std::vector<std::uint32_t>> incoming_scratch_;
   // strat-lint: not-serialized -- wall-clock accounting, never simulation state
   PhaseProfile profile_;
 

@@ -135,11 +135,14 @@ TEST(Scenario, MultiSwarmLayoutAccounting) {
     EXPECT_NEAR(swarm.total_uploaded_kb, swarm.total_downloaded_kb, 1e-6);
   }
 
-  // Thread count must not change results.
-  const auto parallel = run_multi_swarm(spec, 17, 3);
-  EXPECT_EQ(serial.mean_single_home_kbps, parallel.mean_single_home_kbps);
-  EXPECT_EQ(serial.mean_multi_home_kbps, parallel.mean_multi_home_kbps);
-  for (std::size_t k = 0; k < 3; ++k) expect_same(serial.per_swarm[k], parallel.per_swarm[k]);
+  // Thread count must not change results (0 = one shard per hardware
+  // thread).
+  for (const std::size_t threads : {std::size_t{3}, std::size_t{0}}) {
+    const auto parallel = run_multi_swarm(spec, 17, threads);
+    EXPECT_EQ(serial.mean_single_home_kbps, parallel.mean_single_home_kbps) << threads;
+    EXPECT_EQ(serial.mean_multi_home_kbps, parallel.mean_multi_home_kbps) << threads;
+    for (std::size_t k = 0; k < 3; ++k) expect_same(serial.per_swarm[k], parallel.per_swarm[k]);
+  }
 
   // Capacity mismatch is rejected.
   spec.upload_kbps.pop_back();

@@ -225,9 +225,8 @@ TEST(SwarmChurn, ArrivalBandwidthModelSamplesPerArrival) {
   ChurnSpec spec;
   spec.arrivals = ChurnSpec::Arrivals::kPoisson;
   spec.arrival_rate = 2.0;
-  spec.arrival_bandwidth = ChurnSpec::ArrivalBandwidth::kModel;
   spec.arrival_model = BandwidthModel::saroiu2002();
-  // No pool needed in model mode.
+  // No pool needed with a model.
   ChurnDriver<Swarm> driver(spec, cfg, {}, rng);
   driver.attach(swarm);
   for (std::size_t r = 0; r < 30; ++r) {
@@ -254,12 +253,8 @@ TEST(SwarmChurn, ArrivalBandwidthModelValidation) {
   ChurnSpec spec;
   spec.arrivals = ChurnSpec::Arrivals::kPoisson;
   spec.arrival_rate = 1.0;
-  // Model mode without a model is rejected.
-  spec.arrival_bandwidth = ChurnSpec::ArrivalBandwidth::kModel;
+  // Arrivals with neither a capacity pool nor a model are rejected.
   graph::Rng rng(10);
-  EXPECT_THROW((ChurnDriver<Swarm>(spec, cfg, {}, rng)), std::invalid_argument);
-  // Pool mode without a pool is still rejected.
-  spec.arrival_bandwidth = ChurnSpec::ArrivalBandwidth::kCyclePool;
   EXPECT_THROW((ChurnDriver<Swarm>(spec, cfg, {}, rng)), std::invalid_argument);
 }
 

@@ -302,7 +302,6 @@ TEST(SwarmInvariants, FlatPlaneMatchesReferenceWithModelSampledArrivals) {
   ChurnSpec spec;
   spec.replacement_rate = 2.0;
   spec.arrival_completion = 0.4;
-  spec.arrival_bandwidth = ChurnSpec::ArrivalBandwidth::kModel;
   spec.arrival_model = BandwidthModel::saroiu2002();
   expect_equivalent_churned(cfg, spec, bandwidths(50), 85, 50);
 }

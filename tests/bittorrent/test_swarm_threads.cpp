@@ -40,7 +40,7 @@ SwarmConfig base_config(std::size_t peers) {
   cfg.piece_kb = 32.0;
   cfg.neighbor_degree = 14.0;
   cfg.initial_completion = 0.5;
-  cfg.endgame = true;           // the endgame count phase must fan out too
+  cfg.endgame = true;           // endgame picks read the serial incoming-unchoke count
   cfg.stay_as_seed = false;     // completion departures compact mid-round
   return cfg;
 }

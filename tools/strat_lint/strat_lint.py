@@ -24,8 +24,12 @@ strat-lint pins each contract with one rule:
   R2  parallel-rng       no use of the shared sequential ``rng_``
                          inside a ``sim::parallel_for`` or
                          ``sim::parallel_for_chunks`` lambda body, nor
-                         in same-file functions the lambda calls
-                         (parallel draws come from ``Rng::stream``).
+                         in same-file functions the lambda calls, and
+                         no call, draw or hand-off of any other
+                         ``graph::Rng`` the lambda body did not build
+                         itself (a captured parameter, local or
+                         member); parallel draws come from
+                         ``Rng::stream``.
   R3  banned-randomness  no ``std::random_device``, ``std::rand`` /
                          ``srand``, C ``time()``, or
                          ``std::chrono::system_clock`` anywhere —
@@ -265,7 +269,7 @@ def check_unordered_iter(path: Path, stripped: str, extra_decls: set[str]) -> li
 
 PARALLEL_CALL_RE = re.compile(r"\b(parallel_for(?:_chunks)?)\s*(?:<[^;{>]*>)?\s*\(")
 PARALLEL_LOOPS = {"parallel_for", "parallel_for_chunks"}
-LAMBDA_INTRO_RE = re.compile(r"\[[^\[\]]*\]\s*(?:\([^()]*\))?\s*(?:mutable\s*)?(?:noexcept\s*)?(?:->[^{]*)?\{")
+LAMBDA_INTRO_RE = re.compile(r"\[[^\[\]]*\]\s*(?:\(([^()]*)\))?\s*(?:mutable\s*)?(?:noexcept\s*)?(?:->[^{]*)?\{")
 SHARED_RNG_RE = re.compile(r"\brng_\b")
 CALLEE_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
 CXX_KEYWORDS = {
@@ -279,9 +283,9 @@ LOCAL_DECL_RE = re.compile(
     r"\s*[&*]?\s+(\w+)\s*(?:=|;|\{|\[)")
 
 
-def lambda_bodies(stripped: str) -> list[tuple[str, int, str]]:
-    """(loop name, body start offset, body text) of every lambda passed
-    to a parallel_for or parallel_for_chunks call."""
+def lambda_bodies(stripped: str) -> list[tuple[str, int, str, str]]:
+    """(loop name, body start offset, body text, parameter list) of every
+    lambda passed to a parallel_for or parallel_for_chunks call."""
     bodies = []
     for call in PARALLEL_CALL_RE.finditer(stripped):
         close = match_brace_like(stripped, call.end() - 1, "(", ")")
@@ -289,7 +293,8 @@ def lambda_bodies(stripped: str) -> list[tuple[str, int, str]]:
         for lam in LAMBDA_INTRO_RE.finditer(args):
             body_open = call.end() + lam.end() - 1
             body_close = match_brace(stripped, body_open)
-            bodies.append((call.group(1), body_open + 1, stripped[body_open + 1:body_close]))
+            bodies.append((call.group(1), body_open + 1, stripped[body_open + 1:body_close],
+                           lam.group(1) or ""))
     return bodies
 
 
@@ -318,9 +323,99 @@ def function_body(stripped: str, name: str) -> str | None:
     return None
 
 
-def check_parallel_lambdas(path: Path, stripped: str) -> list[Finding]:
+# A graph::Rng declaration: parameter, local or member. The name must be
+# followed by what can follow a declarator; `Rng::stream(...)` is a call.
+RNG_DECL_RE = re.compile(
+    r"\b(?:graph\s*::\s*)?Rng\b(?!\s*::)\s*(?:const\b\s*)?[&*]*\s*([A-Za-z_]\w*)\s*(?=[=;,)({\[])")
+AUTO_DECL_RE = re.compile(r"\bauto\s*[&*]*\s*([A-Za-z_]\w*)\s*(?=[=({])")
+PARAM_RE = re.compile(r"^\s*(?:const\s+)?[\w:<>]+(?:\s*[&*]+\s*|\s+)\w+\s*(?:=.*)?$")
+SCOPE_HEAD_RE = re.compile(r"\b(?:namespace|class|struct|union|enum|extern)\b")
+PARAM_NAME_RE = re.compile(r"(\w+)\s*(?:=[^,]*)?(?:,|$)")
+
+
+def rng_declarations(text: str, top_level_only: bool = False) -> set[str]:
+    """Names declared as a graph::Rng in `text` (comment-stripped).
+    `Rng name(...)` counts only when the parentheses hold an
+    initializer, not a parameter list (that is a function returning a
+    generator, such as a per-item stream factory). With
+    `top_level_only`, names inside parentheses (the parameters of a
+    function declaration) are skipped."""
+    names = set()
+    for m in RNG_DECL_RE.finditer(text):
+        if top_level_only and text.count("(", 0, m.start()) != text.count(")", 0, m.start()):
+            continue
+        after = m.end()
+        if text[after] == "(":
+            close = match_brace_like(text, after, "(", ")")
+            inner = text[after + 1:close]
+            if not inner.strip() or all(PARAM_RE.match(part) for part in inner.split(",")):
+                continue
+        names.add(m.group(1))
+    return names
+
+
+def function_spans(stripped: str) -> list[tuple[int, int, int]]:
+    """(head start, body open, body close) of every outermost function
+    body: a brace block that is not a namespace/class/struct/union/enum
+    body and does not sit inside another function. The head runs from
+    the end of the previous statement, so it holds the parameters."""
+    spans = []
+    head_start = 0
+    i = 0
+    while i < len(stripped):
+        c = stripped[i]
+        if c == "{":
+            if SCOPE_HEAD_RE.search(stripped, head_start, i):
+                head_start = i + 1  # scan on inside the scope block
+            else:
+                close = match_brace(stripped, i)
+                spans.append((head_start, i, close))
+                i = close
+                head_start = close + 1
+        elif c in ";}":
+            head_start = i + 1
+        i += 1
+    return spans
+
+
+def outside_spans(stripped: str, spans: list[tuple[int, int, int]]) -> str:
+    """`stripped` with every function (head and body) blanked out: the
+    namespace- and class-scope declarations."""
+    out = list(stripped)
+    for head, _, close in spans:
+        for k in range(head, close + 1):
+            if out[k] != "\n":
+                out[k] = " "
+    return "".join(out)
+
+
+def scope_rng_names(stripped: str) -> set[str]:
+    """graph::Rng members and globals of one translation unit."""
+    return rng_declarations(outside_spans(stripped, function_spans(stripped)),
+                            top_level_only=True)
+
+
+def outer_rng_uses(body: str, outer: set[str]) -> list[tuple[int, str, str]]:
+    """(offset, name, kind) of every call, draw or hand-off in a lambda
+    body of a generator from `outer` that the body does not declare
+    itself (as a lambda parameter, a graph::Rng or an auto local)."""
+    uses = []
+    for name in sorted(outer):
+        n = re.escape(name)
+        for kind, pattern in (
+                ("called", r"(?<![\w.:>])" + n + r"\s*\("),
+                ("drawn from", r"(?<![\w.:>])" + n + r"\s*(?:\.|->)\s*\w+\s*\("),
+                ("passed to a callee", r"[(,]\s*[&*]?\s*" + n + r"\s*(?=[,)])")):
+            uses += [(m.start(), name, kind) for m in re.finditer(pattern, body)]
+    return sorted(uses)
+
+
+def check_parallel_lambdas(path: Path, stripped: str,
+                           member_rngs: set[str] = frozenset()) -> list[Finding]:
     findings = []
-    for loop, body_start, body in lambda_bodies(stripped):
+    spans = function_spans(stripped)
+    scope_rngs = scope_rng_names(stripped) | set(member_rngs)
+    for loop, body_start, body, params in lambda_bodies(stripped):
         # R2: the shared sequential generator must never be touched
         # from a parallel worker.
         for m in SHARED_RNG_RE.finditer(body):
@@ -329,6 +424,18 @@ def check_parallel_lambdas(path: Path, stripped: str) -> list[Finding]:
                 f"shared sequential rng_ used inside a {loop} lambda: "
                 "draws become schedule-dependent; use a counter-based per-item "
                 "stream (Rng::stream(key, id, round)) instead"))
+        # R2, any other generator from outside the body: the enclosing
+        # function's parameters and earlier locals, members, globals.
+        head = next((h for h, _, close in spans if h < body_start <= close), body_start)
+        outer = rng_declarations(stripped[head:body_start - 1]) | scope_rngs
+        own = (set(PARAM_NAME_RE.findall(params)) | rng_declarations(body) |
+               set(AUTO_DECL_RE.findall(body)))
+        for offset, name, kind in outer_rng_uses(body, outer - own - {"rng_"}):
+            findings.append(Finding(
+                path, line_of(stripped, body_start + offset), R2,
+                f"graph::Rng '{name}' from outside a {loop} lambda is {kind} inside it: "
+                "draws become schedule-dependent; build a counter-based per-item "
+                "stream (Rng::stream(key, id, round)) inside the body instead"))
         # R2, one level deep: same-file functions the lambda calls.
         reported: set[str] = set()
         for m in CALLEE_RE.finditer(body):
@@ -635,16 +742,17 @@ class LintConfig:
     unordered_roots: tuple[str, ...] = ("src",)
 
 
-def companion_header_decls(path: Path) -> set[str]:
-    """Unordered-container declarations from the same-stem header, so a
-    member declared in foo.hpp is recognized when foo.cpp iterates it."""
+def companion_header(path: Path) -> str:
+    """Comment-stripped text of the same-stem header of a source file
+    ('' when there is none), so members declared in foo.hpp are known
+    when foo.cpp uses them."""
     if path.suffix not in {".cpp", ".cc", ".cxx"}:
-        return set()
+        return ""
     for suffix in (".hpp", ".hh", ".h"):
         header = path.with_suffix(suffix)
         if header.is_file():
-            return unordered_names(strip_comments(header.read_text()))
-    return set()
+            return strip_comments(header.read_text())
+    return ""
 
 
 def lint_file(path: Path, cfg: LintConfig) -> list[Finding]:
@@ -654,10 +762,11 @@ def lint_file(path: Path, cfg: LintConfig) -> list[Finding]:
     rel = path.resolve()
     under_unordered_scope = any(
         (cfg.root / r).resolve() in rel.parents for r in cfg.unordered_roots)
+    header = companion_header(path)
     if R1 in cfg.rules and under_unordered_scope:
-        findings += check_unordered_iter(path, stripped, companion_header_decls(path))
+        findings += check_unordered_iter(path, stripped, unordered_names(header))
     if R2 in cfg.rules or R5 in cfg.rules:
-        lamb = check_parallel_lambdas(path, stripped)
+        lamb = check_parallel_lambdas(path, stripped, scope_rng_names(header))
         findings += [f for f in lamb if f.rule in cfg.rules]
     if R3 in cfg.rules:
         findings += check_banned_randomness(path, stripped)

@@ -12,6 +12,7 @@ namespace fixture {
 
 struct Rng {
   static Rng stream(std::uint64_t key, std::uint64_t id, std::uint64_t round);
+  std::uint64_t operator()();
   double uniform();
 };
 
@@ -65,6 +66,14 @@ void deterministic_replications(std::vector<double>& out, unsigned threads,
                                 std::uint64_t key) {
   parallel_for(out.size(), threads, [&](std::size_t i) {
     Rng stream = Rng::stream(key, i, 0);
+    out[i] = stream.uniform();
+  });
+}
+
+void keyed_replications(std::vector<double>& out, unsigned threads, Rng& rng) {
+  const std::uint64_t key = rng();  // the caller's generator, drawn before the fan-out
+  parallel_for(out.size(), threads, [&](std::size_t i) {
+    auto stream = Rng::stream(key, i, 0);  // built inside the body
     out[i] = stream.uniform();
   });
 }

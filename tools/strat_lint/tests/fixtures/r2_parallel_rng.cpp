@@ -1,14 +1,20 @@
 // Fixture: seeded R2 violations — shared sequential RNG touched from a
 // parallel_for_chunks worker, directly and via a callee, and from a
-// parallel_for worker.
+// parallel_for worker; and a caller's generator, captured by a
+// parallel_for worker, called, drawn from and handed to a callee.
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace fixture {
 
 struct Rng {
+  explicit Rng(std::uint64_t seed);
+  std::uint64_t operator()();
   double uniform();
 };
+
+double draw_with(Rng& gen);
 
 template <typename Body>
 void parallel_for(std::size_t count, unsigned threads, Body body);
@@ -39,5 +45,13 @@ struct Phase {
     });
   }
 };
+
+void replicate_from_caller(std::vector<double>& out, unsigned threads, Rng& rng) {
+  parallel_for(out.size(), threads, [&](std::size_t i) {
+    Rng stream(rng());                          // VIOLATION: caller generator called
+    out[i] = stream.uniform() + rng.uniform();  // VIOLATION: caller generator drawn from
+    out[i] += draw_with(rng);                   // VIOLATION: caller generator handed on
+  });
+}
 
 }  // namespace fixture

@@ -10,9 +10,10 @@ Three layers:
   * repo regression — the real tree under ``src/``, ``bench/``,
     ``tests/`` is clean, so any new violation fails tier-1;
   * deletion demos — deleting a serialized ``Swarm`` member's save line
-    from a copy of ``snapshot.cpp`` makes R4 fire, and putting a
+    from a copy of ``snapshot.cpp`` makes R4 fire, putting a
     ``std::thread`` worker back into a copy of ``monte_carlo.cpp`` makes
-    R6 fire, without running a single simulation.
+    R6 fire, and seeding a realization from the caller's generator in
+    such a copy makes R2 fire, without running a single simulation.
 """
 
 from __future__ import annotations
@@ -69,6 +70,14 @@ class FixtureDetectionTest(unittest.TestCase):
         self.assertTrue(any("shared sequential rng_" in m for m in messages))
         self.assertTrue(any("draw_helper()" in m for m in messages))
         self.assertTrue(any("inside a parallel_for lambda" in m for m in messages))
+
+    def test_r2_captured_caller_generator(self):
+        findings = self.lint_fixture("r2_parallel_rng.cpp")
+        caller = [f.message for f in findings if "graph::Rng 'rng'" in f.message]
+        for kind in ("is called", "is drawn from", "is passed to a callee"):
+            self.assertTrue(any(kind in m for m in caller), kind)
+        # The generator the body builds itself stays legal.
+        self.assertFalse(any("'stream'" in f.message for f in findings))
 
     def test_r3_banned_randomness(self):
         findings = self.lint_fixture("r3_banned_randomness.cpp")
@@ -246,6 +255,30 @@ class RawThreadDemoTest(unittest.TestCase):
         self.assertEqual(
             {f.path.name for f in findings}, {"monte_carlo.cpp"},
             "R6 must flag the std::thread worker and nothing in the pool: " +
+            "; ".join(f.message for f in findings))
+
+
+class ParallelRngDemoTest(unittest.TestCase):
+    """Acceptance demo: seeding each Monte-Carlo realization from the
+    caller's generator instead of its own counter stream makes R2 fail
+    locally, before any simulation runs."""
+
+    REL = "src/analysis/monte_carlo.cpp"
+    STREAM = "graph::Rng stream = graph::Rng::stream(key, r, 0);"
+
+    def test_caller_generator_in_realization_fires_r2(self):
+        with tempfile.TemporaryDirectory() as tmpdir:
+            tmp = Path(tmpdir)
+            estimator = tmp / self.REL
+            estimator.parent.mkdir(parents=True)
+            text = (REPO_ROOT / self.REL).read_text()
+            self.assertEqual(text.count(self.STREAM), 1)
+            estimator.write_text(text.replace(self.STREAM, "graph::Rng stream(rng());"))
+            findings = lint_file(estimator, LintConfig(root=tmp, rules={R2}))
+        self.assertTrue(
+            any(f.rule == R2 and "graph::Rng 'rng'" in f.message and "is called" in f.message
+                for f in findings),
+            "R2 must flag the realization drawing from the caller's rng: " +
             "; ".join(f.message for f in findings))
 
 
