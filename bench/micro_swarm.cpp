@@ -405,12 +405,13 @@ BENCHMARK(BM_SwarmSnapshot)
 // BM_TrackerSimShards sweeps shards {1, 2, 4, 8} over ecosystems of
 // 10 / 100 / 1000 churned multi-torrent swarms. One item = one
 // whole-swarm round, so items_per_second is the tracker's swarm-round
-// throughput. The counters split each round the way the sharding
-// model does: barrier_ms is the serial tracker phase (registry prune,
-// capacity re-split, Zipf arrivals), shard_ms the parallel fan-out,
-// and imbalance_ms the max-min shard wall-clock spread — the number
-// that says whether round-robin swarm assignment is leaving cores
-// idle. Runs are bitwise identical across the shard sweep (the
+// throughput. The counters split each round in two: barrier_ms is the
+// serial tracker phase (registry prune, capacity re-split, Zipf
+// arrivals), shard_ms the wall time of the member-swarm fan-out, and
+// imbalance_ms the time an average worker sat idle inside that fan-out
+// (its wall minus the summed per-swarm walls over the worker count) —
+// what on-demand claiming still leaves unused while the last swarms
+// finish. Runs are bitwise identical across the shard sweep (the
 // test-suite contract); only the wall clock may move.
 
 bt::SwarmConfig tracker_member_config() {
@@ -484,7 +485,8 @@ BENCHMARK(BM_TrackerSimShards)
 // acceptance bar keeps BM_TrackerClosedRounds within 10% of
 // BM_SerialSwarmLoopRounds: the registry barrier and the inline
 // shards=1 fan-out must cost noise, not a tax, when the tracker adds
-// nothing.
+// nothing. One 20-round window swings by more than the bar from run to
+// run, so both take 10 repetitions; compare their _median rows.
 
 void BM_TrackerClosedRounds(benchmark::State& state) {
   constexpr std::size_t kSwarms = 100;
@@ -502,7 +504,10 @@ void BM_TrackerClosedRounds(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kSwarms));
 }
-BENCHMARK(BM_TrackerClosedRounds)->Iterations(20)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TrackerClosedRounds)
+    ->Iterations(20)
+    ->Repetitions(10)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_SerialSwarmLoopRounds(benchmark::State& state) {
   constexpr std::size_t kSwarms = 100;
@@ -536,7 +541,10 @@ void BM_SerialSwarmLoopRounds(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kSwarms));
 }
-BENCHMARK(BM_SerialSwarmLoopRounds)->Iterations(20)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SerialSwarmLoopRounds)
+    ->Iterations(20)
+    ->Repetitions(10)
+    ->Unit(benchmark::kMillisecond);
 
 // Fault-injection cost: the BM_SwarmRound workload with the fault
 // model off (arg 0 — must stay within noise of BM_SwarmRound/5000,

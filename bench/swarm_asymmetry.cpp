@@ -8,6 +8,7 @@
 // leech rates, and the stratification window metrics per grid point.
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -40,9 +41,8 @@ int main(int argc, char** argv) {
   std::vector<std::uint64_t> seeds(reps);
   for (std::size_t i = 0; i < reps; ++i) seeds[i] = base_seed + i;
 
-  sim::Table table({"seeds", "seed capacity (x median)", "completed", "mean completion round",
-                    "mean leech kbps", "top decile kbps", "bottom decile kbps",
-                    "partner-rank corr", "mean |offset|/n"});
+  std::vector<bt::SwarmScenario> grid;
+  std::vector<std::vector<std::string>> labels;
   for (const std::size_t seed_count : {1u, 2u, 4u}) {
     for (const double factor : {0.25, 1.0, 4.0}) {
       bt::SwarmScenario scenario;
@@ -58,31 +58,29 @@ int main(int argc, char** argv) {
       scenario.upload_kbps = bw;
       scenario.warmup_rounds = warmup;
       scenario.measure_rounds = window;
-      const auto results = bt::run_replications(scenario, seeds, threads);
-
-      double completed = 0.0;
-      double completion_round = 0.0;
-      double mean_kbps = 0.0;
-      double top = 0.0;
-      double bottom = 0.0;
-      double corr = 0.0;
-      double offset = 0.0;
-      for (const auto& r : results) {
-        completed += static_cast<double>(r.completed_leechers);
-        completion_round += r.mean_completion_round;
-        mean_kbps += r.mean_leech_kbps;
-        top += r.top_decile_kbps;
-        bottom += r.bottom_decile_kbps;
-        corr += r.strat.partner_rank_correlation;
-        offset += r.strat.mean_normalized_offset;
-      }
-      const auto n = static_cast<double>(results.size());
-      table.add_row({std::to_string(seed_count), sim::fmt(factor, 2),
-                     sim::fmt(completed / n, 1), sim::fmt(completion_round / n, 1),
-                     sim::fmt(mean_kbps / n, 0), sim::fmt(top / n, 0),
-                     sim::fmt(bottom / n, 0), sim::fmt(corr / n, 3),
-                     sim::fmt(offset / n, 3)});
+      grid.push_back(scenario);
+      labels.push_back({std::to_string(seed_count), sim::fmt(factor, 2)});
     }
+  }
+  const auto runs = bt::run_replications(grid, seeds, threads);
+
+  using R = bt::ScenarioResult;
+  const auto corr = [](const R& r) { return r.strat.partner_rank_correlation; };
+  const auto offset = [](const R& r) { return r.strat.mean_normalized_offset; };
+  sim::Table table({"seeds", "seed capacity (x median)", "completed", "mean completion round",
+                    "mean leech kbps", "top decile kbps", "bottom decile kbps",
+                    "partner-rank corr", "mean |offset|/n"});
+  for (std::size_t p = 0; p < grid.size(); ++p) {
+    const auto& point = runs[p];
+    std::vector<std::string> row = labels[p];
+    row.insert(row.end(), {sim::fmt(bench::mean(point, &R::completed_leechers), 1),
+                           sim::fmt(bench::mean(point, &R::mean_completion_round), 1),
+                           sim::fmt(bench::mean(point, &R::mean_leech_kbps), 0),
+                           sim::fmt(bench::mean(point, &R::top_decile_kbps), 0),
+                           sim::fmt(bench::mean(point, &R::bottom_decile_kbps), 0),
+                           sim::fmt(bench::mean(point, corr), 3),
+                           sim::fmt(bench::mean(point, offset), 3)});
+    table.add_row(std::move(row));
   }
   bench::emit(cli, table);
   bench::out(cli) << "\n(starved seeds depress everyone but hit the slow deciles least — they\n"

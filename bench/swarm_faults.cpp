@@ -8,7 +8,8 @@
 // peers accumulate) crossed with per-lane transfer loss, plus a second
 // table over connect-level faults (flaky dials and NAT-ed
 // populations). Each point runs replacement churn through the dynamic
-// overlay and averages parallel replications. Output: fault
+// overlay and averages replications; each table is one grid of
+// (point, seed) runs. Output: fault
 // accounting (failed/retried announces, lost lanes, connect failures)
 // next to the stratification window metrics, so the rank correlation
 // can be read directly against the injected fault intensity.
@@ -19,51 +20,6 @@
 #include "bittorrent/bandwidth.hpp"
 #include "bittorrent/scenario.hpp"
 #include "sim/parallel.hpp"
-
-namespace {
-
-struct FaultAverages {
-  double arrivals = 0.0;
-  double completed = 0.0;
-  double mean_kbps = 0.0;
-  double corr = 0.0;
-  double offset = 0.0;
-  double failed_announces = 0.0;
-  double retries = 0.0;
-  double connect_failures = 0.0;
-  double nat_rejections = 0.0;
-  double lost_lanes = 0.0;
-};
-
-FaultAverages average(const std::vector<strat::bt::ScenarioResult>& results) {
-  FaultAverages a;
-  for (const auto& r : results) {
-    a.arrivals += static_cast<double>(r.arrivals);
-    a.completed += static_cast<double>(r.completed_leechers);
-    a.mean_kbps += r.mean_leech_kbps;
-    a.corr += r.strat.partner_rank_correlation;
-    a.offset += r.strat.mean_normalized_offset;
-    a.failed_announces += static_cast<double>(r.fault_failed_announces);
-    a.retries += static_cast<double>(r.fault_retries);
-    a.connect_failures += static_cast<double>(r.fault_connect_failures);
-    a.nat_rejections += static_cast<double>(r.fault_nat_rejections);
-    a.lost_lanes += static_cast<double>(r.fault_lost_lanes);
-  }
-  const auto n = static_cast<double>(results.size());
-  a.arrivals /= n;
-  a.completed /= n;
-  a.mean_kbps /= n;
-  a.corr /= n;
-  a.offset /= n;
-  a.failed_announces /= n;
-  a.retries /= n;
-  a.connect_failures /= n;
-  a.nat_rejections /= n;
-  a.lost_lanes /= n;
-  return a;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace strat;
@@ -101,10 +57,12 @@ int main(int argc, char** argv) {
   base.churn.arrival_completion = 0.5;
   base.churn.reannounce_interval = 10;
 
+  using R = bt::ScenarioResult;
+  const auto corr = [](const R& r) { return r.strat.partner_rank_correlation; };
+  const auto offset = [](const R& r) { return r.strat.mean_normalized_offset; };
+
   // --- outage frequency x lane loss ----------------------------------
-  sim::Table table({"outage period", "down frac", "lane loss", "arrivals",
-                    "failed announces", "retries", "lost lanes", "completed",
-                    "mean leech kbps", "partner-rank corr", "mean |offset|/n"});
+  std::vector<bt::SwarmScenario> grid;
   for (const std::size_t period : {std::size_t{0}, std::size_t{20}, std::size_t{10},
                                    std::size_t{5}}) {
     for (const double loss : {0.0, 0.02, 0.1}) {
@@ -115,17 +73,30 @@ int main(int argc, char** argv) {
       scenario.config.faults.outage_period = period;
       scenario.config.faults.outage_duration = period * 2 / 5;
       scenario.config.faults.lane_loss_prob = loss;
-      const auto avg = average(bt::run_replications(scenario, seeds, threads));
-      const double down_frac =
-          period == 0 ? 0.0
-                      : static_cast<double>(period * 2 / 5) / static_cast<double>(period);
-      table.add_row({period == 0 ? "none" : sim::fmt(static_cast<double>(period), 0),
-                     sim::fmt(down_frac, 2), sim::fmt(loss, 2), sim::fmt(avg.arrivals, 0),
-                     sim::fmt(avg.failed_announces, 0), sim::fmt(avg.retries, 0),
-                     sim::fmt(avg.lost_lanes, 0), sim::fmt(avg.completed, 0),
-                     sim::fmt(avg.mean_kbps, 0), sim::fmt(avg.corr, 3),
-                     sim::fmt(avg.offset, 3)});
+      grid.push_back(scenario);
     }
+  }
+  const auto runs = bt::run_replications(grid, seeds, threads);
+  sim::Table table({"outage period", "down frac", "lane loss", "arrivals",
+                    "failed announces", "retries", "lost lanes", "completed",
+                    "mean leech kbps", "partner-rank corr", "mean |offset|/n"});
+  for (std::size_t p = 0; p < grid.size(); ++p) {
+    const bt::FaultSpec& faults = grid[p].config.faults;
+    const std::size_t period = faults.outage_period;
+    const double down_frac =
+        period == 0 ? 0.0
+                    : static_cast<double>(faults.outage_duration) / static_cast<double>(period);
+    const auto& point = runs[p];
+    table.add_row({period == 0 ? "none" : sim::fmt(static_cast<double>(period), 0),
+                   sim::fmt(down_frac, 2), sim::fmt(faults.lane_loss_prob, 2),
+                   sim::fmt(bench::mean(point, &R::arrivals), 0),
+                   sim::fmt(bench::mean(point, &R::fault_failed_announces), 0),
+                   sim::fmt(bench::mean(point, &R::fault_retries), 0),
+                   sim::fmt(bench::mean(point, &R::fault_lost_lanes), 0),
+                   sim::fmt(bench::mean(point, &R::completed_leechers), 0),
+                   sim::fmt(bench::mean(point, &R::mean_leech_kbps), 0),
+                   sim::fmt(bench::mean(point, corr), 3),
+                   sim::fmt(bench::mean(point, offset), 3)});
   }
   bench::emit(cli, table);
   bench::out(cli) << "\n(tracker outages starve joiners of neighbors until backoff retries\n"
@@ -134,20 +105,29 @@ int main(int argc, char** argv) {
                      " degrades smoothly with fault intensity instead of collapsing)\n\n";
 
   // --- connect-level faults: flaky dials x NAT-ed fraction ------------
-  sim::Table connects({"connect fail prob", "nat fraction", "connect failures",
-                       "nat rejections", "arrivals", "completed", "mean leech kbps",
-                       "partner-rank corr"});
+  std::vector<bt::SwarmScenario> connect_grid;
   for (const double fail : {0.0, 0.2, 0.5}) {
     for (const double nat : {0.0, 0.25, 0.5}) {
       bt::SwarmScenario scenario = base;
       scenario.config.faults.connect_failure_prob = fail;
       scenario.config.faults.nat_fraction = nat;
-      const auto avg = average(bt::run_replications(scenario, seeds, threads));
-      connects.add_row({sim::fmt(fail, 2), sim::fmt(nat, 2),
-                        sim::fmt(avg.connect_failures, 0), sim::fmt(avg.nat_rejections, 0),
-                        sim::fmt(avg.arrivals, 0), sim::fmt(avg.completed, 0),
-                        sim::fmt(avg.mean_kbps, 0), sim::fmt(avg.corr, 3)});
+      connect_grid.push_back(scenario);
     }
+  }
+  const auto connect_runs = bt::run_replications(connect_grid, seeds, threads);
+  sim::Table connects({"connect fail prob", "nat fraction", "connect failures",
+                       "nat rejections", "arrivals", "completed", "mean leech kbps",
+                       "partner-rank corr"});
+  for (std::size_t p = 0; p < connect_grid.size(); ++p) {
+    const bt::FaultSpec& faults = connect_grid[p].config.faults;
+    const auto& point = connect_runs[p];
+    connects.add_row({sim::fmt(faults.connect_failure_prob, 2), sim::fmt(faults.nat_fraction, 2),
+                      sim::fmt(bench::mean(point, &R::fault_connect_failures), 0),
+                      sim::fmt(bench::mean(point, &R::fault_nat_rejections), 0),
+                      sim::fmt(bench::mean(point, &R::arrivals), 0),
+                      sim::fmt(bench::mean(point, &R::completed_leechers), 0),
+                      sim::fmt(bench::mean(point, &R::mean_leech_kbps), 0),
+                      sim::fmt(bench::mean(point, corr), 3)});
   }
   bench::emit(cli, connects);
   bench::out(cli) << "\n(flaky dials and NAT-ed candidates thin the overlay acceptance graph\n"

@@ -44,8 +44,7 @@ int main(int argc, char** argv) {
   policies.push_back({"uniform b=5", {}, 5});
   policies.push_back({"capacity-scaled 1..8", bt::capacity_scaled_slots(bw, 1, 8), 0});
 
-  sim::Table table({"policy", "mean leech kbps", "top decile kbps", "bottom decile kbps",
-                    "top/bottom", "partner-rank corr", "mean |offset|/n"});
+  std::vector<bt::SwarmScenario> grid;
   for (const Policy& policy : policies) {
     bt::SwarmScenario scenario;
     scenario.config.num_peers = peers;
@@ -62,25 +61,25 @@ int main(int argc, char** argv) {
     scenario.upload_kbps = bw;
     scenario.warmup_rounds = warmup;
     scenario.measure_rounds = window;
-    const auto results = bt::run_replications(scenario, seeds, threads);
+    grid.push_back(scenario);
+  }
+  const auto runs = bt::run_replications(grid, seeds, threads);
 
-    double mean_kbps = 0.0;
-    double top = 0.0;
-    double bottom = 0.0;
-    double corr = 0.0;
-    double offset = 0.0;
-    for (const auto& r : results) {
-      mean_kbps += r.mean_leech_kbps;
-      top += r.top_decile_kbps;
-      bottom += r.bottom_decile_kbps;
-      corr += r.strat.partner_rank_correlation;
-      offset += r.strat.mean_normalized_offset;
-    }
-    const auto n = static_cast<double>(results.size());
-    const double spread = bottom > 0.0 ? top / bottom : 0.0;
-    table.add_row({policy.name, sim::fmt(mean_kbps / n, 0), sim::fmt(top / n, 0),
-                   sim::fmt(bottom / n, 0), sim::fmt(spread, 2), sim::fmt(corr / n, 3),
-                   sim::fmt(offset / n, 3)});
+  using R = bt::ScenarioResult;
+  const auto corr = [](const R& r) { return r.strat.partner_rank_correlation; };
+  const auto offset = [](const R& r) { return r.strat.mean_normalized_offset; };
+  sim::Table table({"policy", "mean leech kbps", "top decile kbps", "bottom decile kbps",
+                    "top/bottom", "partner-rank corr", "mean |offset|/n"});
+  for (std::size_t p = 0; p < grid.size(); ++p) {
+    const auto& point = runs[p];
+    // A ratio of sums, as pinned: a ratio of means can round differently.
+    const double top = bench::sum(point, &R::top_decile_kbps);
+    const double bottom = bench::sum(point, &R::bottom_decile_kbps);
+    table.add_row({policies[p].name, sim::fmt(bench::mean(point, &R::mean_leech_kbps), 0),
+                   sim::fmt(bench::mean(point, &R::top_decile_kbps), 0),
+                   sim::fmt(bench::mean(point, &R::bottom_decile_kbps), 0),
+                   sim::fmt(bottom > 0.0 ? top / bottom : 0.0, 2),
+                   sim::fmt(bench::mean(point, corr), 3), sim::fmt(bench::mean(point, offset), 3)});
   }
   bench::emit(cli, table);
   bench::out(cli)

@@ -134,13 +134,21 @@ ScenarioResult run_scenario(const SwarmScenario& scenario, std::uint64_t seed) {
   return summarize(swarm, seed);
 }
 
+std::vector<std::vector<ScenarioResult>> run_replications(std::span<const SwarmScenario> grid,
+                                                          std::span<const std::uint64_t> seeds,
+                                                          std::size_t threads) {
+  const std::size_t n = seeds.size();
+  std::vector<std::vector<ScenarioResult>> results(grid.size(), std::vector<ScenarioResult>(n));
+  sim::parallel_for(grid.size() * n, threads, [&](std::size_t t) {
+    results[t / n][t % n] = run_scenario(grid[t / n], seeds[t % n]);
+  });
+  return results;
+}
+
 std::vector<ScenarioResult> run_replications(const SwarmScenario& scenario,
                                              std::span<const std::uint64_t> seeds,
                                              std::size_t threads) {
-  std::vector<ScenarioResult> results(seeds.size());
-  sim::parallel_for(seeds.size(), threads,
-                    [&](std::size_t i) { results[i] = run_scenario(scenario, seeds[i]); });
-  return results;
+  return std::move(run_replications(std::span(&scenario, 1), seeds, threads).front());
 }
 
 std::vector<std::size_t> capacity_scaled_slots(const std::vector<double>& upload_kbps,

@@ -5,9 +5,9 @@
 // run_scenario() executes one seeded run and distills the aggregates
 // the §6 validation cares about (completion, leech-phase rates by
 // capacity decile, stratification, availability dispersion).
-// run_replications() fans independent seeds out over a thread pool
-// (sim::parallel_for) — results are deterministic per seed regardless
-// of the thread count.
+// run_replications() runs every (grid point, seed) pair of a scenario
+// grid as one sim::parallel_for task, claimed on demand — results are
+// deterministic per pair regardless of the thread count.
 //
 // ChurnSpec + ChurnDriver turn the closed swarm into an open system:
 // they mirror core/churn.hpp's replacement/removal/arrival event
@@ -357,8 +357,16 @@ struct ScenarioResult {
 /// churn schedule included.
 [[nodiscard]] ScenarioResult run_scenario(const SwarmScenario& scenario, std::uint64_t seed);
 
-/// Runs one replication per seed, distributed over `threads` workers.
-/// Results are indexed like `seeds` and independent of `threads`.
+/// Runs one replication per (grid point, seed) pair: each pair is one
+/// task, and up to `threads` workers claim them on demand in
+/// point-major order. results[p][i] is run_scenario(grid[p], seeds[i]),
+/// independent of `threads`; an empty `seeds` gives one empty vector
+/// per point.
+[[nodiscard]] std::vector<std::vector<ScenarioResult>> run_replications(
+    std::span<const SwarmScenario> grid, std::span<const std::uint64_t> seeds,
+    std::size_t threads = 1);
+
+/// The one-point grid: results are indexed like `seeds`.
 [[nodiscard]] std::vector<ScenarioResult> run_replications(const SwarmScenario& scenario,
                                                            std::span<const std::uint64_t> seeds,
                                                            std::size_t threads = 1);

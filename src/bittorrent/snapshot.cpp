@@ -259,46 +259,8 @@ constexpr std::size_t kMirrorAhead = 8;
 
 }  // namespace
 
-void Swarm::save(std::ostream& out) const {
-  std::string section;
-  save(section);
-  snapshot_detail::write_section(out, section, "snapshot");
-}
-
-void Swarm::save(std::string& out) const {
-  out.reserve(out.size() + snapshot_byte_bound());
-  Writer w(out);
-  save_impl(w);
-}
-
-std::size_t Swarm::snapshot_byte_bound() const {
-  // Every record is counted by its own field list, the arrays by their
-  // element widths (the slot pool rounded up to 48 bytes a slot). The
-  // bound must never fall short, or one mid-save doubling re-copies the
-  // whole buffer. Slack covers the header, tags and length prefixes.
-  snapshot_detail::Sizer z;
-  swarm_config_fields(z, config_);
-  for (const PeerStats& st : stats_) peer_stats_fields(z, st);
-  for (const TftChoker& choker : chokers_) {
-    const TftChoker::State cs = choker.state();
-    choker_state_fields(z, cs);
-  }
-  for (const auto& partial : partial_) z.list(partial, 0, nullptr, kPartialPiece);
-  for (const PeerStats& st : retired_stats_) peer_stats_fields(z, st);
-  z.list(retired_mutual_, 0, nullptr, kRetiredPair);
-  fault_state_fields(z, faults_);
-
-  const std::size_t rows = table_.size();
-  const std::size_t bitfield_bytes = ((config_.num_pieces + 63) / 64) * 8;
-  std::size_t b = 1024 + z.size();
-  b += rows * (16 + bitfield_bytes + 16);  // id + generation, bitfield, two prefixes
-  b += edge_peer_.size() * 48 + free_slots_.size() * 8;  // edge-slot pool arrays
-  for (std::size_t r = 0; r < rows; ++r) b += unchoked_[r].size() * 4 + nbr_[r].size() * 8;
-  b += retired_stats_.size() * 4 + static_cast<std::size_t>(config_.num_pieces) * 4;
-  return b;
-}
-
-void Swarm::save_impl(Writer& w) const {
+template <class Out>
+void Swarm::save_impl(Out& w) const {
   w.u64(kSnapshotMagic);
   w.u32(kSnapshotVersion);
 
@@ -385,6 +347,23 @@ void Swarm::save_impl(Writer& w) const {
   fault_state_fields(w, faults_);
 
   w.finish();
+}
+
+void Swarm::save(std::ostream& out) const {
+  std::string section;
+  save(section);
+  snapshot_detail::write_section(out, section, "snapshot");
+}
+
+void Swarm::save(std::string& out) const {
+  // Size the snapshot with the same walk that writes it, so the buffer
+  // is reserved once: a mid-save doubling would re-copy a 10^5-peer
+  // snapshot, which costs more than the serialization itself.
+  snapshot_detail::Sizer size;
+  save_impl(size);
+  out.reserve(out.size() + size.size());
+  Writer w(out);
+  save_impl(w);
 }
 
 Swarm Swarm::resume(std::istream& in, graph::Rng& rng) {
@@ -701,7 +680,7 @@ Swarm Swarm::resume_impl(Reader& r, graph::Rng& rng, const SwarmConfig* override
 
 std::string save_to_string(const Swarm& swarm) {
   std::string out;
-  swarm.save(out);  // reserves its snapshot_byte_bound() up front
+  swarm.save(out);  // reserves the exact snapshot size up front
   return out;
 }
 

@@ -32,7 +32,7 @@
 // `<record>_fields(io, record)` template (snapshot.cpp; rng_state_fields
 // and churn_deadline_fields below; tracker_sim.cpp), driven through the
 // Writer, the Reader and the byte-counting Sizer, so save, load and the
-// save-buffer bound cannot disagree about a field.
+// save-buffer size cannot disagree about a field.
 //
 // Loading rejects bad magic, unknown versions, truncation, checksum
 // mismatches, a config the constructors would refuse, list counts the
@@ -156,23 +156,31 @@ inline std::uint64_t fold_bytes(std::uint64_t hash, const void* data, std::size_
   return hash;
 }
 
-/// Byte counter with the Writer's field interface: a field list driven
-/// through it yields the exact encoded size of a record.
+/// Byte counter with the Writer's interface: a field list, or a whole
+/// save_impl(), driven through it yields the exact encoded size.
 class Sizer {
  public:
+  void bytes(const void* /*data*/, std::size_t n) { n_ += n; }
   void u32(std::uint32_t /*v*/) { n_ += 4; }
   void u64(std::uint64_t /*v*/) { n_ += 8; }
   void f64(double /*v*/) { n_ += 8; }
+  void tag(std::uint32_t /*t*/) { n_ += 4; }
   void flag(bool /*v*/) { n_ += 1; }
   template <typename T>
+  void pod_span(const T* /*data*/, std::size_t n) {
+    n_ += 8 + n * sizeof(T);
+  }
+  template <typename T>
   void pod(const std::vector<T>& v, std::size_t /*max*/, const char* /*what*/) {
-    n_ += 8 + v.size() * sizeof(T);
+    pod_span(v.data(), v.size());
   }
   template <typename Range, typename Elem>
   void list(const Range& v, std::size_t /*max*/, const char* /*what*/, Elem elem) {
     n_ += 8;
     for (const auto& x : v) elem(*this, x);
   }
+  /// The checksum footer.
+  void finish() { n_ += 8; }
   [[nodiscard]] std::size_t size() const noexcept { return n_; }
 
  private:

@@ -533,7 +533,6 @@ inline std::size_t rebuild_bandwidth_ranks(const std::vector<PeerStats>& stats,
 
 /// The simulator.
 namespace snapshot_detail {
-class Writer;  // snapshot.hpp — save_impl() serializes through it
 class Reader;  // snapshot.hpp — resume_impl() loads through it
 }  // namespace snapshot_detail
 class ResumedSwarm;  // snapshot.hpp — resumes from bytes in memory
@@ -817,12 +816,10 @@ class Swarm {
   [[nodiscard]] static Swarm resume_impl(snapshot_detail::Reader& r, graph::Rng& rng,
                                          const SwarmConfig* override_config);
   friend class ResumedSwarm;  // its in-memory constructor calls resume_impl
-  /// Shared body behind both save() overloads; defined in snapshot.cpp.
-  void save_impl(snapshot_detail::Writer& w) const;
-  /// Cheap upper bound on save()'s byte count, so the string overload
-  /// reserves once (mid-save reallocation copies of a 10^5-peer
-  /// snapshot would cost more than the serialization itself).
-  [[nodiscard]] std::size_t snapshot_byte_bound() const;
+  /// Shared body behind both save() overloads, driven through a
+  /// snapshot_detail::Sizer and then a Writer; defined in snapshot.cpp.
+  template <class Out>
+  void save_impl(Out& w) const;
 
   struct RoundScratch;
 

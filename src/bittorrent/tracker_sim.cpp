@@ -139,7 +139,7 @@ TrackerSim::TrackerSim(const TrackerConfig& cfg, std::vector<TrackerSwarmSeed> s
     TrackerSwarmSeed& sd = seeds[k];
     SwarmConfig scfg = sd.config;
     scfg.num_peers = sd.members.size();
-    scfg.threads = 1;  // the shard loop owns the parallelism
+    scfg.threads = 1;  // the member-swarm fan-out owns the parallelism
     if (!scfg.retain_departed) {
       throw std::invalid_argument(
           "TrackerSim: retain_departed=false is unsupported (ecosystem reports cover "
@@ -184,11 +184,6 @@ std::uint32_t TrackerSim::zipf_pick(graph::Rng& stream) const {
   const auto it = std::upper_bound(zipf_cdf_.begin(), zipf_cdf_.end(), u);
   const auto ix = static_cast<std::size_t>(it - zipf_cdf_.begin());
   return static_cast<std::uint32_t>(std::min(ix, zipf_cdf_.size() - 1));
-}
-
-std::size_t TrackerSim::resolve_shards() const {
-  const std::size_t requested = cfg_.shards == 0 ? sim::recommended_threads() : cfg_.shards;
-  return std::max<std::size_t>(1, std::min(requested, swarms_.size()));
 }
 
 const Swarm& TrackerSim::swarm(std::size_t k) const {
@@ -258,26 +253,28 @@ void TrackerSim::run_round() {
   const auto barrier_start = std::chrono::steady_clock::now();
   maintain_registry();
   admit_arrivals();
-  const auto barrier_end = std::chrono::steady_clock::now();
-  barrier_seconds_ += seconds_between(barrier_start, barrier_end);
+  const auto fan_start = std::chrono::steady_clock::now();
+  barrier_seconds_ += seconds_between(barrier_start, fan_start);
 
-  const std::size_t shards = resolve_shards();
-  shard_wall_.assign(shards, 0.0);
-  // Shard s owns swarms {k : k % shards == s}, run in ascending k —
-  // the deterministic key. Each task touches only its own slots
-  // (swarm + driver + rng) and its own shard_wall_ entry.
-  sim::parallel_for(shards, shards, [this, shards](std::size_t s) {
-    const auto shard_start = std::chrono::steady_clock::now();
-    for (std::size_t k = s; k < swarms_.size(); k += shards) {
-      SwarmSlot& slot = *swarms_[k];
-      slot.driver->before_round(*slot.swarm);
-      slot.swarm->run_round();
-    }
-    shard_wall_[s] = seconds_between(shard_start, std::chrono::steady_clock::now());
+  // One task per member swarm, claimed on demand in ascending k: the
+  // seeds are most-popular-first, so the largest swarms start first.
+  // Each task touches only its own slot (swarm + driver + rng + wall).
+  const std::size_t workers =
+      std::min(cfg_.shards == 0 ? sim::recommended_threads() : cfg_.shards, swarms_.size());
+  sim::parallel_for(swarms_.size(), workers, [this](std::size_t k) {
+    SwarmSlot& slot = *swarms_[k];
+    const auto start = std::chrono::steady_clock::now();
+    slot.driver->before_round(*slot.swarm);
+    slot.swarm->run_round();
+    slot.round_seconds = seconds_between(start, std::chrono::steady_clock::now());
   });
-  const auto [mn, mx] = std::minmax_element(shard_wall_.begin(), shard_wall_.end());
-  shard_seconds_ += *mx;
-  shard_imbalance_seconds_ += *mx - *mn;
+  const double wall = seconds_between(fan_start, std::chrono::steady_clock::now());
+  shard_seconds_ += wall;
+  if (workers > 1) {
+    double busy = 0.0;
+    for (const auto& slot : swarms_) busy += slot->round_seconds;
+    shard_imbalance_seconds_ += wall - busy / static_cast<double>(workers);
+  }
   ++round_;
   // Round boundary — the valid checkpoint point; save() consumes no
   // RNG, so autosave cadence cannot perturb the run.

@@ -14,19 +14,20 @@
 //     key, global peer id, round), the PR-5 recipe lifted to ecosystem
 //     level: no arrival's draws depend on how many arrivals precede it
 //     in the same round.
-//  2. A sharded round phase: swarm k belongs to shard k % shards (a
-//     deterministic key, not a load balancer), and each shard runs its
-//     swarms' rounds in ascending k over sim::WorkerPool. Intra-swarm
-//     `threads` is forced to 1 under sharding so the pool is never
-//     oversubscribed: the parallel unit is the whole swarm round.
+//  2. A member-swarm fan-out: each swarm's round (churn step +
+//     run_round) is one sim::parallel_for task, and up to `shards`
+//     workers claim the tasks on demand in ascending k. The seeds are
+//     most-popular-first, so the largest swarms start first. Intra-swarm
+//     `threads` is forced to 1 so the pool is never oversubscribed: the
+//     parallel unit is the whole swarm round.
 //
 // Determinism contract, one level up from Swarm's: every swarm's round
-// touches only its own slot (swarm + driver + rng), every cross-swarm
-// decision happens in the serial barrier, and shard wall-times go to
-// per-shard slots — so results are bitwise identical at any `shards`
-// value, and a closed (no-churn) member swarm is bitwise identical to
-// the same Swarm run standalone with Rng(seed + stride * (k+1)).
-// test_tracker_sim proves both differentials, at 10^3 swarms included.
+// touches only its own slot (swarm + driver + rng + wall time), and
+// every cross-swarm decision happens in the serial barrier — so results
+// are bitwise identical at any `shards` value, and a closed (no-churn)
+// member swarm is bitwise identical to the same Swarm run standalone
+// with Rng(seed + stride * (k+1)). test_tracker_sim proves both
+// differentials, at 10^3 swarms included.
 //
 // Capacity-split semantics: a peer in m swarms brings
 // membership_capacity_share(kbps, m, j) to its j-th membership — every
@@ -39,7 +40,7 @@
 // Scale: memory is O(live) end to end — PeerTable per swarm, a pruned
 // registry at the tracker — so 10^3 swarms / 10^5..10^6 cumulative
 // arrivals run flat; BM_TrackerSimShards measures round throughput and
-// shard imbalance across shards 1/2/4/8 × swarms 10/100/1000.
+// idle worker time across shards 1/2/4/8 × swarms 10/100/1000.
 #pragma once
 
 #include <array>
@@ -95,7 +96,8 @@ inline constexpr std::uint64_t kTrackerSwarmSeedStride = 0x9E3779B97F4A7C15ULL;
 /// One member swarm's construction recipe: a per-swarm config plus the
 /// global ids of its initial population (in local-id order — member j
 /// becomes local peer j). num_peers is overridden with members.size()
-/// and threads is forced to 1 (the shard loop owns the parallelism).
+/// and threads is forced to 1 (the member-swarm fan-out owns the
+/// parallelism).
 struct TrackerSwarmSeed {
   SwarmConfig config;
   std::vector<GlobalPeerId> members;
@@ -103,8 +105,9 @@ struct TrackerSwarmSeed {
 
 /// Ecosystem-level knobs.
 struct TrackerConfig {
-  /// Worker shards for the round fan-out (0 = one per hardware
-  /// thread). A runtime knob, not simulation state: results are
+  /// Worker cap for the member-swarm fan-out (0 = one per hardware
+  /// thread): at most this many workers claim whole-swarm rounds on
+  /// demand. A runtime knob, not simulation state: results are
   /// bitwise identical at any value, and save()/resume() round-trips
   /// across different shard counts.
   std::size_t shards = 1;
@@ -255,11 +258,12 @@ struct EcosystemReport {
 };
 
 /// Where the ecosystem's wall-clock went. `swarms` sums the member
-/// swarms' own phase profiles (CPU work, additive across shards);
-/// the shard_* fields describe the fan-out itself: shard_seconds is
-/// the critical path (sum over rounds of the slowest shard's wall) and
-/// shard_imbalance_seconds the sum of (max - min) shard wall per round
-/// — the headroom a better shard key could still reclaim.
+/// swarms' own phase profiles (CPU work, additive across workers);
+/// the shard_* fields describe the member-swarm fan-out itself, summed
+/// over rounds: shard_seconds is its wall time, and
+/// shard_imbalance_seconds is that wall time minus the summed
+/// per-swarm wall times divided by the worker count — the time an
+/// average worker sat idle, 0 at one worker.
 struct EcosystemProfile {
   Swarm::PhaseProfile swarms;
   double barrier_seconds = 0.0;
@@ -287,7 +291,7 @@ class TrackerSim {
   TrackerSim& operator=(TrackerSim&&) = default;
 
   /// One ecosystem round: serial barrier (registry prune, capacity
-  /// re-split, arrivals), then every member swarm's round, sharded.
+  /// re-split, arrivals), then every member swarm's round, fanned out.
   void run_round();
   void run(std::size_t rounds);
 
@@ -336,11 +340,13 @@ class TrackerSim {
  private:
   /// One member swarm: the structural Rng at a stable heap-slot
   /// address (Swarm and ChurnDriver hold references into it — the
-  /// ResumedSwarm pattern), the swarm, and its churn driver.
+  /// ResumedSwarm pattern), the swarm, its churn driver, and the wall
+  /// time of its last round (profiling only, never saved).
   struct SwarmSlot {
     graph::Rng rng;
     std::optional<Swarm> swarm;
     std::optional<ChurnDriver<Swarm>> driver;
+    double round_seconds = 0.0;
   };
 
   /// Resume shell: binds the config, leaves the rest to resume().
@@ -349,7 +355,6 @@ class TrackerSim {
   static void validate_config(const TrackerConfig& cfg);
   void build_zipf();
   [[nodiscard]] std::uint32_t zipf_pick(graph::Rng& stream) const;
-  [[nodiscard]] std::size_t resolve_shards() const;
   /// Barrier phase 1: drop departed memberships, compact the registry,
   /// re-split surviving multi-torrent capacities.
   void maintain_registry();
@@ -372,9 +377,6 @@ class TrackerSim {
   // strat-lint: not-serialized -- derived from cfg_ and swarm count,
   // rebuilt by build_zipf() on both construction paths.
   std::vector<double> zipf_cdf_;
-  // strat-lint: not-serialized -- per-round wall-clock scratch, one slot
-  // per shard (each shard writes only its own).
-  std::vector<double> shard_wall_;
   // strat-lint: not-serialized -- profiling accumulators; like Swarm's
   // profile_, a resumed run restarts its timers at zero yet stays
   // bitwise-identical.

@@ -1,8 +1,8 @@
 // Minimal parallel loops over a persistent worker pool.
 //
-// Scenario sweeps and Monte-Carlo replications are embarrassingly
-// parallel: every index gets its own Rng seeded independently, and
-// results are written to per-index slots. parallel_for() distributes
+// Scenario grids, Monte-Carlo realizations and a tracker's member-swarm
+// rounds are embarrassingly parallel: every index gets its own Rng
+// seeded independently, and results are written to per-index slots. parallel_for() distributes
 // indices over up to `threads` workers of the process-wide
 // sim::WorkerPool via an atomic counter, so the *schedule* is
 // nondeterministic but the per-index results are not: running with 1

@@ -5,6 +5,8 @@
 
 #include <array>
 #include <limits>
+#include <span>
+#include <vector>
 
 #include "bittorrent/bandwidth.hpp"
 #include "bittorrent/scenario.hpp"
@@ -53,6 +55,25 @@ TEST(Scenario, ParallelReplicationsMatchSerial) {
   for (std::size_t i = 0; i < serial.size(); ++i) expect_same(serial[i], parallel[i]);
   // Different seeds produce different runs.
   EXPECT_NE(serial[0].total_uploaded_kb, serial[1].total_uploaded_kb);
+
+  // The grid overload: each (point, seed) run equals its per-point call
+  // at any thread count, and no seeds give one empty vector per point.
+  SwarmScenario other = scenario;
+  other.config.tft_slots = 2;
+  const std::array<SwarmScenario, 2> grid{scenario, other};
+  const std::array<std::vector<ScenarioResult>, 2> per_point{serial,
+                                                             run_replications(other, seeds, 1)};
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    const auto results = run_replications(grid, seeds, threads);
+    ASSERT_EQ(results.size(), grid.size());
+    for (std::size_t p = 0; p < grid.size(); ++p) {
+      ASSERT_EQ(results[p].size(), seeds.size());
+      for (std::size_t i = 0; i < seeds.size(); ++i) expect_same(results[p][i], per_point[p][i]);
+    }
+  }
+  const auto empty = run_replications(grid, std::span<const std::uint64_t>{}, 4);
+  ASSERT_EQ(empty.size(), grid.size());
+  for (const auto& row : empty) EXPECT_TRUE(row.empty());
 }
 
 TEST(Scenario, ResultAggregatesAreCoherent) {

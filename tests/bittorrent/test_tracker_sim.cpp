@@ -567,6 +567,18 @@ TEST(TrackerSim, EcosystemReportAndProfileAreCoherent) {
   EXPECT_EQ(profile.shard_imbalance_seconds, 0.0);
 }
 
+TEST(TrackerSim, TwoWorkerImbalanceIsIdleTimeInsideTheFanOut) {
+  // Each worker's swarm rounds run one after another inside the fan-out,
+  // so the summed per-swarm wall is at most workers x the fan-out wall:
+  // the idle time per worker lies between 0 and the fan-out wall.
+  TrackerSim tracker = churned_tracker(2, 5, 16, 13);
+  tracker.run(12);
+  const EcosystemProfile profile = tracker.ecosystem_profile();
+  EXPECT_GT(profile.shard_seconds, 0.0);
+  EXPECT_GE(profile.shard_imbalance_seconds, 0.0);
+  EXPECT_LE(profile.shard_imbalance_seconds, profile.shard_seconds);
+}
+
 TEST(TrackerSim, InjectedArrivalsShareDriverBookkeeping) {
   // ChurnDriver::join_injected is the tracker's entry point: the
   // caller brings the capacity, the driver contributes the

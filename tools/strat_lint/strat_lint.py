@@ -23,13 +23,15 @@ strat-lint pins each contract with one rule:
                          order — silently breaks bitwise lockstep).
   R2  parallel-rng       no use of the shared sequential ``rng_``
                          inside a ``sim::parallel_for`` or
-                         ``sim::parallel_for_chunks`` lambda body, nor
-                         in same-file functions the lambda calls, and
-                         no call, draw or hand-off of any other
+                         ``sim::parallel_for_chunks`` lambda body, no
+                         call, draw or hand-off of any other
                          ``graph::Rng`` the lambda body did not build
                          itself (a captured parameter, local or
-                         member); parallel draws come from
-                         ``Rng::stream``.
+                         member), and in a same-file function the
+                         lambda calls, no use of ``rng_`` and no call,
+                         draw or hand-off of any other member or
+                         file-scope generator; parallel draws come
+                         from ``Rng::stream``.
   R3  banned-randomness  no ``std::random_device``, ``std::rand`` /
                          ``srand``, C ``time()``, or
                          ``std::chrono::system_clock`` anywhere —
@@ -44,9 +46,10 @@ strat-lint pins each contract with one rule:
   R5  float-reduction    no compound floating-point/integer
                          accumulation into shared (captured,
                          unindexed) variables inside a
-                         ``parallel_for_chunks`` lambda — cross-chunk
-                         FP reductions must use per-chunk scratch
-                         merged in a deterministic serial commit.
+                         ``parallel_for`` or ``parallel_for_chunks``
+                         lambda — cross-task FP reductions must use
+                         per-task or per-chunk slots merged in a
+                         deterministic serial commit.
   R6  raw-thread         no ``std::thread`` / ``std::jthread`` object
                          and no ``std::async`` outside
                          ``src/sim/worker_pool.*`` (``std::thread::id``,
@@ -436,36 +439,51 @@ def check_parallel_lambdas(path: Path, stripped: str,
                 f"graph::Rng '{name}' from outside a {loop} lambda is {kind} inside it: "
                 "draws become schedule-dependent; build a counter-based per-item "
                 "stream (Rng::stream(key, id, round)) inside the body instead"))
-        # R2, one level deep: same-file functions the lambda calls.
+        # R2, one level deep: same-file functions the lambda calls must
+        # not touch the shared rng_ or any other member or file-scope
+        # generator.
         reported: set[str] = set()
         for m in CALLEE_RE.finditer(body):
             callee = m.group(1)
             if callee in CXX_KEYWORDS or callee in reported or callee in PARALLEL_LOOPS:
                 continue
             callee_body = function_body(stripped, callee)
-            if callee_body and SHARED_RNG_RE.search(callee_body):
+            use = callee_body and callee_rng_use(callee_body, scope_rngs)
+            if use:
+                name, kind = use
                 reported.add(callee)
                 findings.append(Finding(
                     path, line_of(stripped, body_start + m.start()), R2,
-                    f"{loop} lambda calls {callee}(), which uses the "
-                    "shared sequential rng_; route its randomness through "
-                    "Rng::stream or hoist the call out of the parallel phase"))
-        if loop != "parallel_for_chunks":
-            continue
+                    f"{loop} lambda calls {callee}(), in which graph::Rng '{name}' is "
+                    f"{kind}: a member or file-scope generator makes draws "
+                    "schedule-dependent; route its randomness through Rng::stream "
+                    "or hoist the call out of the parallel phase"))
         # R5: compound accumulation into shared unindexed captures.
         locals_ = {d.group(1) for d in LOCAL_DECL_RE.finditer(body)}
         for m in COMPOUND_ACCUM_RE.finditer(body):
             lhs, op = m.group(1), m.group(2)
             base = re.split(r"[.\[]|->", lhs)[0]
             if "[" in lhs or base in locals_:
-                continue  # element-indexed (chunk-owned) or chunk-local
+                continue  # element-indexed (task-owned) or task-local
             findings.append(Finding(
                 path, line_of(stripped, body_start + m.start(1)), R5,
                 f"'{lhs} {op}' accumulates into a shared captured variable inside a "
-                "parallel_for_chunks lambda: cross-chunk reduction order (and FP "
-                "rounding) becomes schedule-dependent; accumulate into per-chunk "
-                "scratch and merge in a deterministic serial commit"))
+                f"{loop} lambda: cross-task reduction order (and FP rounding) becomes "
+                "schedule-dependent, and concurrent updates race; accumulate into "
+                "per-task or per-chunk slots and merge in a deterministic serial "
+                "commit"))
     return findings
+
+
+def callee_rng_use(body: str, scope_rngs: set[str]) -> tuple[str, str] | None:
+    """(generator, kind) of the first use, in a same-file callee's body,
+    of the shared rng_ or of a member or file-scope generator the callee
+    does not declare itself; None when it touches neither."""
+    if SHARED_RNG_RE.search(body):
+        return "rng_", "used"
+    own = rng_declarations(body) | set(AUTO_DECL_RE.findall(body))
+    uses = outer_rng_uses(body, set(scope_rngs) - own - {"rng_"})
+    return (uses[0][1], uses[0][2]) if uses else None
 
 
 # --------------------------------------------------------------------------

@@ -78,6 +78,35 @@ void keyed_replications(std::vector<double>& out, unsigned threads, Rng& rng) {
   });
 }
 
+double per_task_walls(std::vector<double>& walls, unsigned threads) {
+  parallel_for(walls.size(), threads, [&](std::size_t i) {
+    double wall = 0.0;  // task-local accumulator: fine
+    wall += 1.0;
+    walls[i] = wall;  // each task writes only its own slot
+  });
+  double busy = 0.0;  // deterministic serial merge
+  for (double w : walls) {
+    busy += w;
+  }
+  return busy;
+}
+
+struct KeyedSampler {
+  Rng gen_;  // member generator, drawn only outside the fan-out
+  std::uint64_t key_ = 0;
+  std::vector<double> out_;
+
+  double keyed_draw(std::size_t i) const {
+    Rng stream = Rng::stream(key_, i, 0);  // the callee builds its own stream
+    return stream.uniform();
+  }
+
+  void fill(unsigned threads) {
+    key_ = gen_();
+    parallel_for(out_.size(), threads, [&](std::size_t i) { out_[i] = keyed_draw(i); });
+  }
+};
+
 std::size_t worker_budget() {
   const std::thread::id caller = std::this_thread::get_id();  // an id, not a thread
   (void)caller;

@@ -1,7 +1,8 @@
 // Fixture: seeded R2 violations — shared sequential RNG touched from a
 // parallel_for_chunks worker, directly and via a callee, and from a
-// parallel_for worker; and a caller's generator, captured by a
-// parallel_for worker, called, drawn from and handed to a callee.
+// parallel_for worker; a caller's generator, captured by a
+// parallel_for worker, called, drawn from and handed to a callee; and
+// a member generator other than rng_ drawn from in a callee.
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -42,6 +43,19 @@ struct Phase {
   void replicate(unsigned threads) {
     parallel_for(draws_.size(), threads, [&](std::size_t i) {
       draws_[i] = rng_.uniform();  // VIOLATION: shared rng_ in a parallel_for worker
+    });
+  }
+};
+
+struct Sampler {
+  Rng gen_;
+  std::vector<double> out_;
+
+  double helper() { return gen_.uniform(); }
+
+  void fill(unsigned threads) {
+    parallel_for(out_.size(), threads, [&](std::size_t i) {
+      out_[i] = helper();  // VIOLATION: callee draws from member gen_
     });
   }
 };

@@ -1,9 +1,13 @@
-// Fixture: seeded R5 violation — floating-point accumulation into a
-// shared captured variable from inside a parallel_for_chunks worker.
+// Fixture: seeded R5 violations — floating-point accumulation into a
+// shared captured variable from inside a parallel_for_chunks worker and
+// a parallel_for task.
 #include <cstddef>
 #include <vector>
 
 namespace fixture {
+
+template <typename Body>
+void parallel_for(std::size_t count, unsigned threads, Body body);
 
 template <typename Body>
 void parallel_for_chunks(std::size_t count, unsigned threads,
@@ -23,6 +27,14 @@ double schedule_dependent_sum(const std::vector<double>& xs, unsigned threads) {
                       });
   (void)touched;
   return total;
+}
+
+double racy_wall_total(const std::vector<double>& walls, unsigned threads) {
+  double wall_total = 0.0;
+  parallel_for(walls.size(), threads, [&](std::size_t i) {
+    wall_total += walls[i];  // VIOLATION: shared accumulator in a parallel_for task
+  });
+  return wall_total;
 }
 
 }  // namespace fixture

@@ -79,6 +79,12 @@ class FixtureDetectionTest(unittest.TestCase):
         # The generator the body builds itself stays legal.
         self.assertFalse(any("'stream'" in f.message for f in findings))
 
+    def test_r2_callee_member_generator(self):
+        findings = self.lint_fixture("r2_parallel_rng.cpp")
+        callee = [f.message for f in findings if "calls helper()" in f.message]
+        self.assertEqual(len(callee), 1, [f.message for f in findings])
+        self.assertIn("graph::Rng 'gen_' is drawn from", callee[0])
+
     def test_r3_banned_randomness(self):
         findings = self.lint_fixture("r3_banned_randomness.cpp")
         self.assertEqual(rules_of(findings), {R3})
@@ -108,7 +114,13 @@ class FixtureDetectionTest(unittest.TestCase):
         findings = self.lint_fixture("r5_float_reduction.cpp")
         self.assertEqual(rules_of(findings), {R5})
         lhs = {f.message.split("'")[1].split(" ")[0] for f in findings}
-        self.assertEqual(lhs, {"total", "touched"})
+        self.assertEqual(lhs, {"total", "touched", "wall_total"})
+
+    def test_r5_parallel_for_accumulation(self):
+        findings = self.lint_fixture("r5_float_reduction.cpp")
+        task = [f.message for f in findings if f.message.startswith("'wall_total +='")]
+        self.assertEqual(len(task), 1, [f.message for f in findings])
+        self.assertIn("inside a parallel_for lambda", task[0])
 
     def test_r6_raw_thread(self):
         findings = self.lint_fixture("r6_raw_thread.cpp")
