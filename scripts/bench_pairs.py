@@ -2,7 +2,7 @@
 """Paired A/B runner for the repository benchmark (perfbench).
 
     python3 scripts/bench_pairs.py --parent DIR --change DIR --workload W \\
-        [--seed S] [--pairs N] [--jsonl PATH]
+        [--seed S] [--pairs N] [--trace] [--jsonl PATH]
 
 Runs `python3 perfbench/run.py --workload W --seed S --seconds T --trace 0`
 in each tree, N pairs, alternating which side runs first (pair 1 runs
@@ -16,7 +16,10 @@ For every end-to-end metric of the parent's BENCHMARK.json it prints
 each side's median and interquartile range, the change of the median
 in %, how many pairs the change won, whether the median gain exceeds
 the parent's IQR, and a flag where the change is worse than the parent
-by more than the metric's bound. It exits 1 if any run did not print
+by more than the metric's bound. With --trace the runs pass `--trace 1`
+and the table covers the parent's `per_layer` metrics instead, which
+show where a change of an end-to-end metric sits; they have no bound,
+so none is ever flagged. It exits 1 if any run did not print
 `correct: true` with zero failed operations (or printed nothing), and
 2 on a usage error. --jsonl PATH appends one JSON line per pair with
 both raw results. Standard library only; it reads BENCHMARK.json and
@@ -101,10 +104,15 @@ def summarize(name, better, bound, pairs):
 # --- running ---------------------------------------------------------------
 
 
-def run_once(tree, workload, seed, seconds):
+def run_command(workload, seed, seconds, trace):
+    """The perfbench command line of one run."""
+    return [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", repr(seconds), "--trace", "1" if trace else "0"]
+
+
+def run_once(tree, workload, seed, seconds, trace):
     """One perfbench run in `tree`: (result dict or None, problem or None)."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", repr(seconds), "--trace", "0"]
+    cmd = run_command(workload, seed, seconds, trace)
     try:
         proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                               text=True, timeout=RUN_TIMEOUT_S)
@@ -126,18 +134,27 @@ def load_spec(tree):
     return json.loads((Path(tree) / "BENCHMARK.json").read_text())
 
 
+def metrics_for(spec, trace):
+    """The metrics a run reports: `end_to_end`, or with `trace` the
+    `per_layer` ones, which carry no bound."""
+    if not trace:
+        return spec["end_to_end"]
+    return [{**m, "bound": None} for m in spec["per_layer"]]
+
+
 def fmt(v):
     return f"{v:.4g}"
 
 
 def print_table(workload, seed, rows):
     print(f"{workload} seed {seed}: {rows[0]['pairs'] if rows else 0} pairs, parent | change")
-    head = (f"{'metric':<18} {'parent median [IQR]':>24} {'change median [IQR]':>24} "
+    width = max([18] + [len(r["metric"]) for r in rows])
+    head = (f"{'metric':<{width}} {'parent median [IQR]':>24} {'change median [IQR]':>24} "
             f"{'change':>8} {'won':>6} {'>IQR':>5}  flag")
     print(head)
     for r in rows:
         flag = "WORSE THAN BOUND" if r["over_bound"] else ""
-        print(f"{r['metric']:<18} "
+        print(f"{r['metric']:<{width}} "
               f"{fmt(r['parent_median']) + ' [' + fmt(r['parent_iqr']) + ']':>24} "
               f"{fmt(r['change_median']) + ' [' + fmt(r['change_iqr']) + ']':>24} "
               f"{r['change_pct']:>+7.1f}% {str(r['won']) + '/' + str(r['pairs']):>6} "
@@ -151,6 +168,8 @@ def main(argv=None):
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--pairs", type=int, default=5)
+    ap.add_argument("--trace", action="store_true",
+                    help="run traced and compare the per-layer metrics")
     ap.add_argument("--jsonl", help="append the raw pairs here, one JSON line each")
     args = ap.parse_args(argv)
     if args.pairs < 1:
@@ -160,7 +179,7 @@ def main(argv=None):
             ap.error(f"{tree} has no perfbench/run.py")
 
     spec = load_spec(args.parent)
-    seconds, metrics = spec["run_seconds"], spec["end_to_end"]
+    seconds, metrics = spec["run_seconds"], metrics_for(spec, args.trace)
     values = {m["name"]: [] for m in metrics}
     bad = 0
     sink = open(args.jsonl, "a", encoding="utf-8") if args.jsonl else None
@@ -170,14 +189,15 @@ def main(argv=None):
             results = {}
             for side in order:
                 tree = args.parent if side == "parent" else args.change
-                result, problem = run_once(tree, args.workload, args.seed, seconds)
+                result, problem = run_once(tree, args.workload, args.seed, seconds, args.trace)
                 results[side] = result
                 if problem is not None:
                     bad += 1
                     print(f"pair {i + 1} {side}: {problem}", file=sys.stderr)
             if sink is not None:
                 sink.write(json.dumps({"workload": args.workload, "seed": args.seed,
-                                       "pair": i + 1, "first": order[0], **results}) + "\n")
+                                       "trace": args.trace, "pair": i + 1, "first": order[0],
+                                       **results}) + "\n")
                 sink.flush()
             line = [f"pair {i + 1} ({order[0]} first)"]
             if results["parent"] is not None and results["change"] is not None:

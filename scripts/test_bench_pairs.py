@@ -93,5 +93,38 @@ class Spec(unittest.TestCase):
         self.assertEqual([m["name"] for m in loaded["end_to_end"]], ["checkpoint_ms"])
 
 
+class Trace(unittest.TestCase):
+    SPEC = {
+        "run_seconds": 10,
+        "end_to_end": [{"name": "peer_rounds_per_s", "unit": "1/s", "better": "higher",
+                        "bound": 0.24}],
+        "per_layer": [{"name": "swarm.transfer_commit_ms", "unit": "ms", "better": "lower"},
+                      {"name": "swarm.rerun_fraction", "unit": "ratio", "better": "lower"}],
+    }
+
+    def test_the_switch_picks_the_mode_and_the_metrics(self):
+        untraced = bench_pairs.run_command("swarm_1e5", 1, 10, trace=False)
+        traced = bench_pairs.run_command("swarm_1e5", 1, 10, trace=True)
+        self.assertEqual(untraced[-2:], ["--trace", "0"])
+        self.assertEqual(traced[-2:], ["--trace", "1"])
+        self.assertEqual([m["name"] for m in bench_pairs.metrics_for(self.SPEC, False)],
+                         ["peer_rounds_per_s"])
+        self.assertEqual([m["name"] for m in bench_pairs.metrics_for(self.SPEC, True)],
+                         ["swarm.transfer_commit_ms", "swarm.rerun_fraction"])
+
+    def test_per_layer_metrics_are_never_flagged(self):
+        (commit,) = [m for m in bench_pairs.metrics_for(self.SPEC, True)
+                     if m["name"] == "swarm.transfer_commit_ms"]
+        self.assertIsNone(commit["bound"])
+        # A commit three times slower is reported, not flagged.
+        row = bench_pairs.summarize(commit["name"], commit["better"], commit["bound"],
+                                    [(109.0, 330.0), (112.0, 340.0)])
+        self.assertAlmostEqual(row["change_pct"], (335.0 - 110.5) / 110.5 * 100.0)
+        self.assertEqual(row["won"], 0)
+        self.assertFalse(row["over_bound"])
+        # The spec itself is left as read.
+        self.assertNotIn("bound", self.SPEC["per_layer"][0])
+
+
 if __name__ == "__main__":
     unittest.main(verbosity=2)

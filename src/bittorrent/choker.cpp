@@ -23,10 +23,16 @@ void TftChoker::select_into(std::vector<ChokeCandidate>& candidates, graph::Rng&
                    candidates.end());
   // Random shuffle first so that sorting breaks score ties uniformly.
   rng.shuffle(candidates);
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [](const ChokeCandidate& a, const ChokeCandidate& b) {
-                     return a.score > b.score;
-                   });
+  // Stable insertion sort by descending score, in place: the strict `<`
+  // never moves a candidate past an equal one, so ties keep their
+  // shuffled order, as std::stable_sort would, without its temporary
+  // buffer. A candidate list is one neighbourhood (tens of peers).
+  for (std::size_t i = 1; i < candidates.size(); ++i) {
+    const ChokeCandidate c = candidates[i];
+    std::size_t j = i;
+    for (; j > 0 && candidates[j - 1].score < c.score; --j) candidates[j] = candidates[j - 1];
+    candidates[j] = c;
+  }
   out.clear();
   const std::size_t regular = std::min(tft_slots_, candidates.size());
   out.reserve(regular + 1);

@@ -42,11 +42,12 @@ class TftChoker {
                                                  graph::Rng& rng);
 
   /// Allocation-free select(): `candidates` is caller-owned scratch
-  /// (filtered and permuted in place, capacity retained across rounds)
-  /// and the unchoke set is written into `out`. The swarm choke phase
-  /// calls this with per-thread scratch — one heap allocation per peer
-  /// per round hoisted into a reusable buffer. Identical semantics and
-  /// RNG consumption to select() (which delegates here).
+  /// (filtered, shuffled and sorted in place, capacity retained across
+  /// rounds) and the unchoke set is written into `out`, so once both
+  /// buffers have grown to the neighbourhood's size a call allocates
+  /// nothing. The swarm choke phase calls this with per-chunk scratch.
+  /// Identical semantics and RNG consumption to select() (which
+  /// delegates here).
   void select_into(std::vector<ChokeCandidate>& candidates, graph::Rng& rng,
                    std::vector<core::PeerId>& out);
 

@@ -174,6 +174,10 @@ class BitRows {
   }
   /// Starts loading row r's first cache line ahead of a random read.
   void prefetch(std::size_t r) const noexcept { detail::prefetch(words_.data() + r * width_); }
+  /// Starts loading the word of row r that holds piece i.
+  void prefetch(std::size_t r, PieceId i) const noexcept {
+    detail::prefetch(words_.data() + r * width_ + (i >> 6));
+  }
 
   void reserve(std::size_t rows);
   /// Appends a row holding `b`'s pieces. Throws std::invalid_argument

@@ -28,6 +28,12 @@ constexpr std::size_t kMaxSlotPool = std::size_t{1} << 32;
 constexpr std::size_t kRowGrain = 64;
 constexpr std::size_t kSlotGrain = 4096;
 
+// How many grants the commit's prefetch pump runs ahead of the grant it
+// validates: the far cursor starts the independent loads, the near one
+// the list behind the partial_ header the far one started.
+constexpr std::size_t kCommitPrefetchFar = 24;
+constexpr std::size_t kCommitPrefetchNear = 12;
+
 double seconds_since(std::chrono::steady_clock::time_point start,
                      std::chrono::steady_clock::time_point stop) {
   return std::chrono::duration<double>(stop - start).count();
@@ -774,13 +780,65 @@ void Swarm::plan_transfers(core::PeerId p, RoundScratch& scratch) {
 }
 
 void Swarm::commit_transfers(std::size_t chunks) {
+  // Prefetch pump over the grant stream the loop below replays: chunk
+  // 0's grants, then chunk 1's, ... (each chunk's plans tile its grants
+  // in order). A grant touches its receiver's row and two slot-pool
+  // entries at random places, so without hints the commit waits on
+  // memory grant after grant. The pump advances once per grant, the
+  // grants of skipped plans included, so it stays a fixed distance
+  // ahead. It only issues hints, and it resolves each row when it
+  // issues the hint, so a completion departure mid-commit never sends
+  // it past a container.
+  struct Cursor {
+    std::size_t chunk = 0;
+    std::size_t grant = 0;
+  };
+  const auto next = [&](Cursor& c) -> const detail::TransferGrant* {
+    while (c.chunk < chunks) {
+      const std::vector<detail::TransferGrant>& grants = scratch_[c.chunk].grants;
+      if (c.grant < grants.size()) return &grants[c.grant++];
+      ++c.chunk;
+      c.grant = 0;
+    }
+    return nullptr;
+  };
+  Cursor far_cursor;
+  Cursor near_cursor;
+  const auto hint_far = [&] {
+    const detail::TransferGrant* grant = next(far_cursor);
+    if (grant == nullptr) return;
+    detail::prefetch(&now_in_[grant->slot_qp]);
+    detail::prefetch(&now_out_[grant->slot_pq]);
+    detail::prefetch(&inflight_[grant->slot_qp]);
+    const Row qr = table_.row_of(grant->receiver);
+    if (qr == PeerTable::kNoRow) return;
+    have_.prefetch(qr, grant->piece);
+    detail::prefetch(&partial_[qr]);
+    detail::prefetch(&stats_[qr]);
+  };
+  const auto hint_near = [&] {
+    const detail::TransferGrant* grant = next(near_cursor);
+    if (grant == nullptr) return;
+    const Row qr = table_.row_of(grant->receiver);
+    if (qr != PeerTable::kNoRow) detail::prefetch(partial_[qr].data());
+  };
+  for (std::size_t i = 0; i < kCommitPrefetchFar; ++i) hint_far();
+  for (std::size_t i = 0; i < kCommitPrefetchNear; ++i) hint_near();
+  const auto pump = [&] {
+    hint_far();
+    hint_near();
+  };
+
   // Chunk-major replay: chunks partition the sender order contiguously
   // and ascending, so walking chunk 0's plans, then chunk 1's, ... is
   // exactly the serial sender order regardless of thread count.
   for (std::size_t c = 0; c < chunks; ++c) {
     for (const detail::SenderPlan& plan : scratch_[c].plans) {
       const std::vector<detail::TransferGrant>& grants = scratch_[c].grants;
-      if (table_.row_of(plan.sender) == PeerTable::kNoRow) continue;  // departed mid-commit
+      if (table_.row_of(plan.sender) == PeerTable::kNoRow) {  // departed mid-commit
+        for (std::uint32_t g = plan.begin; g != plan.end; ++g) pump();
+        continue;
+      }
       // Group the plan's grants by lane (receiver) and validate each
       // lane against live state: a grant is stale if its receiver
       // departed, already holds the piece (an earlier commit completed
@@ -794,6 +852,7 @@ void Swarm::commit_transfers(std::size_t chunks) {
       std::size_t used_lanes = 0;
       std::size_t stale_lanes = 0;
       for (std::uint32_t g = plan.begin; g != plan.end; ++g) {
+        pump();
         const detail::TransferGrant& grant = grants[g];
         CommitLane& lane = commit_lanes_[grant.lane];
         if (!lane.used) {

@@ -32,11 +32,14 @@
 // recycling. Every directed (peer, neighbor) pair owns one slot in a
 // preallocated pool; all per-neighbor state (smoothed rate estimates,
 // in-flight piece locks, mutual-unchoke counters) is indexed by slot,
-// so a round stays O(edges) with no hashing or allocation on the hot
-// path. Per-peer adjacency is a pair of parallel, neighbor-sorted
-// vectors (neighbor id, slot id) held on the owner's row; entries name
-// *external* ids (stable across row compaction), resolved to rows via
-// the table's O(1) map on use:
+// so a round stays O(edges) with no hashing on the hot path. Round
+// scratch keeps its capacity, so a warm round allocates little: mostly
+// where a vector still grows in the transfer commit, such as a
+// receiver's partial-piece list, plus a few blocks per parallel
+// dispatch. Per-peer adjacency is a pair of parallel,
+// neighbor-sorted vectors (neighbor id, slot id) held on the owner's
+// row; entries name *external* ids (stable across row compaction),
+// resolved to rows via the table's O(1) map on use:
 //
 //  - leave()/completion departures release both directed slots of each
 //    incident edge onto a free list (state zeroed, generation stamp
