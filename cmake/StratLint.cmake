@@ -12,6 +12,8 @@
 #                    thread R6 demo
 #   test_bench_pairs the paired A/B benchmark runner's statistics
 #                    helpers on canned numbers (label `tools`)
+#   test_net_loc     the net-LoC report's counting rules and a run
+#                    against a temporary git repository (label `tools`)
 #
 # Python 3 ships on every CI image and dev box this repo targets; when
 # it is genuinely absent the lint tier is skipped with a notice (same
@@ -44,5 +46,13 @@ add_test(NAME test_bench_pairs
           ${CMAKE_CURRENT_SOURCE_DIR}/scripts/test_bench_pairs.py)
 
 set_tests_properties(test_bench_pairs PROPERTIES
+  LABELS "tools"
+  TIMEOUT 60)
+
+add_test(NAME test_net_loc
+  COMMAND Python3::Interpreter
+          ${CMAKE_CURRENT_SOURCE_DIR}/scripts/test_net_loc.py)
+
+set_tests_properties(test_net_loc PROPERTIES
   LABELS "tools"
   TIMEOUT 60)

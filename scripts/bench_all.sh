@@ -30,18 +30,19 @@ done
 # 10^2..10^4 peers, the retained map-based plane at the same sizes,
 # churned rounds at 5000 peers (dynamic-overlay cost), the static +
 # churned replication throughput, the long-churn scale gate
-# (BM_SwarmLongChurn: end-state round time, data-plane MB and RSS at
-# 10^5 and 10^6 cumulative arrivals over a fixed 5000-peer live
-# population — flat across the two args is the peer-table compaction
-# working; the 10^6 point takes ~30 s), and the intra-round
+# (BM_SwarmLongChurn: end-state round time and data-plane MB at 10^5
+# and 10^6 cumulative arrivals over a fixed 5000-peer live population —
+# flat across the two args is the peer-table compaction working — plus
+# retired_mb and RSS, which grow with the departed-peer archive; the
+# 10^6 point takes ~25 s), and the intra-round
 # thread-scaling sweep (BM_SwarmRoundThreads at 10^5 peers x threads
 # 1/2/4/8, each repetition a 3-round window resumed from one post-warm-up
 # snapshot, as perfbench's swarm_1e5 windows are:
 # choke_fold_ms + mutual_ms + transfer_compute_ms across the
-# sweep is the parallel-phase speedup, serial_ms = transfer commit is
-# the Amdahl remainder, and rerun_frac — the speculative-plan conflict
-# rate — is thread-count invariant; bitwise-identical results per
-# seed), and the checkpoint
+# sweep is the parallel-phase speedup, transfer_commit_ms (the serial
+# commit) is the Amdahl remainder, and rerun_frac — the
+# speculative-plan conflict rate — is thread-count invariant;
+# bitwise-identical results per seed), and the checkpoint
 # cost (BM_SwarmSnapshot at 10^4/10^5 peers: snapshot_mb plus save/
 # load ms, with save_load_vs_round < 1.0 as the affordability bar; the
 # bar failed until the loader read in-memory snapshots in place — on a
@@ -55,9 +56,10 @@ done
 # across PRs. The tracker tier rides along: BM_TrackerSimShards
 # (shards 1/2/4/8 x 10/100/1000 churned swarms — swarm-round
 # throughput plus barrier/shard/imbalance ms) and the shards=1
-# overhead gate pair BM_TrackerClosedRounds vs
-# BM_SerialSwarmLoopRounds (tracker layer within 10% of a plain
-# serial Swarm loop on the same closed 100-swarm workload). The set-up
+# overhead gate BM_TrackerOverhead (the same closed 100-swarm workload
+# through the tracker layer and a plain serial Swarm loop, one round of
+# each per iteration in alternating order; its `overhead` counter, the
+# median per-round tracker/loop ratio, must stay <= 1.10). The set-up
 # path rides along too: BM_RepresentativeSample (the capacity sample at
 # 10^3 and 10^5 peers) and BM_SwarmConstruct/100000 (the constructor it
 # feeds), a micro-level before/after for set-up outside perfbench. The
@@ -68,7 +70,7 @@ micro_swarm="${build_dir}/bench/micro_swarm"
 if [[ -x "${micro_swarm}" ]]; then
   echo "== micro_swarm -> BENCH_swarm.json"
   "${micro_swarm}" \
-    --benchmark_filter='BM_SwarmRound/.*|BM_SwarmRoundThreads/.*|BM_SwarmChurnRound/.*|BM_SwarmFaults/.*|BM_SwarmLongChurn/.*|BM_SwarmSnapshot/.*|BM_ReferenceSwarmRound/.*|BM_ScenarioReplications/.*|BM_ChurnScenarioReplications/.*|BM_TrackerSimShards/.*|BM_TrackerClosedRounds.*|BM_SerialSwarmLoopRounds.*|BM_RepresentativeSample/.*|BM_SwarmConstruct/.*|BM_RarestFirstPick/.*' \
+    --benchmark_filter='BM_SwarmRound/.*|BM_SwarmRoundThreads/.*|BM_SwarmChurnRound/.*|BM_SwarmFaults/.*|BM_SwarmLongChurn/.*|BM_SwarmSnapshot/.*|BM_ReferenceSwarmRound/.*|BM_ScenarioReplications/.*|BM_ChurnScenarioReplications/.*|BM_TrackerSimShards/.*|BM_TrackerOverhead.*|BM_RepresentativeSample/.*|BM_SwarmConstruct/.*|BM_RarestFirstPick/.*' \
     --benchmark_min_time=0.05 \
     --benchmark_out="${out_dir}/BENCH_swarm.json" \
     --benchmark_out_format=json > /dev/null

@@ -23,13 +23,6 @@ ReferenceSwarm::ReferenceSwarm(const SwarmConfig& config, std::vector<double> up
     detail::require_capacity(kbps, "ReferenceSwarm", /*allow_zero=*/true);
   }
   detail::validate_config(config, "ReferenceSwarm");
-  if (!config.retain_departed) {
-    // The oracle keeps every peer's state forever by design; accepting
-    // the flag would silently diverge from the flat plane's
-    // aggregates-only semantics (dropped retired pairs, live-only rank
-    // normalization) and break the bitwise differential contract.
-    throw std::invalid_argument("ReferenceSwarm: retain_departed=false is unsupported");
-  }
   // Same single structural draw as Swarm, at the same point, so both
   // planes key identical per-peer choke streams.
   choke_key_ = rng();

@@ -106,13 +106,6 @@ ScenarioResult summarize(const Swarm& swarm, std::uint64_t seed) {
 }  // namespace
 
 ScenarioResult run_scenario(const SwarmScenario& scenario, std::uint64_t seed) {
-  if (!scenario.config.retain_departed) {
-    // summarize() reads every leecher that ever joined; without the
-    // archive those queries throw mid-aggregation. Fail up front with
-    // an actionable message instead.
-    throw std::invalid_argument(
-        "run_scenario: retain_departed=false is unsupported (summaries cover departed peers)");
-  }
   graph::Rng rng(seed);
   Swarm swarm(scenario.config, scenario.upload_kbps, rng);
   // An inactive spec draws nothing and changes nothing, so a closed
@@ -195,10 +188,6 @@ std::size_t distinct_peer_count(const MultiSwarmSpec& spec) {
 
 MultiSwarmResult run_multi_swarm(const MultiSwarmSpec& spec, std::uint64_t seed,
                                  std::size_t threads) {
-  if (!spec.config.retain_departed) {
-    throw std::invalid_argument(
-        "run_multi_swarm: retain_departed=false is unsupported (summaries cover departed peers)");
-  }
   const std::size_t distinct = distinct_peer_count(spec);
   if (spec.upload_kbps.size() != distinct) {
     throw std::invalid_argument("MultiSwarmSpec: one capacity per distinct peer required");

@@ -135,7 +135,8 @@ constexpr std::uint32_t kTagConfig = 1;
 constexpr std::uint32_t kTagRng = 2;
 /// Peer table: id space, live ids (row order), row generations.
 constexpr std::uint32_t kTagTable = 3;
-/// Scalar counters: round_, leechers_, arrivals_, departures_,
+/// Scalar counters: round_, the leecher count (config num_peers +
+/// arrivals_, checked on load), arrivals_, departures_,
 /// retired_completed_.
 constexpr std::uint32_t kTagCounters = 4;
 /// Edge-slot pool: edge_peer_, mirror_, slot_gen_, free_slots_,
@@ -188,7 +189,11 @@ void swarm_config_fields(Io& io, T& c) {
   io.f64(c.rate_smoothing);
   io.pod(c.tft_slots_per_peer, kMaxPeersEver, "tft_slots_per_peer");
   io.flag(c.endgame);
-  io.flag(c.retain_departed);
+  // The retired retain_departed flag keeps its byte, always 1: every
+  // departure is archived, and the aggregates-only mode a 0 selected is gone.
+  bool archived = true;
+  io.flag(archived);
+  if (!archived) throw SnapshotError("snapshot: retain_departed=0 (aggregates-only) is retired");
   io.u64(c.threads);
   io.u64(c.faults.outage_period);
   io.u64(c.faults.outage_duration);
@@ -281,7 +286,7 @@ void Swarm::save_impl(Out& w) const {
 
   w.tag(kTagCounters);
   w.u64(round_);
-  w.u64(leechers_);
+  w.u64(config_.num_peers + arrivals_);
   w.u64(arrivals_);
   w.u64(departures_);
   w.u64(retired_completed_);
@@ -426,14 +431,14 @@ Swarm Swarm::resume_impl(Reader& r, graph::Rng& rng, const SwarmConfig* override
 
     r.expect_tag(kTagCounters, "counters");
     s.round_ = static_cast<std::size_t>(r.u64());
-    s.leechers_ = static_cast<std::size_t>(r.u64());
+    const std::uint64_t leechers = r.u64();
     s.arrivals_ = static_cast<std::size_t>(r.u64());
     s.departures_ = static_cast<std::size_t>(r.u64());
     s.retired_completed_ = static_cast<std::size_t>(r.u64());
     if (s.arrivals_ != id_space - (cfg.num_peers + cfg.seeds)) {
       throw SnapshotError("snapshot: arrival counter inconsistent with id space");
     }
-    if (s.leechers_ != cfg.num_peers + s.arrivals_) {
+    if (leechers != cfg.num_peers + s.arrivals_) {
       throw SnapshotError("snapshot: leecher counter inconsistent with arrivals");
     }
     if (s.departures_ != id_space - rows) {
@@ -554,23 +559,19 @@ Swarm Swarm::resume_impl(Reader& r, graph::Rng& rng, const SwarmConfig* override
 
     s.table_ = PeerTable::restore(std::move(live_ids), std::move(row_gens), id_space);
 
-    if (cfg.retain_departed) {
-      if (retired_order.size() != s.departures_) {
-        throw SnapshotError("snapshot: retired archive inconsistent with departures");
-      }
-      if (!retired_order.empty()) s.retired_ix_.assign(id_space, kNoRetired);
-      for (std::size_t i = 0; i < retired_order.size(); ++i) {
-        const core::PeerId id = retired_order[i];
-        if (id >= id_space || s.table_.contains(id)) {
-          throw SnapshotError("snapshot: retired id is live or out of range");
-        }
-        if (s.retired_ix_[id] != kNoRetired) throw SnapshotError("snapshot: duplicate retired id");
-        s.retired_ix_[id] = static_cast<std::uint32_t>(i);
-      }
-      s.retired_stats_ = std::move(retired_stats);
-    } else if (!retired_order.empty() || !s.retired_mutual_.empty()) {
-      throw SnapshotError("snapshot: retired records present with retain_departed off");
+    if (retired_order.size() != s.departures_) {
+      throw SnapshotError("snapshot: retired archive inconsistent with departures");
     }
+    if (!retired_order.empty()) s.retired_ix_.assign(id_space, kNoRetired);
+    for (std::size_t i = 0; i < retired_order.size(); ++i) {
+      const core::PeerId id = retired_order[i];
+      if (id >= id_space || s.table_.contains(id)) {
+        throw SnapshotError("snapshot: retired id is live or out of range");
+      }
+      if (s.retired_ix_[id] != kNoRetired) throw SnapshotError("snapshot: duplicate retired id");
+      s.retired_ix_[id] = static_cast<std::uint32_t>(i);
+    }
+    s.retired_stats_ = std::move(retired_stats);
 
     // Slot pool: free list sane, then adjacency rows sorted, live, and
     // mutually consistent with the pool (slot -> neighbor id, mirror

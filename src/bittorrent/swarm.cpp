@@ -82,8 +82,7 @@ Swarm::Swarm(const SwarmConfig& config, std::vector<double> upload_kbps, graph::
     : config_(config),
       rng_(rng),
       picker_(config.num_pieces),
-      have_(config.num_pieces),
-      leechers_(config.num_peers) {
+      have_(config.num_pieces) {
   if (upload_kbps.size() != config.num_peers) {
     throw std::invalid_argument("Swarm: one upload capacity per leecher required");
   }
@@ -279,12 +278,10 @@ void Swarm::connect(core::PeerId p, core::PeerId q) {
 
 void Swarm::flush_mutual(core::PeerId p, core::PeerId q, std::size_t slot_min) {
   if (mutual_rounds_[slot_min] == 0) return;
-  if (config_.retain_departed) {
-    const core::PeerId a = std::min(p, q);
-    const core::PeerId b = std::max(p, q);
-    retired_mutual_.emplace_back((static_cast<std::uint64_t>(a) << 32) | b,
-                                 mutual_rounds_[slot_min]);
-  }
+  const core::PeerId a = std::min(p, q);
+  const core::PeerId b = std::max(p, q);
+  retired_mutual_.emplace_back((static_cast<std::uint64_t>(a) << 32) | b,
+                               mutual_rounds_[slot_min]);
   mutual_rounds_[slot_min] = 0;
 }
 
@@ -393,7 +390,6 @@ core::PeerId Swarm::join(double upload_kbps, const Bitfield& have) {
     // Tracker announce: uniform picks from the live population.
     announce_with_faults(p, target_degree());
   }
-  ++leechers_;
   ranks_dirty_ = true;
   if (have_.complete(r)) {
     stats_[r].completion_round = static_cast<double>(round_);
@@ -636,16 +632,11 @@ void Swarm::depart_peer(core::PeerId p, double when) {
   unchoked_[pr].clear();
   release_all_edges(p, pr);
   if (!stats_[pr].seed && stats_[pr].pieces == config_.num_pieces) ++retired_completed_;
-  if (config_.retain_departed) {
-    if (retired_ix_.size() < table_.id_space()) {
-      retired_ix_.resize(table_.id_space(), kNoRetired);
-    }
-    retired_ix_[p] = static_cast<std::uint32_t>(retired_stats_.size());
-    retired_stats_.push_back(stats_[pr]);
-  } else {
-    // Live-only bandwidth ranks change when the live set shrinks.
-    ranks_dirty_ = true;
+  if (retired_ix_.size() < table_.id_space()) {
+    retired_ix_.resize(table_.id_space(), kNoRetired);
   }
+  retired_ix_[p] = static_cast<std::uint32_t>(retired_stats_.size());
+  retired_stats_.push_back(stats_[pr]);
   // Compact the row space: the table swaps the last row's occupant into
   // the hole, and every row-indexed container mirrors that move.
   const auto rem = table_.remove(p);
@@ -1065,8 +1056,8 @@ const PeerStats& Swarm::stats(core::PeerId p) const {
   const Row r = table_.row_of(p);
   if (r != PeerTable::kNoRow) return stats_[r];
   if (p >= table_.id_space()) throw std::out_of_range("Swarm::stats: unknown peer");
-  if (!config_.retain_departed || p >= retired_ix_.size() || retired_ix_[p] == kNoRetired) {
-    throw std::out_of_range("Swarm::stats: departed peer not retained");
+  if (p >= retired_ix_.size() || retired_ix_[p] == kNoRetired) {
+    throw std::out_of_range("Swarm::stats: departed peer missing from the archive");
   }
   return retired_stats_[retired_ix_[p]];
 }
@@ -1136,23 +1127,9 @@ Swarm::AvailabilityStats Swarm::availability_stats() const {
 }
 
 void Swarm::refresh_ranks_force() const {
-  if (config_.retain_departed) {
-    leechers_ranked_ = detail::rebuild_bandwidth_ranks_by(
-        table_.id_space(), [&](core::PeerId p) -> const PeerStats& { return stats(p); },
-        bandwidth_rank_);
-  } else {
-    // Without the archive, departed capacities are gone: rank the live
-    // leechers only (same shared (capacity desc, id asc) assignment).
-    std::vector<core::PeerId> order;
-    order.reserve(table_.size());
-    for (Row r = 0; r < table_.size(); ++r) {
-      if (!stats_[r].seed) order.push_back(table_.id_at(r));
-    }
-    detail::assign_capacity_ranks(
-        order, [&](core::PeerId p) { return stats_[table_.row_of(p)].upload_kbps; },
-        table_.id_space(), bandwidth_rank_);
-    leechers_ranked_ = order.size();
-  }
+  detail::rebuild_bandwidth_ranks_by(
+      table_.id_space(), [&](core::PeerId p) -> const PeerStats& { return stats(p); },
+      bandwidth_rank_);
   ranks_dirty_ = false;
 }
 
@@ -1217,8 +1194,8 @@ StratificationReport Swarm::stratification() const {
   records.resize(merged);
 
   // Offsets are normalized by the leecher population the ranks cover:
-  // leechers-ever with the archive, live leechers without it.
-  const std::size_t norm = config_.retain_departed ? leechers_ : leechers_ranked_;
+  // every leecher that ever joined.
+  const std::size_t norm = config_.num_peers + arrivals_;
   report.reciprocated_pairs = records.size();
   if (records.empty() || norm < 3) return report;
 

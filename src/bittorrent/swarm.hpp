@@ -23,10 +23,9 @@
 // away (swap-with-last, generation-stamped). Per-peer loops therefore
 // cost O(live population) and per-peer memory O(live + retired
 // records) no matter how many peers ever churned through — the regime
-// the paper's Figure 3 replacement process generates. Set
-// SwarmConfig::retain_departed = false to drop even the per-departure
-// archive (aggregates only), for week-long open-system runs at truly
-// flat memory.
+// the paper's Figure 3 replacement process generates. Every departure
+// is archived (~72 bytes each), so stats() and stratification() answer
+// for every peer that ever joined.
 //
 // Data plane: a *dynamic* overlay over flat edge-slot arrays with slot
 // recycling. Every directed (peer, neighbor) pair owns one slot in a
@@ -156,16 +155,6 @@ struct SwarmConfig {
   /// first completion cancels every other in-flight request for that
   /// piece (stale targets are re-picked on the sender's next transfer).
   bool endgame = false;
-  /// Keep one archived PeerStats record per departed peer (default),
-  /// so stats()/leech_download_kbps()/stratification() keep answering
-  /// for every peer that ever joined. false = fold departures into
-  /// aggregate counters only: per-departed-peer queries throw,
-  /// stratification covers live pairs only, and total peer-state
-  /// memory stays flat across unbounded cumulative arrivals (the
-  /// 10^6-arrival open-system regime). Flat-plane only: ReferenceSwarm
-  /// and the scenario summaries (run_scenario/run_multi_swarm) need
-  /// the archive and reject this flag.
-  bool retain_departed = true;
   /// Worker threads for the intra-round parallel phases (choke
   /// score/select, mutual-unchoke recording, transfer compute, rate
   /// folding); the endgame unchoke count and the transfer commit stay
@@ -473,7 +462,7 @@ std::size_t announce_connect(std::span<const core::PeerId> live_ids, core::PeerI
 /// capacity must be finite and positive. Only the initial population
 /// may also hold capacity-less (0 kbps) leechers, which `allow_zero`
 /// admits. A NaN would break the strict weak ordering
-/// assign_capacity_ranks() sorts by, which is undefined behaviour;
+/// rebuild_bandwidth_ranks_by() sorts by, which is undefined behaviour;
 /// +inf would give one peer an unbounded upload budget. Throws
 /// std::invalid_argument prefixed with `where`.
 void require_capacity(double kbps, const char* where, bool allow_zero = false);
@@ -485,30 +474,13 @@ void require_capacity(double kbps, const char* where, bool allow_zero = false);
 /// `where`.
 void validate_config(const SwarmConfig& cfg, const char* where);
 
-/// Sorts `order` (external leecher ids) by (capacity desc, id asc) and
-/// writes dense ranks indexed by external id over [0, rank_size)
-/// (entries outside `order` stay 0 and are never read). The one
-/// rank-assignment definition every caller shares, so the tie-break
-/// cannot drift between data planes or retention modes.
-template <typename CapacityFn>
-void assign_capacity_ranks(std::vector<core::PeerId>& order, CapacityFn&& capacity_of,
-                           std::size_t rank_size, std::vector<std::size_t>& rank) {
-  std::sort(order.begin(), order.end(), [&](core::PeerId a, core::PeerId b) {
-    const double ca = capacity_of(a);
-    const double cb = capacity_of(b);
-    if (ca != cb) return ca > cb;
-    return a < b;
-  });
-  rank.assign(rank_size, 0);
-  for (std::size_t r = 0; r < order.size(); ++r) rank[order[r]] = r;
-}
-
 /// Recomputes leecher bandwidth ranks into `rank`, indexed by external
 /// peer id over [0, peer_count) with `stats_of(id)` supplying each
-/// peer's record. Returns the leecher count. Shared by both data
-/// planes: stratification output is bitwise-compared between them, and
-/// the accessor indirection lets the flat plane serve departed peers
-/// from its retired archive.
+/// peer's record: leechers sorted by (capacity desc, id asc) get dense
+/// ranks, seeds stay 0 and are never read. Returns the leecher count.
+/// Shared by both data planes: stratification output is
+/// bitwise-compared between them, and the accessor indirection lets
+/// the flat plane serve departed peers from its retired archive.
 template <typename StatsFn>
 std::size_t rebuild_bandwidth_ranks_by(std::size_t peer_count, StatsFn&& stats_of,
                                        std::vector<std::size_t>& rank) {
@@ -519,8 +491,14 @@ std::size_t rebuild_bandwidth_ranks_by(std::size_t peer_count, StatsFn&& stats_o
       order.push_back(static_cast<core::PeerId>(p));
     }
   }
-  assign_capacity_ranks(
-      order, [&](core::PeerId p) { return stats_of(p).upload_kbps; }, peer_count, rank);
+  std::sort(order.begin(), order.end(), [&](core::PeerId a, core::PeerId b) {
+    const double ca = stats_of(a).upload_kbps;
+    const double cb = stats_of(b).upload_kbps;
+    if (ca != cb) return ca > cb;
+    return a < b;
+  });
+  rank.assign(peer_count, 0);
+  for (std::size_t r = 0; r < order.size(); ++r) rank[order[r]] = r;
   return order.size();
 }
 
@@ -624,8 +602,8 @@ class Swarm {
   /// copies from availability, discards partial/in-flight state,
   /// releases every incident edge slot to the free list, flushes the
   /// affected pairs' mutual-unchoke history, archives the final
-  /// PeerStats (unless retain_departed is off) and compacts the peer's
-  /// table row away. No-op if already departed.
+  /// PeerStats and compacts the peer's table row away. No-op if
+  /// already departed.
   void leave(core::PeerId p);
 
   /// Tracker re-announce: tops p's degree back up toward
@@ -661,8 +639,7 @@ class Swarm {
   [[nodiscard]] std::size_t peer_count() const noexcept { return table_.id_space(); }
 
   /// Final (departed) or current (live) accounting for p. Throws
-  /// std::out_of_range for unknown ids, or for departed peers when
-  /// retain_departed is off.
+  /// std::out_of_range for unknown ids.
   [[nodiscard]] const PeerStats& stats(core::PeerId p) const;
 
   /// True iff p was never a seed (initial leecher or join() arrival).
@@ -693,9 +670,8 @@ class Swarm {
   [[nodiscard]] double leech_download_kbps(core::PeerId p) const;
 
   /// Stratification metrics accumulated since construction (or the
-  /// last reset_stratification()), retired pairs included. With
-  /// retain_departed off, only pairs whose endpoints are both still
-  /// live are reported (departed capacities are gone).
+  /// last reset_stratification()), retired pairs included. Ranks and
+  /// the offset normalization cover every leecher that ever joined.
   [[nodiscard]] StratificationReport stratification() const;
 
   /// Clears the accumulated mutual-unchoke history, so stratification()
@@ -752,7 +728,7 @@ class Swarm {
   /// hot data plane and must stay O(live population) under unbounded
   /// churn; id_index_bytes is the O(ids-ever) price of stable external
   /// ids (4-8 bytes per arrival); retired_bytes is the archive
-  /// (empty when retain_departed is off).
+  /// (O(departures)).
   struct MemoryFootprint {
     std::size_t live_peers = 0;
     std::size_t peer_state_bytes = 0;  // row-indexed per-peer containers
@@ -912,8 +888,7 @@ class Swarm {
   /// Releases every edge incident to p / row pr (slots freed, mutual
   /// flushed, p removed from each neighbor's row).
   void release_all_edges(core::PeerId p, Row pr);
-  /// Moves a live pair's mutual-unchoke count into the retired records
-  /// (or drops it when retain_departed is off).
+  /// Moves a live pair's mutual-unchoke count into the retired records.
   void flush_mutual(core::PeerId p, core::PeerId q, std::size_t slot_min);
   /// The tracker announce every caller routes through: connects p to up
   /// to `need` distinct live non-neighbors chosen uniformly
@@ -926,8 +901,8 @@ class Swarm {
   /// deadline arrived re-announce (or reschedule if the tracker is
   /// still down). No-op unless outages are configured.
   void fault_step();
-  /// Rebuilds bandwidth_rank_ if a join (or, without the archive, a
-  /// departure) made it stale.
+  /// Rebuilds bandwidth_rank_ if a join or a capacity change made it
+  /// stale.
   void refresh_ranks() const;
   void refresh_ranks_force() const;
   /// Tracker target degree (llround(neighbor_degree)).
@@ -1033,9 +1008,7 @@ class Swarm {
   PhaseProfile profile_;
 
   // --- retired records --------------------------------------------------
-  // Final PeerStats of departed peers (departure order) + id -> index,
-  // populated only when config_.retain_departed. Aggregate counters are
-  // maintained in both modes.
+  // Final PeerStats of departed peers (departure order) + id -> index.
   std::vector<PeerStats> retired_stats_;
   std::vector<std::uint32_t> retired_ix_;  // external id -> retired index
   std::size_t retired_completed_ = 0;      // departed leechers holding all pieces
@@ -1076,13 +1049,8 @@ class Swarm {
   mutable std::vector<std::size_t> bandwidth_rank_;
   // strat-lint: not-serialized -- dirty bit of the derived rank cache
   mutable bool ranks_dirty_ = false;
-  // Leechers covered by bandwidth_rank_ (ever with the archive, live
-  // without) — the offset normalization in stratification().
-  // strat-lint: not-serialized -- derived with bandwidth_rank_ on refresh
-  mutable std::size_t leechers_ranked_ = 0;
   std::size_t round_ = 0;
-  std::size_t leechers_ = 0;     // leechers ever (initial + arrivals)
-  std::size_t arrivals_ = 0;
+  std::size_t arrivals_ = 0;  // leechers ever = config_.num_peers + arrivals_
   std::size_t departures_ = 0;
 };
 

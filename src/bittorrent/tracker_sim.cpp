@@ -140,11 +140,6 @@ TrackerSim::TrackerSim(const TrackerConfig& cfg, std::vector<TrackerSwarmSeed> s
     SwarmConfig scfg = sd.config;
     scfg.num_peers = sd.members.size();
     scfg.threads = 1;  // the member-swarm fan-out owns the parallelism
-    if (!scfg.retain_departed) {
-      throw std::invalid_argument(
-          "TrackerSim: retain_departed=false is unsupported (ecosystem reports cover "
-          "departed peers)");
-    }
     std::vector<double> capacities(sd.members.size());
     for (std::size_t local = 0; local < sd.members.size(); ++local) {
       const GlobalPeerId g = sd.members[local];

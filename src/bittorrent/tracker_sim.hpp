@@ -37,10 +37,12 @@
 // departure, so a multi-torrent peer whose other swarm ends regains
 // its full capacity the next round.
 //
-// Scale: memory is O(live) end to end — PeerTable per swarm, a pruned
-// registry at the tracker — so 10^3 swarms / 10^5..10^6 cumulative
-// arrivals run flat; BM_TrackerSimShards measures round throughput and
-// idle worker time across shards 1/2/4/8 × swarms 10/100/1000.
+// Scale: per-round cost and the hot state are O(live) — a PeerTable
+// per swarm, a pruned registry at the tracker. Memory is not: every
+// member swarm archives each departure (a retired PeerStats record,
+// ~72 B, plus the retired pair history), so it grows with cumulative
+// departures. BM_TrackerSimShards measures round throughput and idle
+// worker time across shards 1/2/4/8 × swarms 10/100/1000.
 #pragma once
 
 #include <array>

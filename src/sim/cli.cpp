@@ -1,7 +1,10 @@
 #include "sim/cli.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <stdexcept>
+#include <system_error>
 
 namespace strat::sim {
 
@@ -47,22 +50,45 @@ std::string Cli::get_string(const std::string& name, const std::string& fallback
   return raw(name).value_or(fallback);
 }
 
+namespace {
+
+/// Parses the whole of `text` as a T, or throws naming the flag.
+template <typename T>
+T parse_number(const std::string& name, const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    throw std::invalid_argument("Cli: --" + name + " expects a number, got '" + text + "'");
+  }
+  return value;
+}
+
+}  // namespace
+
 std::int64_t Cli::get_int(const std::string& name, std::int64_t fallback) const {
   auto v = raw(name);
   if (!v) return fallback;
-  return std::stoll(*v);
+  return parse_number<std::int64_t>(name, *v);
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {
   auto v = raw(name);
   if (!v) return fallback;
-  return std::stod(*v);
+  const double value = parse_number<double>(name, *v);
+  if (!std::isfinite(value)) {
+    throw std::invalid_argument("Cli: --" + name + " expects a finite number, got '" + *v + "'");
+  }
+  return value;
 }
 
 bool Cli::get_bool(const std::string& name, bool fallback) const {
   auto v = raw(name);
   if (!v) return fallback;
-  return *v == "true" || *v == "1" || *v == "yes";
+  if (*v == "true" || *v == "1" || *v == "yes") return true;
+  if (*v == "false" || *v == "0" || *v == "no") return false;
+  throw std::invalid_argument("Cli: --" + name + " expects true/1/yes or false/0/no, got '" +
+                              *v + "'");
 }
 
 }  // namespace strat::sim

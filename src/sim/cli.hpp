@@ -24,9 +24,14 @@ class Cli {
   [[nodiscard]] bool has(const std::string& name) const;
 
   [[nodiscard]] std::string get_string(const std::string& name, const std::string& fallback) const;
+  /// Numeric getters parse the whole value (`--n=5e3` and `--n=10k`
+  /// are refused, not truncated); doubles must be finite. They throw
+  /// std::invalid_argument naming the flag and the value.
   [[nodiscard]] std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
-  /// Boolean flags: present without a value (or with value "true"/"1") = true.
+  /// Boolean flags: present without a value, or with true/1/yes, =
+  /// true; false/0/no = false; any other value throws like the
+  /// numeric getters.
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback = false) const;
 
   /// Program name (argv[0]).

@@ -8,7 +8,6 @@
 
 #include <chrono>
 
-#include "bittorrent/reference_swarm.hpp"
 #include "bittorrent/scenario.hpp"
 #include "bittorrent/swarm.hpp"
 
@@ -108,65 +107,6 @@ TEST(SwarmLongChurn, DataPlaneStaysBoundedAcross20kReplacements) {
     EXPECT_EQ(swarm.degree(p), 0u);
   }
   EXPECT_EQ(departed_seen, swarm.departures());
-}
-
-TEST(SwarmLongChurn, RetainDepartedOffKeepsRetiredBytesFlat) {
-  SwarmConfig cfg = churn_config();
-  cfg.retain_departed = false;
-  const std::vector<double> bw = bandwidths(cfg.num_peers);
-  graph::Rng rng(626262);
-  Swarm swarm(cfg, bw, rng);
-  ChurnSpec spec = replacement_spec();
-  spec.replacement_rate = 25.0;
-  ChurnDriver<Swarm> driver(spec, cfg, bw, rng);
-  driver.attach(swarm);
-  for (std::size_t r = 0; r < 120; ++r) {
-    driver.before_round(swarm);
-    swarm.run_round();
-  }
-  ASSERT_GT(swarm.departures(), 2000u);
-  // No archive: the only growing structure is the id->row index
-  // (4 bytes per arrival); retired records stay empty.
-  const auto fp = swarm.memory_footprint();
-  EXPECT_EQ(fp.retired_bytes, 0u);
-  EXPECT_EQ(swarm.live_peer_count(), cfg.num_peers + cfg.seeds);
-  // Departed ids are recognized but their stats are gone by design.
-  core::PeerId departed_id = core::kNoPeer;
-  for (core::PeerId p = 0; p < swarm.peer_count(); ++p) {
-    if (swarm.departed(p)) {
-      departed_id = p;
-      break;
-    }
-  }
-  ASSERT_NE(departed_id, core::kNoPeer);
-  EXPECT_THROW((void)swarm.stats(departed_id), std::out_of_range);
-  // Live-pair stratification still works without the archive.
-  const StratificationReport report = swarm.stratification();
-  EXPECT_GT(report.reciprocated_pairs, 0u);
-  // Conservation-style sanity on the aggregate: completions are
-  // still counted across departures.
-  EXPECT_EQ(swarm.peer_count(), cfg.num_peers + cfg.seeds + swarm.arrivals());
-}
-
-TEST(SwarmLongChurn, RetainDepartedOffIsRejectedWhereArchivesAreRequired) {
-  SwarmConfig cfg = churn_config();
-  cfg.retain_departed = false;
-  const std::vector<double> bw = bandwidths(cfg.num_peers);
-  // The oracle plane needs the full history for the bitwise
-  // differential contract.
-  {
-    graph::Rng rng(1);
-    EXPECT_THROW((ReferenceSwarm(cfg, bw, rng)), std::invalid_argument);
-  }
-  // Scenario summaries read every leecher that ever joined.
-  SwarmScenario scenario;
-  scenario.config = cfg;
-  scenario.upload_kbps = bw;
-  EXPECT_THROW((void)run_scenario(scenario, 3), std::invalid_argument);
-  MultiSwarmSpec spec;
-  spec.config = cfg;
-  spec.upload_kbps.assign(distinct_peer_count(spec), 400.0);
-  EXPECT_THROW((void)run_multi_swarm(spec, 3, 1), std::invalid_argument);
 }
 
 }  // namespace

@@ -426,7 +426,6 @@ TEST(SwarmSnapshot, RejectsConfigOverrideMismatch) {
       {"rate_smoothing", [](SwarmConfig& c) { c.rate_smoothing /= 2.0; }},
       {"tft_slots_per_peer", [](SwarmConfig& c) { c.tft_slots_per_peer.assign(c.num_peers, 2); }},
       {"endgame", [](SwarmConfig& c) { c.endgame = !c.endgame; }},
-      {"retain_departed", [](SwarmConfig& c) { c.retain_departed = !c.retain_departed; }},
       {"faults.outage_period", [](SwarmConfig& c) { ++c.faults.outage_period; }},
       {"faults.outage_duration", [](SwarmConfig& c) { ++c.faults.outage_duration; }},
       {"faults.outage_phase", [](SwarmConfig& c) { ++c.faults.outage_phase; }},
@@ -437,7 +436,7 @@ TEST(SwarmSnapshot, RejectsConfigOverrideMismatch) {
       {"faults.backoff_base", [](SwarmConfig& c) { ++c.faults.backoff_base; }},
       {"faults.backoff_cap", [](SwarmConfig& c) { ++c.faults.backoff_cap; }},
   };
-  ASSERT_EQ(changes.size(), 25u) << "every SwarmConfig field but threads";
+  ASSERT_EQ(changes.size(), 24u) << "every SwarmConfig field but threads";
   for (const auto& [field, change] : changes) {
     SwarmConfig changed = cfg;
     change(changed);
@@ -462,7 +461,6 @@ TEST(SwarmSnapshot, ConfigWithEveryFieldOffDefaultRoundTrips) {
   cfg.rate_smoothing = 0.8;
   cfg.tft_slots_per_peer = {1, 2, 3, 4, 1, 2, 3, 4, 1, 2, 3, 4};
   cfg.endgame = true;
-  cfg.retain_departed = false;
   cfg.threads = 2;
   cfg.faults.outage_period = 5;
   cfg.faults.outage_duration = 2;
@@ -1247,35 +1245,57 @@ TEST(SnapshotChecks, RowChecksReportTheLowestRowAtAnyThreadCount) {
 
 TEST(SwarmSnapshot, RanksComputedOnDemandMatchTheUninterruptedRun) {
   // The loader leaves the bandwidth ranks dirty; the first reader sorts
-  // them. Live-only ranks (retain_departed off) move with departures,
-  // so both archive modes are checked, right after the resume and after
-  // more rounds.
+  // them, archived departures included, right after the resume and
+  // after more rounds.
   constexpr std::size_t kPeers = 120;
-  for (const bool retain : {true, false}) {
-    SwarmConfig cfg = base_config(kPeers);
-    cfg.retain_departed = retain;
-    graph::Rng rng(kSeed);
-    Swarm swarm(cfg, capacities(kPeers), rng);
-    ChurnDriver<Swarm> churn(churny_spec(), cfg, capacities(kPeers), rng);
-    churn.attach(swarm);
-    for (std::size_t r = 0; r < 15; ++r) {
-      churn.before_round(swarm);
-      swarm.run_round();
-    }
-    ASSERT_GT(swarm.departures(), 0u);
-    ResumedSwarm resumed = resume_from_string(save_to_string(swarm));
-    for (int window = 0; window < 2; ++window) {
-      const std::string where = std::string(retain ? "archive" : "live-only") + ", window " +
-                                std::to_string(window);
-      EXPECT_EQ(resumed.swarm().reciprocated_pairs(), swarm.reciprocated_pairs()) << where;
-      const StratificationReport a = swarm.stratification();
-      const StratificationReport b = resumed.swarm().stratification();
-      EXPECT_EQ(b.reciprocated_pairs, a.reciprocated_pairs) << where;
-      EXPECT_EQ(b.mean_normalized_offset, a.mean_normalized_offset) << where;
-      EXPECT_EQ(b.partner_rank_correlation, a.partner_rank_correlation) << where;
-      swarm.run(5);
-      resumed.swarm().run(5);
-    }
+  const SwarmConfig cfg = base_config(kPeers);
+  graph::Rng rng(kSeed);
+  Swarm swarm(cfg, capacities(kPeers), rng);
+  ChurnDriver<Swarm> churn(churny_spec(), cfg, capacities(kPeers), rng);
+  churn.attach(swarm);
+  for (std::size_t r = 0; r < 15; ++r) {
+    churn.before_round(swarm);
+    swarm.run_round();
+  }
+  ASSERT_GT(swarm.departures(), 0u);
+  ResumedSwarm resumed = resume_from_string(save_to_string(swarm));
+  for (int window = 0; window < 2; ++window) {
+    const std::string where = "window " + std::to_string(window);
+    EXPECT_EQ(resumed.swarm().reciprocated_pairs(), swarm.reciprocated_pairs()) << where;
+    const StratificationReport a = swarm.stratification();
+    const StratificationReport b = resumed.swarm().stratification();
+    EXPECT_EQ(b.reciprocated_pairs, a.reciprocated_pairs) << where;
+    EXPECT_EQ(b.mean_normalized_offset, a.mean_normalized_offset) << where;
+    EXPECT_EQ(b.partner_rank_correlation, a.partner_rank_correlation) << where;
+    swarm.run(5);
+    resumed.swarm().run(5);
+  }
+}
+
+// --- the retired archive flag ------------------------------------------------
+
+TEST(SwarmSnapshot, LoaderRefusesTheRetiredAggregatesOnlyByte) {
+  // The config section keeps the byte of the retired retain_departed
+  // flag, right after `endgame`, always 1. A stream whose byte says 0
+  // (a swarm with no departures, so the archive itself is consistent)
+  // is refused by name. The choke key, 12 fold lanes on, absorbs the
+  // patch so the checksum still matches; any key is a valid one.
+  SwarmConfig cfg = rules_base_config();
+  cfg.stay_as_seed = true;
+  std::string bytes = saved_at_round_zero(cfg);
+  using Flag = bool& (*)(SwarmConfig&);
+  const Flag endgame = [](SwarmConfig& c) -> bool& { return c.endgame; };
+  const std::size_t flag = field_offset(cfg, endgame, !cfg.endgame) + 1;
+  ASSERT_EQ(bytes[flag], 1);
+  ASSERT_NO_THROW((void)resume_from_string(bytes));
+  // threads, nine fault fields (8 bytes each) and the RNG section tag.
+  const std::size_t choke_key = flag + 1 + 10 * 8 + 4;
+  patch_lane(bytes, flag, 0, 1, choke_key, 12);
+  try {
+    (void)resume_from_string(bytes);
+    ADD_FAILURE() << "loader accepted retain_departed=0";
+  } catch (const SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("retain_departed"), std::string::npos) << e.what();
   }
 }
 

@@ -389,13 +389,6 @@ TEST(TrackerSim, RejectsInvalidConstruction) {
         << bad;
   }
 
-  // retain_departed=false (reports cover departed peers).
-  {
-    auto seeds = disjoint_seeds(2, 16);
-    seeds[0].config.retain_departed = false;
-    EXPECT_THROW(TrackerSim(TrackerConfig{}, std::move(seeds), capacities, 1),
-                 std::invalid_argument);
-  }
   // Member id beyond the capacity list.
   {
     auto seeds = disjoint_seeds(2, 16);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <stdexcept>
+#include <string>
 
 namespace strat::sim {
 namespace {
@@ -51,6 +53,42 @@ TEST(Cli, BoolExplicitValues) {
   EXPECT_TRUE(make({"--x=1"}, {"x"}).get_bool("x"));
   EXPECT_TRUE(make({"--x=yes"}, {"x"}).get_bool("x"));
   EXPECT_FALSE(make({"--x=false"}, {"x"}).get_bool("x", true));
+  EXPECT_FALSE(make({"--x=0"}, {"x"}).get_bool("x", true));
+  EXPECT_FALSE(make({"--x=no"}, {"x"}).get_bool("x", true));
+}
+
+TEST(Cli, BoolRefusesUnknownWords) {
+  for (const char* arg : {"--x=maybe", "--x=True", "--x=2", "--x="}) {
+    EXPECT_THROW((void)make({arg}, {"x"}).get_bool("x"), std::invalid_argument) << arg;
+  }
+}
+
+TEST(Cli, IntRefusesWhatItCannotParseWhole) {
+  EXPECT_EQ(make({"--n=-3"}, {"n"}).get_int("n", 0), -3);
+  for (const char* arg : {"--n=5e3", "--n=10k", "--n=1.5", "--n=", "--n= 7", "--n=x",
+                          "--n=99999999999999999999"}) {
+    EXPECT_THROW((void)make({arg}, {"n"}).get_int("n", 0), std::invalid_argument) << arg;
+  }
+}
+
+TEST(Cli, DoubleRefusesTrailingTextAndNonFinite) {
+  EXPECT_DOUBLE_EQ(make({"--d=5e3"}, {"d"}).get_double("d", 0.0), 5000.0);
+  EXPECT_DOUBLE_EQ(make({"--d=-0.25"}, {"d"}).get_double("d", 0.0), -0.25);
+  for (const char* arg : {"--d=1.5x", "--d=nan", "--d=inf", "--d=-inf", "--d=1e999", "--d=",
+                          "--d=abc"}) {
+    EXPECT_THROW((void)make({arg}, {"d"}).get_double("d", 0.0), std::invalid_argument) << arg;
+  }
+}
+
+TEST(Cli, ErrorsNameTheFlagAndTheValue) {
+  try {
+    (void)make({"--peers=10k"}, {"peers"}).get_int("peers", 0);
+    ADD_FAILURE() << "--peers=10k accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--peers"), std::string::npos) << what;
+    EXPECT_NE(what.find("10k"), std::string::npos) << what;
+  }
 }
 
 TEST(Cli, ProgramName) {
