@@ -124,15 +124,7 @@ void BM_SwarmRoundThreads(benchmark::State& state) {
     state.ResumeTiming();
     run->swarm().run(static_cast<std::size_t>(kWindow));
     state.PauseTiming();
-    const bt::Swarm::PhaseProfile& prof = run->swarm().phase_profile();
-    sum.choke_seconds += prof.choke_seconds;
-    sum.fold_seconds += prof.fold_seconds;
-    sum.mutual_seconds += prof.mutual_seconds;
-    sum.transfer_compute_seconds += prof.transfer_compute_seconds;
-    sum.transfer_commit_seconds += prof.transfer_commit_seconds;
-    sum.transfer_rerun_seconds += prof.transfer_rerun_seconds;
-    sum.transfer_lanes += prof.transfer_lanes;
-    sum.transfer_reruns += prof.transfer_reruns;
+    sum += run->swarm().phase_profile();
     run.reset();
     state.ResumeTiming();
   }
@@ -238,13 +230,15 @@ BENCHMARK(BM_SwarmChurnRound)->Arg(1)->Arg(5)->Arg(20)->Unit(benchmark::kMillise
 // compaction keeps the data plane and round time O(live): compare
 // end_round_ms / data_plane_mb across the two args — flat (±10%) is
 // the acceptance bar, where the pre-compaction plane grew linearly
-// with arrivals-ever. What does grow with the churn is counted apart:
-// id_index_mb (the id map, 4 bytes per arrival) and retired_mb (the
-// departed-peer archive and retired pair history), which rss_mb
-// includes. Both args run the same number of simulated rounds (so the
-// end-state probe compares same-age swarms) and differ only in
-// replacement rate, i.e. in how many peers ever churned through; the
-// benchmark's own time is the whole run.
+// with arrivals-ever. end_round_ms is the median of 15 timed probe
+// rounds, which no single slow round can move; the two args still run
+// ~20 s apart, so the host's drift between them reaches the bar. What
+// does grow with the churn is counted apart: id_index_mb (the id map,
+// 4 bytes per arrival) and retired_mb (the departed-peer archive and
+// retired pair history), which rss_mb includes. Both args run the same
+// number of simulated rounds (so the end-state probe compares same-age
+// swarms) and differ only in replacement rate, i.e. in how many peers
+// ever churned through; the benchmark's own time is the whole run.
 void BM_SwarmLongChurn(benchmark::State& state) {
   constexpr std::size_t kPeers = 5000;
   constexpr std::size_t kRounds = 200;
@@ -267,15 +261,17 @@ void BM_SwarmLongChurn(benchmark::State& state) {
       swarm.run_round();
     }
     // End-state round time, churn excluded: O(live) iff flat across args.
-    constexpr std::size_t kProbeRounds = 5;
-    const auto start = std::chrono::steady_clock::now();
-    for (std::size_t r = 0; r < kProbeRounds; ++r) swarm.run_round();
-    const auto stop = std::chrono::steady_clock::now();
+    constexpr std::size_t kProbeRounds = 15;
+    std::vector<double> probe_ms(kProbeRounds);
+    for (double& ms : probe_ms) {
+      const auto start = std::chrono::steady_clock::now();
+      swarm.run_round();
+      ms = std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+               .count();
+    }
     const auto fp = swarm.memory_footprint();
     state.counters["arrivals"] = static_cast<double>(swarm.arrivals());
-    state.counters["end_round_ms"] =
-        std::chrono::duration<double, std::milli>(stop - start).count() /
-        static_cast<double>(kProbeRounds);
+    state.counters["end_round_ms"] = sim::summarize(probe_ms).median;
     state.counters["data_plane_mb"] =
         static_cast<double>(fp.peer_state_bytes + fp.edge_slot_bytes) / (1024.0 * 1024.0);
     state.counters["id_index_mb"] =
@@ -480,14 +476,15 @@ BENCHMARK(BM_TrackerSimShards)
     ->Iterations(5)
     ->Unit(benchmark::kMillisecond);
 
-// The shards=1 overhead gate: the same closed (no arrivals, frozen
-// capacity split) 100-swarm workload through the tracker layer and
-// through a plain serial loop over standalone Swarm instances built
-// from the same seeds — exactly what run_multi_swarm did before it
-// became a TrackerSim shim. Both sides run the same swarms through the
-// same rounds, so each iteration times one tracker round and one loop
-// round, alternating which goes first; host drift then lands on both
-// sides of every pair. tracker_ms and loop_ms are the per-round
+// The shards=1 overhead gate: the same closed (no arrivals) 100-swarm
+// workload through the tracker layer and through a plain serial loop
+// over standalone Swarm instances built from the same seeds — exactly
+// what run_multi_swarm did before it became a TrackerSim shim. The
+// swarms are disjoint, so every capacity share is the whole capacity
+// and the barrier's re-split changes nothing. Both sides run the same
+// swarms through the same rounds, so each iteration times one tracker
+// round and one loop round, alternating which goes first; host drift
+// then lands on both sides of every pair. tracker_ms and loop_ms are the per-round
 // medians, and `overhead` is the median of the per-iteration
 // tracker/loop ratios. The closed swarms drain as leechers complete,
 // so the window is fixed: each repetition builds both sides afresh and
@@ -501,7 +498,6 @@ void BM_TrackerOverhead(benchmark::State& state) {
       bt::BandwidthModel::saroiu2002().representative_sample(kSwarms * kPeers);
   bt::TrackerConfig cfg;
   cfg.shards = 1;
-  cfg.dynamic_capacity_split = false;
   bt::TrackerSim tracker(cfg, tracker_disjoint_seeds(kSwarms, kPeers), capacities, 42);
   // Stable-address slots: Swarm holds a reference to its Rng, so both
   // live behind one unique_ptr (the TrackerSim slot layout).

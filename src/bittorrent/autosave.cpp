@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <optional>
@@ -41,6 +42,20 @@ std::optional<std::size_t> parsed_round(std::string_view name) {
     return std::nullopt;
   }
   return round;
+}
+
+/// The whole generation file in one string, or nullopt if it cannot be
+/// opened. A file that shrinks while it is read yields its short bytes,
+/// which the loader refuses as truncated.
+std::optional<std::string> read_generation(const std::filesystem::path& path) {
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  std::ifstream in(path, std::ios::binary);
+  if (ec || !in) return std::nullopt;
+  std::string bytes(static_cast<std::size_t>(size), '\0');
+  in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  bytes.resize(static_cast<std::size_t>(in.gcount()));
+  return bytes;
 }
 
 }  // namespace
@@ -93,10 +108,10 @@ std::vector<std::filesystem::path> autosave_files(const std::filesystem::path& d
 
 std::optional<ResumedSwarm> recover_latest_swarm(const std::filesystem::path& dir) {
   for (const std::filesystem::path& path : autosave_files(dir)) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) continue;
+    const std::optional<std::string> bytes = read_generation(path);
+    if (!bytes) continue;
     try {
-      return std::optional<ResumedSwarm>(std::in_place, in);
+      return std::optional<ResumedSwarm>(std::in_place, *bytes);
     } catch (const SnapshotError&) {
       // Corrupt or truncated generation: fall back to the next-newest.
     }

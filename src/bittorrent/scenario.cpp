@@ -206,11 +206,12 @@ MultiSwarmResult run_multi_swarm(const MultiSwarmSpec& spec, std::uint64_t seed,
   }
 
   // Thin shim over the tracker layer: the overlap layout becomes the
-  // seed list of a closed (no arrivals) TrackerSim, `threads` becomes
-  // the shard count, and the construction-time capacity split is
-  // frozen — the historical semantics. Per-swarm Rng seeding
-  // (seed + stride * (k+1)) is identical, so a member swarm still
-  // reproduces the same run a standalone Swarm would.
+  // seed list of a closed (no arrivals) TrackerSim and `threads`
+  // becomes the shard count. The barrier re-splits capacities as
+  // memberships depart, as in every TrackerSim; with stay_as_seed on
+  // nobody departs, so the construction-time split holds throughout.
+  // Per-swarm Rng seeding (seed + stride * (k+1)) is identical, so a
+  // member swarm still reproduces the same run a standalone Swarm would.
   std::vector<TrackerSwarmSeed> seeds(spec.num_swarms);
   for (std::size_t k = 0; k < spec.num_swarms; ++k) {
     seeds[k].config = spec.config;
@@ -221,7 +222,6 @@ MultiSwarmResult run_multi_swarm(const MultiSwarmSpec& spec, std::uint64_t seed,
   }
   TrackerConfig tcfg;
   tcfg.shards = threads;
-  tcfg.dynamic_capacity_split = false;
   TrackerSim tracker(tcfg, std::move(seeds), spec.upload_kbps, seed);
   tracker.run(spec.warmup_rounds);
   tracker.reset_stratification();

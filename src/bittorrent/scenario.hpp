@@ -412,9 +412,13 @@ struct MultiSwarmResult {
 
 /// Runs every member swarm. A thin shim over TrackerSim
 /// (tracker_sim.hpp) since the tracker layer landed: `threads` maps to
-/// TrackerConfig::shards (0 = one per hardware thread) and the
-/// capacity split is frozen at construction (the historical
-/// semantics). Deterministic at any thread count, bitwise.
+/// TrackerConfig::shards (0 = one per hardware thread). The tracker
+/// barrier re-splits a multi-homed peer's capacity as its memberships
+/// depart: with config.stay_as_seed on (the default) nobody departs and
+/// the construction-time split holds, while with stay_as_seed = false
+/// each time a multi-homed peer completes in one swarm and leaves it,
+/// its remaining memberships split its whole capacity anew.
+/// Deterministic at any thread count, bitwise.
 [[nodiscard]] MultiSwarmResult run_multi_swarm(const MultiSwarmSpec& spec, std::uint64_t seed,
                                                std::size_t threads = 1);
 

@@ -1,9 +1,11 @@
 // Swarm checkpoint serialization: Writer/Reader primitives plus
-// Swarm::save()/resume() (members of Swarm so no friend surface is
-// needed). See snapshot.hpp for the format contract.
+// Swarm::save()/resume() (members of Swarm, so the loader fills the
+// private state directly). See snapshot.hpp for the format contract.
 #include "bittorrent/snapshot.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <istream>
 #include <limits>
 
 #include "bittorrent/peer_table.hpp"
@@ -26,36 +28,26 @@ void Writer::finish() {
   sink_.append(reinterpret_cast<const char*>(&checksum), 8);
 }
 
-void write_section(std::ostream& out, const std::string& section, const char* what) {
-  out.write(section.data(), static_cast<std::streamsize>(section.size()));
-  out.flush();
-  if (!out) throw SnapshotError(std::string(what) + ": stream write failed");
-}
-
 Reader::Reader(std::string_view bytes)
     : cur_(reinterpret_cast<const unsigned char*>(bytes.data())),
       end_(cur_ + bytes.size()),
       hash_(kHashBasis) {}
 
 Reader::Reader(std::istream& in) : in_(&in), hash_(kHashBasis) {
-  // On a seekable stream, learn how many bytes remain so pod_vec can
-  // reject a lying length prefix before allocating anything.
+  // Learn how many bytes remain, so a lying length prefix dies before
+  // anything is allocated. A stream that cannot tell (a pipe) has no
+  // such bound and is refused.
   const std::istream::pos_type cur = in.tellg();
-  bounded_ = false;
   if (cur != std::istream::pos_type(-1)) {
     in.seekg(0, std::ios::end);
     const std::istream::pos_type end = in.tellg();
     in.seekg(cur);
     if (end != std::istream::pos_type(-1) && end >= cur && in.good()) {
       behind_ = static_cast<std::uint64_t>(end - cur);
-      bounded_ = true;
-    } else {
-      in.clear();
-      in.seekg(cur);
+      return;
     }
-  } else {
-    in.clear();  // tellg on a pipe sets failbit; reads must still work
   }
+  throw SnapshotError("snapshot: stream is not seekable");
 }
 
 void Reader::take_slow(void* data, std::size_t n) {
@@ -73,10 +65,8 @@ void Reader::take_slow(void* data, std::size_t n) {
     behind_ -= std::min<std::uint64_t>(behind_, static_cast<std::uint64_t>(got));
     return static_cast<std::size_t>(got);
   };
-  // Large reads go straight through; so does everything on a
-  // non-seekable stream, where an over-read could not be seeked back
-  // for a companion section that follows on the same stream.
-  if (n >= kIoBuf || !bounded_) {
+  // Large reads go straight through.
+  if (n >= kIoBuf) {
     in_->read(reinterpret_cast<char*>(dst), static_cast<std::streamsize>(n));
     if (consumed(in_->gcount()) != n) throw SnapshotError("snapshot: truncated stream");
     return;
@@ -98,18 +88,11 @@ void Reader::expect_tag(std::uint32_t t, const char* section) {
 }
 
 void Reader::verify_checksum() {
-  const std::uint64_t expected = mix64(hash_);  // snapshot hash before the footer
+  const std::uint64_t expected = mix64(hash_);  // section hash before the footer
   std::uint64_t stored;
   take(&stored, 8);
-  // Return any unconsumed read-ahead so the stream position lands
-  // exactly after the footer — a companion section may follow.
-  const std::size_t leftover = window();
-  if (in_ != nullptr && leftover > 0) {
-    in_->seekg(-static_cast<std::istream::off_type>(leftover), std::ios::cur);
-    behind_ += leftover;
-    cur_ = end_ = nullptr;
-  }
   if (stored != expected) throw SnapshotError("snapshot: checksum mismatch (corrupt stream)");
+  hash_ = kHashBasis;  // the next section folds from the start
 }
 
 }  // namespace snapshot_detail
@@ -127,7 +110,7 @@ constexpr std::uint32_t kNoRetired = std::numeric_limits<std::uint32_t>::max();
 /// doubles as the format documentation: a member added to the class
 /// must show up in one of these sections (or carry a written waiver)
 /// before the tree lints clean. R4 also verifies every tag is both
-/// written by save_impl and expected by resume_impl.
+/// written by save_impl and expected by resume.
 /// Scenario/config values (SwarmConfig, field-by-field).
 constexpr std::uint32_t kTagConfig = 1;
 /// RNG: choke_key_ plus the xoshiro word state and the Box-Muller
@@ -354,12 +337,6 @@ void Swarm::save_impl(Out& w) const {
   w.finish();
 }
 
-void Swarm::save(std::ostream& out) const {
-  std::string section;
-  save(section);
-  snapshot_detail::write_section(out, section, "snapshot");
-}
-
 void Swarm::save(std::string& out) const {
   // Size the snapshot with the same walk that writes it, so the buffer
   // is reserved once: a mid-save doubling would re-copy a 10^5-peer
@@ -371,17 +348,7 @@ void Swarm::save(std::string& out) const {
   save_impl(w);
 }
 
-Swarm Swarm::resume(std::istream& in, graph::Rng& rng) {
-  Reader r(in);
-  return resume_impl(r, rng, nullptr);
-}
-
-Swarm Swarm::resume(std::istream& in, graph::Rng& rng, const SwarmConfig& config) {
-  Reader r(in);
-  return resume_impl(r, rng, &config);
-}
-
-Swarm Swarm::resume_impl(Reader& r, graph::Rng& rng, const SwarmConfig* override_config) {
+Swarm Swarm::resume(Reader& r, graph::Rng& rng, const SwarmConfig* override_config) {
   try {
     if (r.u64() != kSnapshotMagic) throw SnapshotError("snapshot: bad magic");
     const std::uint32_t version = r.u32();
@@ -688,7 +655,7 @@ std::string save_to_string(const Swarm& swarm) {
 ResumedSwarm::ResumedSwarm(std::string_view snapshot, const SwarmConfig* config)
     : rng_(std::make_unique<graph::Rng>()) {
   Reader r(snapshot);
-  swarm_.emplace(Swarm::resume_impl(r, *rng_, config));
+  swarm_.emplace(Swarm::resume(r, *rng_, config));
 }
 
 ResumedSwarm resume_from_string(const std::string& snapshot) { return ResumedSwarm(snapshot); }

@@ -51,6 +51,9 @@
 // in a companion section via save_churn_driver()/restore_churn_driver()
 // — the driver's spec/config/pool are construction inputs the resuming
 // caller supplies, the snapshot carries only the mutable remainder.
+// Both sections are read through one snapshot_detail::Reader, which
+// restarts its checksum after each footer, so a churn section is
+// restored from the same Reader right after Swarm::resume().
 //
 // fork_snapshot() opens warm-started what-if sweeps: resume one
 // equilibrated snapshot into N independent (rng, swarm) pairs and
@@ -58,15 +61,13 @@
 // ramp-up.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
-#include <istream>
+#include <iosfwd>
 #include <memory>
 #include <optional>
-#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -82,7 +83,8 @@ namespace strat::bt {
 
 /// Any snapshot failure: bad magic, version/config mismatch,
 /// truncation, checksum failure, structural inconsistency, stream
-/// errors. The message names the offending field.
+/// errors (a failed write, a stream that cannot seek). The message
+/// names the offending field.
 class SnapshotError : public std::runtime_error {
  public:
   explicit SnapshotError(const std::string& what) : std::runtime_error(what) {}
@@ -189,9 +191,9 @@ class Sizer {
 
 /// Checksummed little-endian binary writer appending to a string: the
 /// ostream machinery costs more than the serialization itself at 10^5
-/// peers, so a stream save stages one section in a string and writes
-/// it whole (write_section()). The running 64-bit hash folds every
-/// *logical* write; finish() appends the checksum.
+/// peers, so TrackerSim::save() stages each section in a string and
+/// writes it whole. The running 64-bit hash folds every *logical*
+/// write; finish() appends the checksum.
 class Writer {
  public:
   explicit Writer(std::string& sink);
@@ -241,28 +243,27 @@ class Writer {
   std::uint64_t hash_;
 };
 
-/// Writes one serialized section to `out` and flushes it. Throws
-/// SnapshotError prefixed with `what` if the stream fails.
-void write_section(std::ostream& out, const std::string& section, const char* what);
-
 /// Checksummed reader, mirror of Writer: every read throws
 /// SnapshotError("...truncated") on a short source, and
-/// verify_checksum() compares the running hash with the stored footer.
+/// verify_checksum() compares the running hash with the stored footer,
+/// then restarts the hash, so one Reader reads any number of sections
+/// in a row (a swarm, its churn section, a whole tracker stream).
 /// Every read is served from one contiguous window [cur, end); the two
 /// sources differ only in what lies behind it:
 ///   - a byte view (Reader(std::string_view)) is the whole window: reads
 ///     copy straight out of the caller's bytes, nothing is staged, and a
 ///     read past the end is truncation;
-///   - an std::istream refills the window through a ~64 KB read-ahead
-///     buffer (one istream call per refill, not per field — per-call
-///     overhead would otherwise dominate a 10^5-peer load); large reads
-///     and every read of a non-seekable stream bypass it, and
-///     verify_checksum() seeks back over any unconsumed read-ahead so a
-///     companion section can follow on the same stream.
+///   - a seekable std::istream (TrackerSim::resume()) refills the window
+///     through a ~64 KB read-ahead buffer (one istream call per refill,
+///     not per field — per-call overhead would otherwise dominate a
+///     10^5-peer load); large reads bypass it. The Reader owns the
+///     stream from its construction on: the read-ahead is never
+///     returned, so what follows a section is read through the same
+///     Reader. A stream that cannot seek (a pipe) is refused with a
+///     SnapshotError, because its length cannot be measured.
 /// remaining() is the window for a view and the seek-measured rest for
-/// a seekable stream, so a lying count dies with the same message on
-/// both; a non-seekable stream has no bound and grows buffers in ~1 MB
-/// chunks instead.
+/// a stream, so a lying count dies with the same message on both,
+/// before anything is sized.
 class Reader {
  public:
   explicit Reader(std::string_view bytes);
@@ -301,7 +302,13 @@ class Reader {
   void u32(std::uint32_t& v) { v = u32(); }
   void u64(std::uint64_t& v) { v = u64(); }
   void f64(double& v) { v = f64(); }
-  void flag(bool& v) { v = u8() != 0; }
+  /// A stored flag is one byte, 0 or 1; any other byte is refused, so
+  /// a load re-saves the bytes it read.
+  void flag(bool& v) {
+    const std::uint8_t byte = u8();
+    if (byte > 1) throw SnapshotError("snapshot: flag byte is neither 0 nor 1");
+    v = byte != 0;
+  }
   template <typename T>
   void pod(std::vector<T>& v, std::size_t max_elems, const char* what) {
     v = pod_vec<T>(max_elems, what);
@@ -319,33 +326,16 @@ class Reader {
   }
 
   /// `n` POD elements with no prefix, `n` derived from fields already
-  /// read. A corrupt length cannot force a giant allocation: on a
-  /// bounded source `n` is checked against remaining() before anything
-  /// is sized (so the result is allocated exactly once, with zero
-  /// capacity slack, and filled by one copy); on a non-seekable stream
-  /// the buffer grows in ~1 MB chunks and a lying length dies on the
-  /// first short read. Either way the checksum folds once over the
-  /// assembled buffer, matching a writer's single bytes() fold exactly.
+  /// read. A corrupt length cannot force a giant allocation: `n` is
+  /// checked against remaining() before anything is sized, so the
+  /// result is allocated exactly once, with zero capacity slack, and
+  /// filled by one copy. The checksum folds once over the whole buffer,
+  /// matching a writer's single bytes() fold exactly.
   template <typename T>
   std::vector<T> pod_array(std::size_t n) {
-    std::vector<T> out;
-    if (bounded_) {
-      if (n > remaining() / sizeof(T)) {
-        throw SnapshotError("snapshot: truncated stream");
-      }
-      out.resize(n);
-      take(out.data(), n * sizeof(T));
-    } else {
-      const std::size_t chunk = chunk_elems<T>();
-      out.reserve(std::min(n, chunk));
-      while (out.size() < n) {
-        const std::size_t take_n = std::min(chunk, n - out.size());
-        const std::size_t have = out.size();
-        out.resize(have + take_n);
-        take(out.data() + have, take_n * sizeof(T));
-      }
-      out.shrink_to_fit();  // loaded state should carry no growth slack
-    }
+    if (n > remaining() / sizeof(T)) throw SnapshotError("snapshot: truncated stream");
+    std::vector<T> out(n);
+    take(out.data(), n * sizeof(T));
     fold(out.data(), n * sizeof(T));
     return out;
   }
@@ -353,40 +343,35 @@ class Reader {
   /// Count-prefixed list, each element read by `elem(*this, x)`. The
   /// count is checked against `max_elems` and then, before anything is
   /// sized, against remaining() at the element's minimum encoded width
-  /// (a Sizer over a default element, whose own lists are empty). On a
-  /// non-seekable stream at most one ~1 MB chunk is reserved up front,
-  /// as in pod_vec(), and a lying count dies on the first short read.
+  /// (a Sizer over a default element, whose own lists are empty).
   template <typename T, typename Elem>
   void list(std::vector<T>& v, std::size_t max_elems, const char* what, Elem elem) {
     const std::uint64_t n = u64();
     if (n > max_elems) {
       throw SnapshotError(std::string("snapshot: implausible ") + what + " count");
     }
-    const auto count = static_cast<std::size_t>(n);
     const T probe{};
     Sizer min_width;
     elem(min_width, probe);
-    if (bounded_ && n > remaining() / min_width.size()) {
+    if (n > remaining() / min_width.size()) {
       throw SnapshotError(std::string("snapshot: ") + what + " count exceeds the stream");
     }
+    const auto count = static_cast<std::size_t>(n);
     v.clear();
-    v.reserve(bounded_ ? count : std::min(count, chunk_elems<T>()));
+    v.reserve(count);
     for (std::size_t i = 0; i < count; ++i) elem(*this, v.emplace_back());
   }
 
+  /// Compares the running hash with the stored footer, then restarts
+  /// the hash for the section that follows.
   void verify_checksum();
 
  private:
-  /// Elements per ~1 MB growth step on a non-seekable stream.
-  template <typename T>
-  static constexpr std::size_t chunk_elems() {
-    return std::max<std::size_t>(1, (std::size_t{1} << 20) / sizeof(T));
-  }
   [[nodiscard]] std::size_t window() const noexcept {
     return static_cast<std::size_t>(end_ - cur_);
   }
-  /// Bytes left of the source: the window plus, on a seekable stream,
-  /// what lies behind it. Meaningful only when bounded_.
+  /// Bytes left of the source: the window plus, on a stream, what lies
+  /// behind it.
   [[nodiscard]] std::uint64_t remaining() const noexcept { return window() + behind_; }
   /// Reads without folding (pod_array folds the assembled buffer once);
   /// reads the window holds are one memcpy.
@@ -400,8 +385,7 @@ class Reader {
     take_slow(data, n);
   }
   /// Window exhausted: truncation for a view; for a stream, drain the
-  /// window, then refill it (seekable) or read the stream directly
-  /// (large reads, non-seekable streams).
+  /// window, then refill it (or read a large request directly).
   void take_slow(void* data, std::size_t n);
   /// Folds `n` bytes into the running checksum without reading.
   void fold(const void* data, std::size_t n) {
@@ -413,8 +397,7 @@ class Reader {
   const unsigned char* end_ = nullptr;
   std::istream* in_ = nullptr;  // null for a view
   std::uint64_t hash_;
-  std::uint64_t behind_ = 0;  // seekable stream bytes not yet in the window
-  bool bounded_ = true;       // false on pipes: fall back to chunked reads
+  std::uint64_t behind_ = 0;  // stream bytes not yet in the window
   std::vector<unsigned char> rbuf_;  // the window's storage on a stream
 };
 
@@ -442,33 +425,29 @@ inline constexpr auto kChurnDeadline = [](auto& io, auto& d) { churn_deadline_fi
 
 }  // namespace snapshot_detail
 
-/// Serializes a ChurnDriver's mutable state (sorted lifetime
-/// deadlines + capacity-pool cursor) as a checksummed companion
-/// section, typically appended to the same stream right after
-/// Swarm::save(). The driver's spec/config/pool are construction
-/// inputs, not state — the resuming side must rebuild the driver with
-/// the same ones (and the same Rng the swarm resumes into) before
-/// calling restore_churn_driver().
+/// Appends a ChurnDriver's mutable state (sorted lifetime deadlines +
+/// capacity-pool cursor) to `out` as a checksummed companion section,
+/// typically right after Swarm::save(). The driver's spec/config/pool
+/// are construction inputs, not state — the resuming side must rebuild
+/// the driver with the same ones (and the same Rng the swarm resumes
+/// into) before calling restore_churn_driver().
 template <typename SwarmT>
-void save_churn_driver(std::ostream& out, const ChurnDriver<SwarmT>& driver) {
-  std::string section;
-  snapshot_detail::Writer w(section);
+void save_churn_driver(std::string& out, const ChurnDriver<SwarmT>& driver) {
+  snapshot_detail::Writer w(out);
   w.u64(kChurnMagic);
   w.u32(kSnapshotVersion);
   w.list(driver.deadline_snapshot(), snapshot_detail::kMaxChurnDeadlines, "churn deadline",
          snapshot_detail::kChurnDeadline);
   w.u64(driver.capacity_cursor());
   w.finish();
-  snapshot_detail::write_section(out, section, "churn snapshot");
 }
 
-/// Restores state saved by save_churn_driver() into a freshly
-/// constructed driver. Throws SnapshotError on bad magic, version
-/// mismatch, truncation, unordered/duplicate deadline ids, or
+/// Restores the next section of `r`, saved by save_churn_driver(), into
+/// a freshly constructed driver. Throws SnapshotError on bad magic,
+/// version mismatch, truncation, unordered/duplicate deadline ids, or
 /// checksum failure.
 template <typename SwarmT>
-void restore_churn_driver(std::istream& in, ChurnDriver<SwarmT>& driver) {
-  snapshot_detail::Reader r(in);
+void restore_churn_driver(snapshot_detail::Reader& r, ChurnDriver<SwarmT>& driver) {
   if (r.u64() != kChurnMagic) throw SnapshotError("churn snapshot: bad magic");
   const std::uint32_t version = r.u32();
   if (version != kSnapshotVersion) {
@@ -492,14 +471,10 @@ void restore_churn_driver(std::istream& in, ChurnDriver<SwarmT>& driver) {
 /// against it. Move-only; moving keeps the reference valid.
 class ResumedSwarm {
  public:
-  explicit ResumedSwarm(std::istream& in)
-      : rng_(std::make_unique<graph::Rng>()), swarm_(Swarm::resume(in, *rng_)) {}
-  ResumedSwarm(std::istream& in, const SwarmConfig& config)
-      : rng_(std::make_unique<graph::Rng>()), swarm_(Swarm::resume(in, *rng_, config)) {}
   /// Resumes from snapshot bytes in memory, read in place: the loader
   /// copies each field straight out of `snapshot` into the swarm, with
   /// no intermediate stream. `config`, when given, is the override of
-  /// Swarm::resume(in, rng, config).
+  /// Swarm::resume().
   explicit ResumedSwarm(std::string_view snapshot, const SwarmConfig* config = nullptr);
 
   ResumedSwarm(ResumedSwarm&&) = default;
@@ -528,7 +503,8 @@ class ResumedSwarm {
 /// Crash recovery: resumes from the newest autosave generation under
 /// `dir` that passes the loader's full validation (magic, bounds,
 /// checksum) — a corrupt or truncated newest generation falls back to
-/// the previous one. Returns nullopt when no generation loads (or the
+/// the previous one. Each generation file is read into one string and
+/// resumed in place. Returns nullopt when no generation loads (or the
 /// directory doesn't exist). Pairs with Swarm::autosave_every();
 /// implemented in autosave.cpp.
 [[nodiscard]] std::optional<ResumedSwarm> recover_latest_swarm(const std::filesystem::path& dir);

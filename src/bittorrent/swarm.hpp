@@ -101,10 +101,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
-#include <iosfwd>
 #include <limits>
 #include <optional>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -514,9 +514,8 @@ inline std::size_t rebuild_bandwidth_ranks(const std::vector<PeerStats>& stats,
 
 /// The simulator.
 namespace snapshot_detail {
-class Reader;  // snapshot.hpp — resume_impl() loads through it
+class Reader;  // snapshot.hpp — resume() loads through it
 }  // namespace snapshot_detail
-class ResumedSwarm;  // snapshot.hpp — resumes from bytes in memory
 
 class Swarm {
  public:
@@ -536,43 +535,39 @@ class Swarm {
 
   // --- checkpoint/restore ---------------------------------------------
 
-  /// Serializes the complete run state — config, peer table, per-row
-  /// hot state, edge-slot pool, retired records, choker and RNG state
-  /// (the swarm's structural generator included), round/churn counters
-  /// — as one versioned, checksummed binary snapshot (see
+  /// Appends the complete run state — config, peer table, per-row hot
+  /// state, edge-slot pool, retired records, choker and RNG state (the
+  /// swarm's structural generator included), round/churn counters — to
+  /// `out` as one versioned, checksummed binary snapshot (see
   /// snapshot.hpp for the format constants and README "Snapshot format
-  /// and resume contract" for the layout). Call between rounds only:
-  /// run_round() is atomic, so any point outside it is a valid
-  /// checkpoint. resume() continues bitwise-identically to the
-  /// uninterrupted run at any `threads` setting. Not serialized:
-  /// phase_profile() wall-clock accumulators and per-chunk scratch
-  /// (reset on resume), neither of which feeds back into simulation
-  /// state. Stages the snapshot in memory, then writes it in one call.
-  /// Throws SnapshotError if the stream write fails.
-  void save(std::ostream& out) const;
-
-  /// save() appending the same bytes to a string buffer: the
-  /// serializer behind every save, save_to_string() and autosave
-  /// included.
+  /// and resume contract" for the layout). The buffer is reserved once,
+  /// at the exact size. Call between rounds only: run_round() is
+  /// atomic, so any point outside it is a valid checkpoint. resume()
+  /// continues bitwise-identically to the uninterrupted run at any
+  /// `threads` setting. Not serialized: phase_profile() wall-clock
+  /// accumulators and per-chunk scratch (reset on resume), neither of
+  /// which feeds back into simulation state. The serializer behind
+  /// every save: save_to_string(), autosave and TrackerSim::save().
   void save(std::string& out) const;
 
-  /// Reconstructs a swarm from a save()d snapshot. `rng` becomes the
-  /// swarm's structural generator and is *overwritten* with the
-  /// checkpointed state, so subsequent draws — the swarm's and any
-  /// lockstep ChurnDriver's — continue the uninterrupted sequence.
-  /// Throws SnapshotError on bad magic, version mismatch, truncation,
-  /// checksum failure or any structural inconsistency (every index is
-  /// validated before use; a corrupt snapshot can never yield a swarm
-  /// with broken invariants).
-  [[nodiscard]] static Swarm resume(std::istream& in, graph::Rng& rng);
-
-  /// resume() with a config override: `config` must equal the
+  /// Reconstructs a swarm from the next save()d section of `r` (a
+  /// snapshot_detail::Reader over bytes in memory or over a seekable
+  /// stream; ResumedSwarm and resume_from_string() wrap the in-memory
+  /// case). `rng` becomes the swarm's structural generator and is
+  /// *overwritten* with the checkpointed state, so subsequent draws —
+  /// the swarm's and any lockstep ChurnDriver's — continue the
+  /// uninterrupted sequence. `config`, when given, must equal the
   /// checkpointed config in every simulation-semantic field, but
   /// `threads` may differ — results are bitwise identical at any
   /// fan-out, so a snapshot taken on a laptop resumes unchanged on a
-  /// 64-core box. Throws SnapshotError if any other field differs.
-  [[nodiscard]] static Swarm resume(std::istream& in, graph::Rng& rng,
-                                    const SwarmConfig& config);
+  /// 64-core box. Throws SnapshotError on bad magic, version mismatch,
+  /// truncation, checksum failure, a config override that differs in
+  /// any other field, or any structural inconsistency (every index is
+  /// validated before use; a corrupt snapshot can never yield a swarm
+  /// with broken invariants). The one loader behind every resume path;
+  /// defined in snapshot.cpp next to save().
+  [[nodiscard]] static Swarm resume(snapshot_detail::Reader& r, graph::Rng& rng,
+                                    const SwarmConfig* config = nullptr);
 
   /// Arms periodic crash-safe checkpoints: every `every` rounds,
   /// run_round() serializes the swarm through save() and publishes it
@@ -759,6 +754,23 @@ class Swarm {
     // Serial fault_step (announce retries); zero when outages are off.
     // The fault counters themselves live in fault_state().
     double fault_seconds = 0.0;
+    /// Adds `other` field by field, in member order: the one fold
+    /// behind every summed profile (TrackerSim::ecosystem_profile(),
+    /// the thread-sweep bench).
+    PhaseProfile& operator+=(const PhaseProfile& other) noexcept {
+      choke_seconds += other.choke_seconds;
+      endgame_seconds += other.endgame_seconds;
+      mutual_seconds += other.mutual_seconds;
+      transfer_seconds += other.transfer_seconds;
+      fold_seconds += other.fold_seconds;
+      transfer_compute_seconds += other.transfer_compute_seconds;
+      transfer_commit_seconds += other.transfer_commit_seconds;
+      transfer_rerun_seconds += other.transfer_rerun_seconds;
+      transfer_lanes += other.transfer_lanes;
+      transfer_reruns += other.transfer_reruns;
+      fault_seconds += other.fault_seconds;
+      return *this;
+    }
     /// Share of planned lanes the commit had to discard and re-drive
     /// serially — the conflict cost of the speculative compute stage.
     [[nodiscard]] double rerun_fraction() const noexcept {
@@ -789,14 +801,8 @@ class Swarm {
         rng_(rng),
         picker_(config.num_pieces),
         have_(config.num_pieces) {}
-  /// The one loader behind every resume path, stream or in-memory
-  /// bytes (`override` may be null); defined in snapshot.cpp next to
-  /// save().
-  [[nodiscard]] static Swarm resume_impl(snapshot_detail::Reader& r, graph::Rng& rng,
-                                         const SwarmConfig* override_config);
-  friend class ResumedSwarm;  // its in-memory constructor calls resume_impl
-  /// Shared body behind both save() overloads, driven through a
-  /// snapshot_detail::Sizer and then a Writer; defined in snapshot.cpp.
+  /// The body of save(), driven through a snapshot_detail::Sizer and
+  /// then a Writer; defined in snapshot.cpp.
   template <class Out>
   void save_impl(Out& w) const;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <istream>
 #include <limits>
 #include <numeric>
 #include <ostream>
@@ -199,7 +198,6 @@ void TrackerSim::maintain_registry() {
     });
     return rec.memberships.empty();
   });
-  if (!cfg_.dynamic_capacity_split) return;
   for (const PeerRegistry::Record& rec : registry_.records()) {
     const std::size_t m = rec.memberships.size();
     for (std::size_t j = 0; j < m; ++j) {
@@ -378,20 +376,7 @@ EcosystemReport TrackerSim::ecosystem_report() const {
 
 EcosystemProfile TrackerSim::ecosystem_profile() const {
   EcosystemProfile out;
-  for (const auto& slot : swarms_) {
-    const Swarm::PhaseProfile& p = slot->swarm->phase_profile();
-    out.swarms.choke_seconds += p.choke_seconds;
-    out.swarms.endgame_seconds += p.endgame_seconds;
-    out.swarms.mutual_seconds += p.mutual_seconds;
-    out.swarms.transfer_seconds += p.transfer_seconds;
-    out.swarms.fold_seconds += p.fold_seconds;
-    out.swarms.transfer_compute_seconds += p.transfer_compute_seconds;
-    out.swarms.transfer_commit_seconds += p.transfer_commit_seconds;
-    out.swarms.transfer_rerun_seconds += p.transfer_rerun_seconds;
-    out.swarms.transfer_lanes += p.transfer_lanes;
-    out.swarms.transfer_reruns += p.transfer_reruns;
-    out.swarms.fault_seconds += p.fault_seconds;
-  }
+  for (const auto& slot : swarms_) out.swarms += slot->swarm->phase_profile();
   out.barrier_seconds = barrier_seconds_;
   out.shard_seconds = shard_seconds_;
   out.shard_imbalance_seconds = shard_imbalance_seconds_;
@@ -400,8 +385,15 @@ EcosystemProfile TrackerSim::ecosystem_profile() const {
 }
 
 void TrackerSim::save(std::ostream& out) const {
-  // One section at a time: the header, then each member swarm and its
-  // churn driver, so the whole ecosystem is never staged in memory.
+  // One section at a time, each staged in its own string and written
+  // whole: the header, then each member swarm and its churn driver. A
+  // section's string is freed once written, so the save holds one
+  // section besides the stream's bytes; a string reused across
+  // sections would keep the first (largest) member's capacity to the
+  // end of the save.
+  const auto write_section = [&out](const std::string& section) {
+    out.write(section.data(), static_cast<std::streamsize>(section.size()));
+  };
   std::string header;
   snapshot_detail::Writer w(header);
   w.u64(kTrackerMagic);
@@ -418,76 +410,78 @@ void TrackerSim::save(std::ostream& out) const {
   w.u64(registry_.id_space());
   w.list(registry_.records(), registry_.id_space(), "registry record", kRegistryRecord);
   w.finish();
-  snapshot_detail::write_section(out, header, "tracker snapshot");
+  write_section(header);
   for (const auto& slot : swarms_) {
-    slot->swarm->save(out);
-    save_churn_driver(out, *slot->driver);
+    write_section(save_to_string(*slot->swarm));
+    std::string churn;
+    save_churn_driver(churn, *slot->driver);
+    write_section(churn);
   }
+  out.flush();
+  if (!out) throw SnapshotError("tracker snapshot: stream write failed");
 }
 
 TrackerSim TrackerSim::resume(std::istream& in, const TrackerConfig& cfg) {
   TrackerSim t(cfg);
-  std::size_t num_swarms = 0;
-  std::vector<PeerRegistry::Record> records;
-  GlobalPeerId id_space = 0;
-  {
-    snapshot_detail::Reader r(in);
-    if (r.u64() != kTrackerMagic) throw SnapshotError("tracker snapshot: bad magic");
-    const std::uint32_t version = r.u32();
-    if (version != kSnapshotVersion) {
-      throw SnapshotError("tracker snapshot: unsupported version " + std::to_string(version));
-    }
-
-    r.expect_tag(kTagTrackerMeta, "tracker meta");
-    const std::uint64_t swarm_count = r.u64();
-    if (swarm_count == 0 || swarm_count > kMaxSwarms) {
-      throw SnapshotError("tracker snapshot: implausible swarm count");
-    }
-    num_swarms = static_cast<std::size_t>(swarm_count);
-    t.round_ = static_cast<std::size_t>(r.u64());
-    t.tracker_key_ = r.u64();
-    graph::Rng::State st;
-    snapshot_detail::rng_state_fields(r, st);
-    try {
-      t.tracker_rng_.restore(st);
-    } catch (const std::invalid_argument&) {
-      throw SnapshotError("tracker snapshot: invalid generator state");
-    }
-
-    r.expect_tag(kTagTrackerRegistry, "tracker registry");
-    const std::uint64_t space = r.u64();
-    if (space > std::numeric_limits<GlobalPeerId>::max()) {
-      throw SnapshotError("tracker snapshot: implausible id space");
-    }
-    id_space = static_cast<GlobalPeerId>(space);
-    r.list(records, id_space, "registry record", kRegistryRecord);
-    for (const PeerRegistry::Record& rec : records) {
-      if (rec.memberships.empty() || rec.memberships.size() > num_swarms) {
-        throw SnapshotError("tracker snapshot: implausible membership count");
-      }
-      for (const PeerRegistry::Membership& m : rec.memberships) {
-        if (m.swarm >= num_swarms) {
-          throw SnapshotError("tracker snapshot: membership names an unknown swarm");
-        }
-      }
-      // The constructor's capacity rule, as the record is read: a +inf
-      // capacity would otherwise fail only at the next capacity re-split.
-      try {
-        detail::require_capacity(rec.upload_kbps, "tracker snapshot: registry record");
-      } catch (const std::invalid_argument& e) {
-        throw SnapshotError(e.what());
-      }
-    }
-    r.verify_checksum();
+  // One Reader for the whole stream: the header, then every member
+  // swarm and churn section in order.
+  snapshot_detail::Reader r(in);
+  if (r.u64() != kTrackerMagic) throw SnapshotError("tracker snapshot: bad magic");
+  const std::uint32_t version = r.u32();
+  if (version != kSnapshotVersion) {
+    throw SnapshotError("tracker snapshot: unsupported version " + std::to_string(version));
   }
+
+  r.expect_tag(kTagTrackerMeta, "tracker meta");
+  const std::uint64_t swarm_count = r.u64();
+  if (swarm_count == 0 || swarm_count > kMaxSwarms) {
+    throw SnapshotError("tracker snapshot: implausible swarm count");
+  }
+  const auto num_swarms = static_cast<std::size_t>(swarm_count);
+  t.round_ = static_cast<std::size_t>(r.u64());
+  t.tracker_key_ = r.u64();
+  graph::Rng::State st;
+  snapshot_detail::rng_state_fields(r, st);
+  try {
+    t.tracker_rng_.restore(st);
+  } catch (const std::invalid_argument&) {
+    throw SnapshotError("tracker snapshot: invalid generator state");
+  }
+
+  r.expect_tag(kTagTrackerRegistry, "tracker registry");
+  const std::uint64_t space = r.u64();
+  if (space > std::numeric_limits<GlobalPeerId>::max()) {
+    throw SnapshotError("tracker snapshot: implausible id space");
+  }
+  const auto id_space = static_cast<GlobalPeerId>(space);
+  std::vector<PeerRegistry::Record> records;
+  r.list(records, id_space, "registry record", kRegistryRecord);
+  for (const PeerRegistry::Record& rec : records) {
+    if (rec.memberships.empty() || rec.memberships.size() > num_swarms) {
+      throw SnapshotError("tracker snapshot: implausible membership count");
+    }
+    for (const PeerRegistry::Membership& m : rec.memberships) {
+      if (m.swarm >= num_swarms) {
+        throw SnapshotError("tracker snapshot: membership names an unknown swarm");
+      }
+    }
+    // The constructor's capacity rule, as the record is read: a +inf
+    // capacity would otherwise fail only at the next capacity re-split.
+    try {
+      detail::require_capacity(rec.upload_kbps, "tracker snapshot: registry record");
+    } catch (const std::invalid_argument& e) {
+      throw SnapshotError(e.what());
+    }
+  }
+  r.verify_checksum();
 
   t.swarms_.reserve(num_swarms);
   for (std::size_t k = 0; k < num_swarms; ++k) {
     auto slot = std::make_unique<SwarmSlot>();
-    slot->swarm.emplace(Swarm::resume(in, slot->rng));
+    slot->swarm.emplace(Swarm::resume(r, slot->rng));
     slot->driver.emplace(t.cfg_.swarm_churn, slot->swarm->config(), std::vector<double>{},
                          slot->rng);
-    restore_churn_driver(in, *slot->driver);
+    restore_churn_driver(r, *slot->driver);
     t.swarms_.push_back(std::move(slot));
   }
 

@@ -32,10 +32,9 @@
 // Capacity-split semantics: a peer in m swarms brings
 // membership_capacity_share(kbps, m, j) to its j-th membership — every
 // membership gets kbps/m except the last, which absorbs the exact
-// remainder, so the shares always sum to kbps bit-exactly. When
-// dynamic_capacity_split is on, the barrier re-splits after each
-// departure, so a multi-torrent peer whose other swarm ends regains
-// its full capacity the next round.
+// remainder, so the shares always sum to kbps bit-exactly. The barrier
+// re-splits after each departure, so a multi-torrent peer whose other
+// swarm ends regains its full capacity the next round.
 //
 // Scale: per-round cost and the hot state are O(live) — a PeerTable
 // per swarm, a pruned registry at the tracker. Memory is not: every
@@ -137,12 +136,6 @@ struct TrackerConfig {
   /// bitfields for injected arrivals). Its arrival and replacement
   /// processes must be off — the tracker owns arrivals.
   ChurnSpec swarm_churn;
-
-  /// Re-split multi-torrent capacities every round as memberships
-  /// depart (the open-system default). false freezes the
-  /// construction-time split — the historical run_multi_swarm
-  /// semantics the shim relies on.
-  bool dynamic_capacity_split = true;
 };
 
 /// Global peer directory: ecosystem id -> capacity + per-swarm
@@ -316,19 +309,24 @@ class TrackerSim {
   /// tracker header section (round counter, arrival-stream key,
   /// tracker generator, registry), then each member swarm's STRATSWM
   /// snapshot followed by its driver's STRATCHN companion, in swarm
-  /// order. Call between rounds only. Two trackers in lockstep emit
-  /// identical bytes regardless of their shard counts — the byte
-  /// equality the shard differential tests assert.
+  /// order. Each section is staged in a string of its own and written
+  /// whole, so the ecosystem is never held in memory at once. Call
+  /// between rounds only. Two trackers in lockstep emit identical bytes
+  /// regardless of their shard counts — the byte equality the shard
+  /// differential tests assert. Throws SnapshotError if the stream
+  /// write fails.
   void save(std::ostream& out) const;
 
-  /// Restores a save()d ecosystem. `cfg` is a construction input, not
+  /// Restores a save()d ecosystem, reading the whole stream through one
+  /// snapshot_detail::Reader. `cfg` is a construction input, not
   /// state (the ChurnDriver restore() precedent): pass the same
   /// arrival/churn semantics or the continued run diverges — but
   /// `shards` is free, and the resumed run is bitwise-equal to the
-  /// uninterrupted one at any value. Throws SnapshotError on bad
-  /// magic/version, truncation, checksum failure, or any structurally
-  /// inconsistent registry (every id and membership is bounds-checked
-  /// against the restored swarms before wiring).
+  /// uninterrupted one at any value. Throws SnapshotError on a stream
+  /// that cannot seek, bad magic/version, truncation, checksum
+  /// failure, or any structurally inconsistent registry (every id and
+  /// membership is bounds-checked against the restored swarms before
+  /// wiring).
   [[nodiscard]] static TrackerSim resume(std::istream& in, const TrackerConfig& cfg);
 
   /// Arms periodic crash-safe checkpoints: every `every` rounds,

@@ -8,11 +8,12 @@
 // the original byte stream (serialization is a pure function of run
 // state). The robustness half feeds the loader hostile streams — bad
 // magic, wrong version, every truncation point, single-byte
-// corruption, corrupt list counts (on a non-seekable stream too), and
+// corruption, corrupt list counts, stored flags other than 0 and 1, and
 // config values the constructors refuse — and requires a clean
 // SnapshotError every time (the ASan/UBSan CI job runs this binary to
-// certify no UB on any path). Format pins hold the saved bytes of a
-// swarm with every section non-empty and of its churn section.
+// certify no UB on any path); a stream that cannot seek is refused.
+// Format pins hold the saved bytes of a swarm with every section
+// non-empty and of its churn section.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -141,9 +142,8 @@ UninterruptedRun run_with_checkpoint(const SwarmConfig& cfg, std::size_t peers, 
   auto checkpoint = [&] {
     run.swarm_snapshot = save_to_string(swarm);
     if (churned) {
-      std::ostringstream out(std::ios::binary);
-      save_churn_driver(out, churn);
-      run.churn_snapshot = std::move(out).str();
+      run.churn_snapshot.clear();
+      save_churn_driver(run.churn_snapshot, churn);
     }
   };
   if (save_round == 0) checkpoint();
@@ -157,18 +157,18 @@ UninterruptedRun run_with_checkpoint(const SwarmConfig& cfg, std::size_t peers, 
 }
 
 /// Resumes `run`'s checkpoint and drives it to `rounds` under the same
-/// schedule, returning the continued end state.
+/// schedule, returning the continued end state. The swarm and churn
+/// sections are read back to back through one Reader.
 EndState continue_from(const UninterruptedRun& run, const SwarmConfig& cfg, std::size_t peers,
                        bool churned, std::size_t rounds = kRounds,
                        const SwarmConfig* override_cfg = nullptr) {
   graph::Rng rng;  // state comes entirely from the snapshot
-  std::istringstream in(run.swarm_snapshot, std::ios::binary);
-  Swarm swarm = override_cfg != nullptr ? Swarm::resume(in, rng, *override_cfg)
-                                        : Swarm::resume(in, rng);
+  const std::string bytes = run.swarm_snapshot + run.churn_snapshot;
+  snapshot_detail::Reader in(bytes);
+  Swarm swarm = Swarm::resume(in, rng, override_cfg);
   ChurnDriver<Swarm> churn(churny_spec(), cfg, capacities(peers), rng);
   if (churned) {
-    std::istringstream churn_in(run.churn_snapshot, std::ios::binary);
-    restore_churn_driver(churn_in, churn);  // NOT attach(): deadlines come from the stream
+    restore_churn_driver(in, churn);  // NOT attach(): deadlines come from the stream
   }
   for (std::size_t r = swarm.rounds_elapsed(); r < rounds; ++r) {
     if (churned) churn.before_round(swarm);
@@ -282,7 +282,7 @@ TEST(SwarmSnapshot, ForkUnderOriginalScheduleMatchesUninterrupted) {
   {
     ResumedSwarm& fork = forks[0];
     ChurnDriver<Swarm> churn(churny_spec(), cfg, capacities(kPeers), fork.rng());
-    std::istringstream churn_in(run.churn_snapshot, std::ios::binary);
+    snapshot_detail::Reader churn_in(run.churn_snapshot);
     restore_churn_driver(churn_in, churn);
     for (std::size_t r = fork.swarm().rounds_elapsed(); r < kRounds; ++r) {
       churn.before_round(fork.swarm());
@@ -299,7 +299,7 @@ TEST(SwarmSnapshot, ForkUnderOriginalScheduleMatchesUninterrupted) {
     ChurnSpec divergent = churny_spec();
     divergent.replacement_rate = 6.0;
     ChurnDriver<Swarm> churn(divergent, cfg, capacities(kPeers), fork.rng());
-    std::istringstream churn_in(run.churn_snapshot, std::ios::binary);
+    snapshot_detail::Reader churn_in(run.churn_snapshot);
     restore_churn_driver(churn_in, churn);
     const std::size_t shared_arrivals = fork.swarm().arrivals();
     for (std::size_t r = fork.swarm().rounds_elapsed(); r < kRounds; ++r) {
@@ -325,13 +325,12 @@ TEST(SwarmSnapshot, ChurnDriverStateRoundTrips) {
     churn.before_round(swarm);
     swarm.run_round();
   }
-  std::ostringstream out(std::ios::binary);
-  save_churn_driver(out, churn);
-  const std::string bytes = std::move(out).str();
+  std::string bytes;
+  save_churn_driver(bytes, churn);
 
   graph::Rng rng2(kSeed);
   ChurnDriver<Swarm> restored(churny_spec(), cfg, capacities(kPeers), rng2);
-  std::istringstream in(bytes, std::ios::binary);
+  snapshot_detail::Reader in(bytes);
   restore_churn_driver(in, restored);
   EXPECT_EQ(restored.deadline_snapshot(), churn.deadline_snapshot());
   EXPECT_EQ(restored.capacity_cursor(), churn.capacity_cursor());
@@ -753,13 +752,12 @@ TEST(SwarmSnapshot, RejectsCorruptChurnDeadlineCount) {
   Swarm swarm(cfg, capacities(kPeers), rng);
   ChurnDriver<Swarm> churn(churny_spec(), cfg, capacities(kPeers), rng);
   churn.attach(swarm);
-  std::ostringstream out(std::ios::binary);
-  save_churn_driver(out, churn);
-  std::string bytes = std::move(out).str();
+  std::string bytes;
+  save_churn_driver(bytes, churn);
   ASSERT_GT(u64_at(bytes, 12), 0u) << "deadline count follows magic and version";
   bytes[15] = static_cast<char>(0xFF);
   ChurnDriver<Swarm> restored(churny_spec(), cfg, capacities(kPeers), rng);
-  std::istringstream in(bytes, std::ios::binary);
+  snapshot_detail::Reader in(bytes);
   EXPECT_THROW(restore_churn_driver(in, restored), SnapshotError);
 }
 
@@ -863,8 +861,7 @@ TEST(SwarmSnapshot, RejectsAPieceListedTwiceInOneRowsPartials) {
 }
 
 /// A pipe-like stream buffer: reads work, tellg()/seekg() fail (the
-/// std::streambuf defaults), so the Reader cannot learn the remaining
-/// bytes and must grow lists chunk by chunk.
+/// std::streambuf defaults), so the remaining bytes cannot be measured.
 class PipeBuf : public std::streambuf {
  public:
   explicit PipeBuf(std::string bytes) : bytes_(std::move(bytes)) {
@@ -875,37 +872,30 @@ class PipeBuf : public std::streambuf {
   std::string bytes_;
 };
 
-TEST(SwarmSnapshot, NonSeekableStreamLoadsAndRejectsCorruptCounts) {
-  const std::string bytes = count_probe_snapshot();
+TEST(SwarmSnapshot, NonSeekableStreamIsRefused) {
+  // A count check needs the bytes left, which a pipe cannot tell: the
+  // Reader, and so TrackerSim::resume, refuses it before any read.
   {
-    PipeBuf buf(bytes);
+    PipeBuf buf(count_probe_snapshot());
     std::istream in(&buf);
-    graph::Rng rng;
-    const Swarm swarm = Swarm::resume(in, rng);
-    EXPECT_EQ(save_to_string(swarm), bytes);
+    try {
+      snapshot_detail::Reader r(in);
+      ADD_FAILURE() << "a non-seekable stream was accepted";
+    } catch (const SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find("not seekable"), std::string::npos) << e.what();
+    }
   }
   {
-    std::string bad = bytes;
-    bad[avail_tag_offset(bytes, 10, 16) - 8 + 3] = static_cast<char>(0xFF);  // retired pairs
-    PipeBuf buf(bad);
-    std::istream in(&buf);
-    graph::Rng rng;
-    EXPECT_THROW((void)Swarm::resume(in, rng), SnapshotError);
-  }
-  {
-    constexpr std::size_t kPeers = 40;
-    const SwarmConfig cfg = base_config(kPeers);
-    graph::Rng rng(kSeed);
-    Swarm swarm(cfg, capacities(kPeers), rng);
-    ChurnDriver<Swarm> churn(churny_spec(), cfg, capacities(kPeers), rng);
-    churn.attach(swarm);
+    constexpr std::size_t kPeers = 20;
+    TrackerSwarmSeed seed;
+    seed.config = base_config(kPeers);
+    for (GlobalPeerId g = 0; g < kPeers; ++g) seed.members.push_back(g);
+    const TrackerSim tracker(TrackerConfig{}, {seed}, capacities(kPeers), kSeed);
     std::ostringstream out(std::ios::binary);
-    save_churn_driver(out, churn);
-    std::string bad = std::move(out).str();
-    bad[15] = static_cast<char>(0xFF);  // byte 3 of the deadline count
-    PipeBuf buf(bad);
+    tracker.save(out);
+    PipeBuf buf(std::move(out).str());
     std::istream in(&buf);
-    EXPECT_THROW(restore_churn_driver(in, churn), SnapshotError);
+    EXPECT_THROW((void)TrackerSim::resume(in, TrackerConfig{}), SnapshotError);
   }
 }
 
@@ -928,7 +918,6 @@ std::uint64_t fnv1a(const std::string& bytes) {
 
 struct PinnedRun {
   std::string swarm;
-  std::string swarm_stream;  // the same swarm saved through an ostream
   std::string churn;
 };
 
@@ -959,12 +948,7 @@ PinnedRun pinned_mid_outage_run() {
   EXPECT_GT(swarm.departures(), 0u) << "retired records present";
   PinnedRun run;
   run.swarm = save_to_string(swarm);
-  std::ostringstream stream(std::ios::binary);
-  swarm.save(stream);
-  run.swarm_stream = std::move(stream).str();
-  std::ostringstream out(std::ios::binary);
-  save_churn_driver(out, churn);
-  run.churn = std::move(out).str();
+  save_churn_driver(run.churn, churn);
   return run;
 }
 
@@ -980,27 +964,16 @@ TEST(SnapshotFormat, ChurnDriverBytesArePinned) {
   EXPECT_EQ(fnv1a(run.churn), 0xf5616858f0da1526ULL);
 }
 
-// The stream overloads stage a section in a string and write it whole:
-// the bytes must be the string path's, and a failed stream must throw.
-TEST(SnapshotFormat, StreamSaveMatchesStringSave) {
-  const PinnedRun run = pinned_mid_outage_run();
-  EXPECT_EQ(run.swarm_stream, run.swarm);
-  EXPECT_EQ(fnv1a(run.swarm_stream), 0xc6d68ae55c1b7531ULL);
-
+// TrackerSim::save() stages each section in a string and writes it
+// whole: a failed stream must throw.
+TEST(SnapshotFormat, TrackerSaveThrowsOnAFailedStream) {
   constexpr std::size_t kPeers = 20;
-  const SwarmConfig cfg = base_config(kPeers);
-  graph::Rng rng(kSeed);
-  Swarm swarm(cfg, capacities(kPeers), rng);
-  ChurnDriver<Swarm> churn(churny_spec(), cfg, capacities(kPeers), rng);
-  churn.attach(swarm);
   TrackerSwarmSeed seed;
-  seed.config = cfg;
+  seed.config = base_config(kPeers);
   for (GlobalPeerId g = 0; g < kPeers; ++g) seed.members.push_back(g);
   const TrackerSim tracker(TrackerConfig{}, {seed}, capacities(kPeers), kSeed);
   std::ostringstream bad(std::ios::binary);
   bad.setstate(std::ios::badbit);
-  EXPECT_THROW(swarm.save(bad), SnapshotError);
-  EXPECT_THROW(save_churn_driver(bad, churn), SnapshotError);
   EXPECT_THROW(tracker.save(bad), SnapshotError);
 }
 
@@ -1008,9 +981,9 @@ TEST(SwarmSnapshot, RejectsChurnSectionAsSwarmSnapshot) {
   SwarmConfig cfg = base_config(8);
   graph::Rng rng(kSeed);
   ChurnDriver<Swarm> churn(churny_spec(), cfg, capacities(8), rng);
-  std::ostringstream out(std::ios::binary);
-  save_churn_driver(out, churn);
-  EXPECT_THROW((void)resume_from_string(std::move(out).str()), SnapshotError);
+  std::string bytes;
+  save_churn_driver(bytes, churn);
+  EXPECT_THROW((void)resume_from_string(bytes), SnapshotError);
 }
 
 // --- the checksum fold ------------------------------------------------------
@@ -1046,13 +1019,12 @@ TEST(SnapshotFormat, FourLaneFoldEqualsTheSingleLaneFold) {
   }
 }
 
-// --- one loader, three sources -------------------------------------------
+// --- one loader, two sources ---------------------------------------------
 //
-// resume_from_string reads the caller's bytes in place; an
-// std::istringstream goes through the stream read-ahead with a
-// seek-measured bound; a pipe has no bound at all. The first two must
-// agree on every outcome — the same SnapshotError message or
-// byte-equal re-saves — and the pipe must throw exactly when they do.
+// Swarm::resume() reads through a Reader over the caller's bytes in
+// place, or over a seekable std::istringstream through the stream
+// read-ahead with a seek-measured bound. The two must agree on every
+// outcome — the same SnapshotError message or byte-equal re-saves.
 
 /// A load's outcome: the SnapshotError message, or the re-saved bytes.
 struct LoadOutcome {
@@ -1060,30 +1032,25 @@ struct LoadOutcome {
   std::string text;
 };
 
-template <typename Load>
-LoadOutcome outcome_of(Load&& load) {
+/// Resumes the first section of `r` and re-saves it.
+LoadOutcome outcome_of(snapshot_detail::Reader& r) {
   try {
-    const ResumedSwarm resumed = load();
-    return {false, save_to_string(resumed.swarm())};
+    graph::Rng rng;
+    const Swarm swarm = Swarm::resume(r, rng);
+    return {false, save_to_string(swarm)};
   } catch (const SnapshotError& e) {
     return {true, e.what()};
   }
 }
 
 void expect_sources_agree(const std::string& bytes, const std::string& where) {
-  const LoadOutcome view = outcome_of([&] { return resume_from_string(bytes); });
-  const LoadOutcome stream = outcome_of([&] {
-    std::istringstream in(bytes, std::ios::binary);
-    return ResumedSwarm(in);
-  });
-  const LoadOutcome pipe = outcome_of([&] {
-    PipeBuf buf(bytes);
-    std::istream in(&buf);
-    return ResumedSwarm(in);
-  });
+  snapshot_detail::Reader view_reader(bytes);
+  const LoadOutcome view = outcome_of(view_reader);
+  std::istringstream in(bytes, std::ios::binary);
+  snapshot_detail::Reader stream_reader(in);
+  const LoadOutcome stream = outcome_of(stream_reader);
   EXPECT_EQ(view.threw, stream.threw) << where;
   EXPECT_EQ(view.text, stream.text) << where;
-  EXPECT_EQ(pipe.threw, view.threw) << where;
 }
 
 TEST(SnapshotSources, TruncationSweepAgrees) {
@@ -1107,8 +1074,23 @@ TEST(SnapshotSources, PinnedMidOutageSnapshotLoadsAlike) {
   expect_sources_agree(run.swarm, "pinned snapshot");
   EXPECT_EQ(save_to_string(resume_from_string(run.swarm).swarm()), run.swarm);
   // A companion section after the swarm: the bound is the whole buffer
-  // on every source, and the churn section still follows the footer.
+  // on both sources, and the churn section is read from the same
+  // Reader after the swarm's footer, its checksum restarted.
   expect_sources_agree(run.swarm + run.churn, "pinned snapshot + churn section");
+  // Two copies of both sections through one stream Reader (~105 KB, so
+  // the 64 KB read-ahead refills inside the second swarm section).
+  const std::string both = run.swarm + run.churn;
+  std::istringstream in(both + both, std::ios::binary);
+  snapshot_detail::Reader r(in);
+  for (int copy = 0; copy < 2; ++copy) {
+    graph::Rng rng;
+    const Swarm swarm = Swarm::resume(r, rng);
+    ChurnDriver<Swarm> churn(churny_spec(), swarm.config(), capacities(60), rng);
+    restore_churn_driver(r, churn);
+    std::string resaved = save_to_string(swarm);
+    save_churn_driver(resaved, churn);
+    EXPECT_EQ(resaved, both) << "copy " << copy;
+  }
 }
 
 // --- the first error does not depend on threads ----------------------------
@@ -1278,25 +1260,36 @@ TEST(SwarmSnapshot, LoaderRefusesTheRetiredAggregatesOnlyByte) {
   // The config section keeps the byte of the retired retain_departed
   // flag, right after `endgame`, always 1. A stream whose byte says 0
   // (a swarm with no departures, so the archive itself is consistent)
-  // is refused by name. The choke key, 12 fold lanes on, absorbs the
-  // patch so the checksum still matches; any key is a valid one.
+  // is refused by name, and so is any stored flag byte other than 0
+  // and 1 — a 2 would load as "on" and re-save as 1. The choke key, 12
+  // fold lanes on from the retired byte and 13 from `endgame`, absorbs
+  // each patch so the checksum still matches; any key is a valid one.
   SwarmConfig cfg = rules_base_config();
   cfg.stay_as_seed = true;
-  std::string bytes = saved_at_round_zero(cfg);
+  const std::string bytes = saved_at_round_zero(cfg);
   using Flag = bool& (*)(SwarmConfig&);
   const Flag endgame = [](SwarmConfig& c) -> bool& { return c.endgame; };
   const std::size_t flag = field_offset(cfg, endgame, !cfg.endgame) + 1;
+  ASSERT_EQ(bytes[flag - 1], 1) << "endgame";
   ASSERT_EQ(bytes[flag], 1);
   ASSERT_NO_THROW((void)resume_from_string(bytes));
   // threads, nine fault fields (8 bytes each) and the RNG section tag.
   const std::size_t choke_key = flag + 1 + 10 * 8 + 4;
-  patch_lane(bytes, flag, 0, 1, choke_key, 12);
-  try {
-    (void)resume_from_string(bytes);
-    ADD_FAILURE() << "loader accepted retain_departed=0";
-  } catch (const SnapshotError& e) {
-    EXPECT_NE(std::string(e.what()).find("retain_departed"), std::string::npos) << e.what();
-  }
+  const auto expect_refused = [&](std::size_t at, std::uint64_t value, long lanes,
+                                  const char* rule) {
+    std::string patched = bytes;
+    patch_lane(patched, at, value, 1, choke_key, lanes);
+    try {
+      (void)resume_from_string(patched);
+      ADD_FAILURE() << "loader accepted byte " << value << " at offset " << at;
+    } catch (const SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find(rule), std::string::npos) << e.what();
+      EXPECT_EQ(std::string(e.what()).find("checksum"), std::string::npos) << e.what();
+    }
+  };
+  expect_refused(flag, 0, 12, "retain_departed");
+  expect_refused(flag, 2, 12, "flag byte");
+  expect_refused(flag - 1, 2, 13, "flag byte");
 }
 
 }  // namespace

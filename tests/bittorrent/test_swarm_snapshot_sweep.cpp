@@ -9,7 +9,6 @@
 // hold).
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -106,9 +105,7 @@ TEST(SwarmSnapshotSweep, EveryRoundEveryThreadCountResumesIdentically) {
   churn.attach(swarm);
   auto checkpoint = [&] {
     swarm_snaps.push_back(save_to_string(swarm));
-    std::ostringstream out(std::ios::binary);
-    save_churn_driver(out, churn);
-    churn_snaps.push_back(std::move(out).str());
+    save_churn_driver(churn_snaps.emplace_back(), churn);
   };
   checkpoint();
   for (std::size_t r = 0; r < kRounds; ++r) {
@@ -123,11 +120,11 @@ TEST(SwarmSnapshotSweep, EveryRoundEveryThreadCountResumesIdentically) {
       SwarmConfig resumed_cfg = cfg;
       resumed_cfg.threads = threads;
       graph::Rng resumed_rng;
-      std::istringstream in(swarm_snaps[save_round], std::ios::binary);
-      Swarm resumed = Swarm::resume(in, resumed_rng, resumed_cfg);
+      snapshot_detail::Reader in(swarm_snaps[save_round]);
+      Swarm resumed = Swarm::resume(in, resumed_rng, &resumed_cfg);
       ASSERT_EQ(resumed.rounds_elapsed(), save_round);
       ChurnDriver<Swarm> resumed_churn(sweep_spec(), cfg, capacities(), resumed_rng);
-      std::istringstream churn_in(churn_snaps[save_round], std::ios::binary);
+      snapshot_detail::Reader churn_in(churn_snaps[save_round]);
       restore_churn_driver(churn_in, resumed_churn);
       for (std::size_t r = save_round; r < kRounds; ++r) {
         resumed_churn.before_round(resumed);

@@ -163,11 +163,7 @@ TEST(TrackerSim, ClosedMemberSwarmsMatchStandaloneRuns) {
     Swarm standalone(scfg, local_caps, rng);
     standalone.run(10);
 
-    std::ostringstream expect_stream;
-    standalone.save(expect_stream);
-    std::ostringstream got_stream;
-    tracker.swarm(k).save(got_stream);
-    EXPECT_EQ(got_stream.str(), expect_stream.str()) << "swarm " << k;
+    EXPECT_EQ(save_to_string(tracker.swarm(k)), save_to_string(standalone)) << "swarm " << k;
   }
 }
 
@@ -321,9 +317,9 @@ TEST(TrackerSim, SaveBytesMatchPinnedDigest) {
 }
 
 // The loader applies the constructor's capacity rule (finite, > 0) to
-// every registry record as it reads it, before the checksum: with the
-// default dynamic_capacity_split, a +inf capacity would otherwise load
-// and fail only at the next round's capacity re-split.
+// every registry record as it reads it, before the checksum: the
+// barrier re-splits capacities every round, so a +inf capacity would
+// otherwise load and fail only at the next round's re-split.
 
 /// Round-zero save of a 3-swarm tracker where global peer `who` holds
 /// ecosystem capacity `kbps`.
@@ -558,6 +554,32 @@ TEST(TrackerSim, EcosystemReportAndProfileAreCoherent) {
   EXPECT_GE(profile.barrier_seconds, 0.0);
   // One shard: max == min wall every round, so imbalance is exactly 0.
   EXPECT_EQ(profile.shard_imbalance_seconds, 0.0);
+}
+
+TEST(TrackerSim, EcosystemProfileFoldsEveryMemberProfile) {
+  // ecosystem_profile().swarms is the member-order fold of the member
+  // swarms' profiles, the same doubles field by field. The size check
+  // makes a field added to PhaseProfile fail here until it is compared
+  // (and folded in operator+=).
+  static_assert(sizeof(Swarm::PhaseProfile) == 11 * 8,
+                "compare the new PhaseProfile field below and fold it in operator+=");
+  TrackerSim tracker = churned_tracker(2, 5, 16, 13);
+  tracker.run(12);
+  Swarm::PhaseProfile want;
+  for (std::size_t k = 0; k < tracker.swarm_count(); ++k) want += tracker.swarm(k).phase_profile();
+  const Swarm::PhaseProfile got = tracker.ecosystem_profile().swarms;
+  EXPECT_EQ(got.choke_seconds, want.choke_seconds);
+  EXPECT_EQ(got.endgame_seconds, want.endgame_seconds);
+  EXPECT_EQ(got.mutual_seconds, want.mutual_seconds);
+  EXPECT_EQ(got.transfer_seconds, want.transfer_seconds);
+  EXPECT_EQ(got.fold_seconds, want.fold_seconds);
+  EXPECT_EQ(got.transfer_compute_seconds, want.transfer_compute_seconds);
+  EXPECT_EQ(got.transfer_commit_seconds, want.transfer_commit_seconds);
+  EXPECT_EQ(got.transfer_rerun_seconds, want.transfer_rerun_seconds);
+  EXPECT_EQ(got.transfer_lanes, want.transfer_lanes);
+  EXPECT_EQ(got.transfer_reruns, want.transfer_reruns);
+  EXPECT_EQ(got.fault_seconds, want.fault_seconds);
+  EXPECT_GT(got.transfer_lanes, 0u);
 }
 
 TEST(TrackerSim, TwoWorkerImbalanceIsIdleTimeInsideTheFanOut) {

@@ -578,7 +578,7 @@ DEFAULT_CONTRACTS = [
         header="src/bittorrent/swarm.hpp",
         serializers=["src/bittorrent/snapshot.cpp"],
         save_fns=["save_impl", "swarm_config_fields", "peer_stats_fields", "fault_state_fields"],
-        load_fns=["resume_impl", "swarm_config_fields", "peer_stats_fields", "fault_state_fields"],
+        load_fns=["resume", "swarm_config_fields", "peer_stats_fields", "fault_state_fields"],
     ),
     SnapshotContract(
         class_name="FaultState",
