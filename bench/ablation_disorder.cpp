@@ -1,5 +1,5 @@
 // Ablation: the paper's 1-matching disorder metric vs this library's
-// slotwise b-matching generalization (DESIGN.md §6). At b = 1 they are
+// slotwise b-matching generalization (README, "Model notes"). At b = 1 they are
 // identical; at b > 1 only the generalization applies, and it should
 // decay monotonically along converging dynamics just like the original.
 #include <iostream>

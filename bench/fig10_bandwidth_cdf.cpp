@@ -1,5 +1,5 @@
 // Figure 10: cumulative distribution of upstream capacities, after
-// Saroiu et al. 2002 (synthetic mixture — see DESIGN.md §5).
+// Saroiu et al. 2002 (synthetic mixture — see README, "Model notes").
 #include <cmath>
 #include <iostream>
 #include <vector>

@@ -15,8 +15,8 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <string>
 
@@ -37,25 +37,6 @@
 namespace {
 
 using namespace strat;
-
-// Resident set size in MB (Linux; 0 elsewhere) — the whole-process
-// check behind BM_SwarmLongChurn's flat-memory claim.
-double rss_mb() {
-#ifdef __linux__
-  if (std::FILE* f = std::fopen("/proc/self/status", "r")) {
-    char line[256];
-    while (std::fgets(line, sizeof(line), f)) {
-      long kb = 0;
-      if (std::sscanf(line, "VmRSS: %ld kB", &kb) == 1) {
-        std::fclose(f);
-        return static_cast<double>(kb) / 1024.0;
-      }
-    }
-    std::fclose(f);
-  }
-#endif
-  return 0.0;
-}
 
 bt::SwarmConfig round_config(std::size_t peers) {
   bt::SwarmConfig cfg;
@@ -224,70 +205,80 @@ void BM_SwarmChurnRound(benchmark::State& state) {
 }
 BENCHMARK(BM_SwarmChurnRound)->Arg(1)->Arg(5)->Arg(20)->Unit(benchmark::kMillisecond);
 
-// The open-system scale gate: a 5000-live-peer swarm absorbing the
-// argument's cumulative arrivals (10^5, 10^6) through replacement
-// churn with model-sampled arrival capacities. The dense peer-table
-// compaction keeps the data plane and round time O(live): compare
-// end_round_ms / data_plane_mb across the two args — flat (±10%) is
-// the acceptance bar, where the pre-compaction plane grew linearly
-// with arrivals-ever. end_round_ms is the median of 15 timed probe
-// rounds, which no single slow round can move; the two args still run
-// ~20 s apart, so the host's drift between them reaches the bar. What
-// does grow with the churn is counted apart: id_index_mb (the id map,
-// 4 bytes per arrival) and retired_mb (the departed-peer archive and
-// retired pair history), which rss_mb includes. Both args run the same
-// number of simulated rounds (so the end-state probe compares same-age
-// swarms) and differ only in replacement rate, i.e. in how many peers
-// ever churned through; the benchmark's own time is the whole run.
+// The open-system scale gate: two 5000-live-peer swarms absorb 10^5
+// and 10^6 cumulative arrivals through replacement churn with
+// model-sampled arrival capacities. The dense peer-table compaction
+// keeps the data plane and round time O(live), so both must be flat
+// (±10%) across the two swarms, where the pre-compaction plane grew
+// linearly with arrivals-ever. Both swarms run the same number of
+// simulated rounds (so the end-state probe compares same-age swarms) and
+// differ only in replacement rate, i.e. in how many peers ever churned
+// through. Then 15 pairs of probe rounds, churn excluded, are timed,
+// alternating which swarm goes first, so the host's speed drift lands on
+// both sides of every pair: `flatness`, the median per-pair ratio of the
+// 10^6 round over the 10^5 round, decides the bar in one run, and
+// end_round_ms_1e5/_1e6 are each swarm's median probe round. What does
+// grow with the churn is counted apart: id_index_mb (the id map, 4 bytes
+// per arrival) and retired_mb (the departed-peer archive and retired pair
+// history). The benchmark's own time is the whole run.
 void BM_SwarmLongChurn(benchmark::State& state) {
   constexpr std::size_t kPeers = 5000;
   constexpr std::size_t kRounds = 200;
-  const auto target_arrivals = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kProbePairs = 15;
+  constexpr std::array<std::size_t, 2> kArrivals{100000, 1000000};
+  const std::array<std::string, 2> tags{"_1e5", "_1e6"};
   const bt::BandwidthModel model = bt::BandwidthModel::saroiu2002();
-  bt::SwarmConfig cfg = round_config(kPeers);
-  bt::ChurnSpec spec;
-  spec.replacement_rate =
-      static_cast<double>(target_arrivals) / static_cast<double>(kRounds);
-  spec.arrival_completion = 0.5;
-  spec.reannounce_interval = 10;
-  spec.arrival_model = model;
+  const bt::SwarmConfig cfg = round_config(kPeers);
   for (auto _ : state) {
-    graph::Rng rng(7);
-    bt::Swarm swarm(cfg, model.representative_sample(kPeers), rng);
-    bt::ChurnDriver<bt::Swarm> churn(spec, cfg, {}, rng);
-    churn.attach(swarm);
-    for (std::size_t r = 0; r < kRounds || swarm.arrivals() < target_arrivals; ++r) {
-      churn.before_round(swarm);
-      swarm.run_round();
+    // Swarm holds a reference to its Rng, so neither may move.
+    std::array<graph::Rng, 2> rngs{graph::Rng(7), graph::Rng(7)};
+    std::array<std::optional<bt::Swarm>, 2> swarms;
+    for (std::size_t side = 0; side < 2; ++side) {
+      bt::ChurnSpec spec;
+      spec.replacement_rate =
+          static_cast<double>(kArrivals[side]) / static_cast<double>(kRounds);
+      spec.arrival_completion = 0.5;
+      spec.reannounce_interval = 10;
+      spec.arrival_model = model;
+      bt::Swarm& swarm =
+          swarms[side].emplace(cfg, model.representative_sample(kPeers), rngs[side]);
+      bt::ChurnDriver<bt::Swarm> churn(spec, cfg, {}, rngs[side]);
+      churn.attach(swarm);
+      for (std::size_t r = 0; r < kRounds || swarm.arrivals() < kArrivals[side]; ++r) {
+        churn.before_round(swarm);
+        swarm.run_round();
+      }
     }
-    // End-state round time, churn excluded: O(live) iff flat across args.
-    constexpr std::size_t kProbeRounds = 15;
-    std::vector<double> probe_ms(kProbeRounds);
-    for (double& ms : probe_ms) {
-      const auto start = std::chrono::steady_clock::now();
-      swarm.run_round();
-      ms = std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
-               .count();
+    std::array<std::vector<double>, 2> probe_ms;
+    std::vector<double> ratio;
+    for (std::size_t pair = 0; pair < kProbePairs; ++pair) {
+      for (std::size_t k = 0; k < 2; ++k) {
+        const std::size_t side = (pair + k) % 2;
+        const auto start = std::chrono::steady_clock::now();
+        swarms[side]->run_round();
+        probe_ms[side].push_back(
+            std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+                .count());
+      }
+      ratio.push_back(probe_ms[1].back() / probe_ms[0].back());
     }
-    const auto fp = swarm.memory_footprint();
-    state.counters["arrivals"] = static_cast<double>(swarm.arrivals());
-    state.counters["end_round_ms"] = sim::summarize(probe_ms).median;
-    state.counters["data_plane_mb"] =
-        static_cast<double>(fp.peer_state_bytes + fp.edge_slot_bytes) / (1024.0 * 1024.0);
-    state.counters["id_index_mb"] =
-        static_cast<double>(fp.id_index_bytes) / (1024.0 * 1024.0);
-    state.counters["retired_mb"] = static_cast<double>(fp.retired_bytes) / (1024.0 * 1024.0);
-    state.counters["rss_mb"] = rss_mb();
-    benchmark::DoNotOptimize(swarm.live_peer_count());
+    for (std::size_t side = 0; side < 2; ++side) {
+      const auto fp = swarms[side]->memory_footprint();
+      state.counters["end_round_ms" + tags[side]] = sim::summarize(probe_ms[side]).median;
+      state.counters["data_plane_mb" + tags[side]] =
+          static_cast<double>(fp.peer_state_bytes + fp.edge_slot_bytes) / (1024.0 * 1024.0);
+      state.counters["id_index_mb" + tags[side]] =
+          static_cast<double>(fp.id_index_bytes) / (1024.0 * 1024.0);
+      state.counters["retired_mb" + tags[side]] =
+          static_cast<double>(fp.retired_bytes) / (1024.0 * 1024.0);
+    }
+    state.counters["flatness"] = sim::summarize(ratio).median;
+    benchmark::DoNotOptimize(swarms[1]->live_peer_count());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(target_arrivals));
+                          static_cast<std::int64_t>(kArrivals[0] + kArrivals[1]));
 }
-BENCHMARK(BM_SwarmLongChurn)
-    ->Arg(100000)
-    ->Arg(1000000)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SwarmLongChurn)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 // Replication sweep throughput through the scenario engine; threads is
 // the second argument (1 = serial baseline).

@@ -5,6 +5,10 @@
 #   -DSTRAT_SANITIZE=ON      AddressSanitizer + UBSan (gcc Debug CI job);
 #                            -fno-sanitize-recover turns every UBSan
 #                            finding into a test failure, not a log line.
+#                            float-cast-overflow is named on its own:
+#                            gcc's "undefined" group leaves it out, so a
+#                            NaN or out-of-range double cast to an
+#                            integer would otherwise run clean.
 #   -DSTRAT_SANITIZE=thread  ThreadSanitizer (the intra-round
 #                            parallelism CI job: swarm tests with
 #                            SwarmConfig::threads > 1). Mutually
@@ -18,9 +22,9 @@ if(STRAT_SANITIZE)
     add_compile_options(-fsanitize=thread -fno-omit-frame-pointer)
     add_link_options(-fsanitize=thread)
   elseif(_strat_sanitize_lc MATCHES "^(on|true|yes|1|address|asan)$")
-    add_compile_options(-fsanitize=address,undefined -fno-omit-frame-pointer
-      -fno-sanitize-recover=all)
-    add_link_options(-fsanitize=address,undefined)
+    add_compile_options(-fsanitize=address,undefined,float-cast-overflow
+      -fno-omit-frame-pointer -fno-sanitize-recover=all)
+    add_link_options(-fsanitize=address,undefined,float-cast-overflow)
   else()
     # A typo ("Threads", "ubsan", ...) must not silently build the wrong
     # sanitizer and let its CI job certify nothing.

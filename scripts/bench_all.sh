@@ -30,11 +30,12 @@ done
 # 10^2..10^4 peers, the retained map-based plane at the same sizes,
 # churned rounds at 5000 peers (dynamic-overlay cost), the static +
 # churned replication throughput, the long-churn scale gate
-# (BM_SwarmLongChurn: end-state round time and data-plane MB at 10^5
-# and 10^6 cumulative arrivals over a fixed 5000-peer live population —
-# flat across the two args is the peer-table compaction working — plus
-# retired_mb and RSS, which grow with the departed-peer archive; the
-# 10^6 point takes ~25 s), and the intra-round
+# (BM_SwarmLongChurn: two swarms with a fixed 5000-peer live population
+# that absorbed 10^5 and 10^6 cumulative arrivals, one run of ~30 s;
+# end-state round time and data-plane MB per swarm, with `flatness`, the
+# median ratio of 15 alternating 10^6/10^5 probe-round pairs, near 1.0
+# when the peer-table compaction works, plus id_index_mb and retired_mb,
+# which grow with the departed-peer archive), and the intra-round
 # thread-scaling sweep (BM_SwarmRoundThreads at 10^5 peers x threads
 # 1/2/4/8, each repetition a 3-round window resumed from one post-warm-up
 # snapshot, as perfbench's swarm_1e5 windows are:
@@ -70,7 +71,7 @@ micro_swarm="${build_dir}/bench/micro_swarm"
 if [[ -x "${micro_swarm}" ]]; then
   echo "== micro_swarm -> BENCH_swarm.json"
   "${micro_swarm}" \
-    --benchmark_filter='BM_SwarmRound/.*|BM_SwarmRoundThreads/.*|BM_SwarmChurnRound/.*|BM_SwarmFaults/.*|BM_SwarmLongChurn/.*|BM_SwarmSnapshot/.*|BM_ReferenceSwarmRound/.*|BM_ScenarioReplications/.*|BM_ChurnScenarioReplications/.*|BM_TrackerSimShards/.*|BM_TrackerOverhead.*|BM_RepresentativeSample/.*|BM_SwarmConstruct/.*|BM_RarestFirstPick/.*' \
+    --benchmark_filter='BM_SwarmRound/.*|BM_SwarmRoundThreads/.*|BM_SwarmChurnRound/.*|BM_SwarmFaults/.*|BM_SwarmLongChurn.*|BM_SwarmSnapshot/.*|BM_ReferenceSwarmRound/.*|BM_ScenarioReplications/.*|BM_ChurnScenarioReplications/.*|BM_TrackerSimShards/.*|BM_TrackerOverhead.*|BM_RepresentativeSample/.*|BM_SwarmConstruct/.*|BM_RarestFirstPick/.*' \
     --benchmark_min_time=0.05 \
     --benchmark_out="${out_dir}/BENCH_swarm.json" \
     --benchmark_out_format=json > /dev/null

@@ -13,7 +13,7 @@ namespace strat::analysis {
 
 ExactSmallModel::ExactSmallModel(std::size_t n, double p, std::size_t b0) : n_(n), b0_(b0) {
   if (n > 7) throw std::invalid_argument("ExactSmallModel: n too large (max 7)");
-  if (p < 0.0 || p > 1.0) throw std::invalid_argument("ExactSmallModel: p out of [0,1]");
+  if (!(0.0 <= p && p <= 1.0)) throw std::invalid_argument("ExactSmallModel: p out of [0,1]");
   if (b0 == 0) throw std::invalid_argument("ExactSmallModel: b0 must be >= 1");
   pair_.assign(n * n, 0.0);
   choice_.assign(n * b0 * n, 0.0);

@@ -13,7 +13,7 @@ BMatchingResult analyze_bmatching(const BMatchingOptions& options) {
   const std::size_t n = options.n;
   const std::size_t b0 = options.b0;
   const double p = options.p;
-  if (p < 0.0 || p > 1.0) throw std::invalid_argument("analyze_bmatching: p out of [0,1]");
+  if (!(0.0 <= p && p <= 1.0)) throw std::invalid_argument("analyze_bmatching: p out of [0,1]");
   if (b0 == 0) throw std::invalid_argument("analyze_bmatching: b0 must be >= 1");
   if (!options.weights.empty() && options.weights.size() != n) {
     throw std::invalid_argument("analyze_bmatching: weights must have length n");

@@ -11,7 +11,7 @@
 // of i is matched with somebody better than j, and F_0 ≡ 1. (The
 // paper's Eq. 4 prints the summation limits garbled; this is the form
 // consistent with Eq. 2, Algorithm 3's code, and the Figure 7/9 checks —
-// see DESIGN.md §5.) Marginalizing over cj telescopes:
+// see README, "Model notes".) Marginalizing over cj telescopes:
 //
 //   D_ci(i,j) = p · (F_{ci-1}(i,j) - F_{ci}(i,j)) · (1 - F_{b0}(j,i)),
 //

@@ -6,7 +6,7 @@
 namespace strat::analysis {
 
 Independent1Matching::Independent1Matching(std::size_t n, double p) : n_(n), p_(p) {
-  if (p < 0.0 || p > 1.0) throw std::invalid_argument("Independent1Matching: p out of [0,1]");
+  if (!(0.0 <= p && p <= 1.0)) throw std::invalid_argument("Independent1Matching: p out of [0,1]");
   d_.assign(n * n, 0.0);
   // g[j] = sum_{k<i} D(j, k) for the current outer index i; within a
   // row, h = sum_{k<j} D(i, k). g is advanced only after the inner loop
@@ -58,7 +58,7 @@ double Independent1Matching::expected_mate_rank(core::PeerId i) const {
 StreamingResult independent_1matching_streaming(const StreamingOptions& options) {
   const std::size_t n = options.n;
   const double p = options.p;
-  if (p < 0.0 || p > 1.0) {
+  if (!(0.0 <= p && p <= 1.0)) {
     throw std::invalid_argument("independent_1matching_streaming: p out of [0,1]");
   }
   for (core::PeerId r : options.capture_rows) {

@@ -34,7 +34,7 @@ std::vector<double> MonteCarloResult::probability_row(std::size_t t_index, std::
 }
 
 MonteCarloResult estimate_mate_distribution(const MonteCarloOptions& options, graph::Rng& rng) {
-  if (options.p < 0.0 || options.p > 1.0) {
+  if (!(0.0 <= options.p && options.p <= 1.0)) {
     throw std::invalid_argument("estimate_mate_distribution: p out of [0,1]");
   }
   if (options.b0 == 0) throw std::invalid_argument("estimate_mate_distribution: b0 >= 1");

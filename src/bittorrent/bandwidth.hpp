@@ -7,7 +7,8 @@
 // (dial-up, ISDN, ADSL tiers, cable, T1/LAN). The mixture reproduces
 // the published CDF's anatomy — support 10^1..10^5 kbps with plateaus
 // at technology "density peaks" — which is what drives the shape of the
-// Figure 11 efficiency curve (see DESIGN.md §5 on this substitution).
+// Figure 11 efficiency curve (see README, "Model notes", on this
+// substitution).
 #pragma once
 
 #include <cstddef>

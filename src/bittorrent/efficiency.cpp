@@ -22,7 +22,7 @@ std::vector<EfficiencyPoint> expected_efficiency_curve(const BandwidthModel& mod
     throw std::invalid_argument("expected_efficiency_curve: tft_slots > total_slots");
   }
   const double p = options.mean_acceptable / static_cast<double>(options.n - 1);
-  if (p <= 0.0 || p > 1.0) {
+  if (!(0.0 < p && p <= 1.0)) {
     throw std::invalid_argument("expected_efficiency_curve: mean_acceptable out of range");
   }
 

@@ -1,7 +1,6 @@
 #include "core/churn.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <unordered_set>
@@ -26,41 +25,6 @@ std::vector<double> distinct_uniform_scores(std::size_t n, graph::Rng& rng) {
   return scores;
 }
 
-/// Slotwise disorder restricted to the active population (generalizes
-/// disorder_1matching_active to b-matchings; coincides with it at b=1).
-double disorder_active(const Matching& c1, const Matching& c2, const GlobalRanking& ranking,
-                       const std::vector<PeerId>& active) {
-  const std::size_t n = active.size();
-  if (n == 0) return 0.0;
-  std::vector<PeerId> sorted = active;
-  std::sort(sorted.begin(), sorted.end(),
-            [&](PeerId a, PeerId b) { return ranking.prefers(a, b); });
-  std::vector<std::uint32_t> active_rank(ranking.size(), 0);  // 1-based; 0 = inactive
-  for (std::size_t r = 0; r < sorted.size(); ++r) {
-    active_rank[sorted[r]] = static_cast<std::uint32_t>(r + 1);
-  }
-  const double unmatched = static_cast<double>(n + 1);
-  double sum = 0.0;
-  double total_capacity = 0.0;
-  for (PeerId i : active) {
-    const auto m1 = i < c1.size() ? c1.mates(i) : std::span<const PeerId>{};
-    const auto m2 = i < c2.size() ? c2.mates(i) : std::span<const PeerId>{};
-    const std::uint32_t b = std::max(i < c1.size() ? c1.capacity(i) : 0u,
-                                     i < c2.size() ? c2.capacity(i) : 0u);
-    total_capacity += static_cast<double>(b);
-    auto slot_rank = [&](std::span<const PeerId> mates, std::size_t k) {
-      if (k >= mates.size()) return unmatched;
-      const std::uint32_t r = active_rank[mates[k]];
-      return r == 0 ? unmatched : static_cast<double>(r);
-    };
-    for (std::uint32_t k = 0; k < b; ++k) {
-      sum += std::abs(slot_rank(m1, k) - slot_rank(m2, k));
-    }
-  }
-  if (total_capacity == 0.0) return 0.0;
-  return sum * 2.0 / (total_capacity * static_cast<double>(n + 1));
-}
-
 }  // namespace
 
 ChurnSimulator::ChurnSimulator(const ChurnParams& params, graph::Rng& rng)
@@ -72,7 +36,7 @@ ChurnSimulator::ChurnSimulator(const ChurnParams& params, graph::Rng& rng)
       matching_(params.initial_peers, params.capacity),
       cursors_(params.initial_peers, 0) {
   if (params.initial_peers < 2) throw std::invalid_argument("ChurnSimulator: need >= 2 peers");
-  if (params.churn_rate < 0.0 || params.churn_rate > 1.0) {
+  if (!(0.0 <= params.churn_rate && params.churn_rate <= 1.0)) {
     throw std::invalid_argument("ChurnSimulator: churn_rate out of [0,1]");
   }
   active_.resize(params.initial_peers);
@@ -155,32 +119,9 @@ double ChurnSimulator::instant_disorder() const {
 }
 
 std::vector<TrajectoryPoint> ChurnSimulator::run(double units, std::size_t samples_per_unit) {
-  if (samples_per_unit == 0) throw std::invalid_argument("run: samples_per_unit must be >= 1");
-  const std::size_t n = params_.initial_peers;
-  const auto total_steps = static_cast<std::size_t>(units * static_cast<double>(n));
-  const std::size_t stride = std::max<std::size_t>(1, n / samples_per_unit);
-  std::vector<TrajectoryPoint> points;
-  std::size_t active_in_window = 0;
-  std::size_t window = 0;
-  auto sample = [&]() {
-    TrajectoryPoint pt;
-    pt.initiatives_per_peer = static_cast<double>(initiatives_) / static_cast<double>(n);
-    pt.disorder = instant_disorder();
-    pt.active_fraction =
-        window == 0 ? 0.0 : static_cast<double>(active_in_window) / static_cast<double>(window);
-    points.push_back(pt);
-  };
-  sample();
-  for (std::size_t s = 0; s < total_steps; ++s) {
-    if (step()) ++active_in_window;
-    if (++window == stride) {
-      sample();
-      window = 0;
-      active_in_window = 0;
-    }
-  }
-  if (window != 0) sample();
-  return points;
+  return sample_trajectory(
+      params_.initial_peers, units, samples_per_unit, initiatives_, [this] { return step(); },
+      [this] { return instant_disorder(); });
 }
 
 }  // namespace strat::core

@@ -59,7 +59,8 @@ class ChurnSimulator {
   /// times per unit.
   std::vector<TrajectoryPoint> run(double units, std::size_t samples_per_unit = 4);
 
-  /// Disorder vs the instant stable configuration (recomputed now).
+  /// disorder_active over the active peers, against the instant stable
+  /// configuration (recomputed now).
   [[nodiscard]] double instant_disorder() const;
 
   /// Currently active peers.

@@ -2,18 +2,46 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
+#include <cstdint>
+#include <ranges>
+#include <span>
 #include <stdexcept>
 
 namespace strat::core {
 
 namespace {
 
-/// 1-based mate rank, or n+1 when unmatched.
-double sigma(const Matching& c, const GlobalRanking& ranking, PeerId i) {
-  const PeerId mate = c.mate(i);
-  if (mate == kNoPeer) return static_cast<double>(ranking.size() + 1);
-  return static_cast<double>(ranking.rank_of(mate)) + 1.0;
+/// The slotwise distance over `peers`, in order: peer i holds slots(i)
+/// slots, and slot k of a configuration reads rank1 of i's k-th mate, or
+/// n + 1 when i has fewer mates there or rank1 reads 0 (an unranked mate).
+template <class Peers, class Slots, class Rank1>
+double slotwise(const Matching& c1, const Matching& c2, std::size_t n, const Peers& peers,
+                Slots slots, Rank1 rank1) {
+  const double unmatched = static_cast<double>(n + 1);
+  const auto slot_rank = [&](std::span<const PeerId> mates, std::uint32_t k) {
+    const std::uint32_t r = k < mates.size() ? rank1(mates[k]) : 0u;
+    return r == 0 ? unmatched : static_cast<double>(r);
+  };
+  double sum = 0.0;
+  double total_slots = 0.0;
+  for (const PeerId i : peers) {
+    const auto m1 = i < c1.size() ? c1.mates(i) : std::span<const PeerId>{};
+    const auto m2 = i < c2.size() ? c2.mates(i) : std::span<const PeerId>{};
+    const std::uint32_t b = slots(i);
+    total_slots += static_cast<double>(b);
+    for (std::uint32_t k = 0; k < b; ++k) sum += std::abs(slot_rank(m1, k) - slot_rank(m2, k));
+  }
+  if (total_slots == 0.0) return 0.0;
+  return sum * 2.0 / (total_slots * unmatched);
+}
+
+/// Every peer of two equal-size configurations, ranked by `ranking`.
+template <class Slots>
+double slotwise_all(const Matching& c1, const Matching& c2, const GlobalRanking& ranking,
+                    Slots slots) {
+  const std::size_t n = c1.size();
+  return slotwise(c1, c2, n, std::views::iota(PeerId{0}, static_cast<PeerId>(n)), slots,
+                  [&](PeerId mate) { return ranking.rank_of(mate) + 1u; });
 }
 
 }  // namespace
@@ -22,74 +50,48 @@ double disorder_1matching(const Matching& c1, const Matching& c2, const GlobalRa
   if (c1.size() != c2.size() || c1.size() != ranking.size()) {
     throw std::invalid_argument("disorder_1matching: size mismatch");
   }
-  const std::size_t n = c1.size();
-  if (n == 0) return 0.0;
-  for (PeerId p = 0; p < n; ++p) {
+  for (PeerId p = 0; p < c1.size(); ++p) {
     if (c1.degree(p) > 1 || c2.degree(p) > 1) {
       throw std::invalid_argument("disorder_1matching: not a 1-matching");
     }
   }
-  double sum = 0.0;
-  for (PeerId i = 0; i < n; ++i) {
-    sum += std::abs(sigma(c1, ranking, i) - sigma(c2, ranking, i));
-  }
-  const double dn = static_cast<double>(n);
-  return sum * 2.0 / (dn * (dn + 1.0));
+  return slotwise_all(c1, c2, ranking, [](PeerId) { return 1u; });
 }
 
 double disorder_bmatching(const Matching& c1, const Matching& c2, const GlobalRanking& ranking) {
   if (c1.size() != c2.size() || c1.size() != ranking.size()) {
     throw std::invalid_argument("disorder_bmatching: size mismatch");
   }
-  const std::size_t n = c1.size();
-  if (n == 0) return 0.0;
-  double sum = 0.0;
-  double total_capacity = 0.0;
-  const double unmatched = static_cast<double>(n + 1);
-  for (PeerId i = 0; i < n; ++i) {
+  return slotwise_all(c1, c2, ranking, [&](PeerId i) {
     if (c1.capacity(i) != c2.capacity(i)) {
       throw std::invalid_argument("disorder_bmatching: capacity mismatch");
     }
-    const auto m1 = c1.mates(i);
-    const auto m2 = c2.mates(i);
-    const std::size_t b = c1.capacity(i);
-    total_capacity += static_cast<double>(b);
-    for (std::size_t k = 0; k < b; ++k) {
-      const double r1 =
-          k < m1.size() ? static_cast<double>(ranking.rank_of(m1[k])) + 1.0 : unmatched;
-      const double r2 =
-          k < m2.size() ? static_cast<double>(ranking.rank_of(m2[k])) + 1.0 : unmatched;
-      sum += std::abs(r1 - r2);
-    }
-  }
-  if (total_capacity == 0.0) return 0.0;
-  return sum * 2.0 / (total_capacity * static_cast<double>(n + 1));
+    return c1.capacity(i);
+  });
 }
 
-double disorder_1matching_active(const Matching& c1, const Matching& c2,
-                                 const GlobalRanking& ranking,
-                                 const std::vector<PeerId>& active) {
-  const std::size_t n = active.size();
-  if (n == 0) return 0.0;
-  // Rank positions within the active population, best first.
+double disorder_active(const Matching& c1, const Matching& c2, const GlobalRanking& ranking,
+                       const std::vector<PeerId>& active) {
+  if (c1.size() > ranking.size() || c2.size() > ranking.size()) {
+    throw std::invalid_argument("disorder_active: configuration larger than the ranking");
+  }
+  for (const PeerId p : active) {
+    if (p >= ranking.size()) throw std::invalid_argument("disorder_active: id out of range");
+  }
+  // Rank positions within the active population, best first; 0 = inactive.
   std::vector<PeerId> sorted = active;
   std::sort(sorted.begin(), sorted.end(),
             [&](PeerId a, PeerId b) { return ranking.prefers(a, b); });
-  // Sparse map id -> active rank (1-based); 0 = inactive.
   std::vector<std::uint32_t> active_rank(ranking.size(), 0);
   for (std::size_t r = 0; r < sorted.size(); ++r) {
+    if (active_rank[sorted[r]] != 0) throw std::invalid_argument("disorder_active: repeated id");
     active_rank[sorted[r]] = static_cast<std::uint32_t>(r + 1);
   }
-  const double unmatched = static_cast<double>(n + 1);
-  auto sig = [&](const Matching& c, PeerId i) {
-    const PeerId mate = i < c.size() ? c.mate(i) : kNoPeer;
-    if (mate == kNoPeer || active_rank[mate] == 0) return unmatched;
-    return static_cast<double>(active_rank[mate]);
+  const auto slots = [&](PeerId i) {
+    return std::max(i < c1.size() ? c1.capacity(i) : 0u, i < c2.size() ? c2.capacity(i) : 0u);
   };
-  double sum = 0.0;
-  for (PeerId i : active) sum += std::abs(sig(c1, i) - sig(c2, i));
-  const double dn = static_cast<double>(n);
-  return sum * 2.0 / (dn * (dn + 1.0));
+  return slotwise(c1, c2, active.size(), active, slots,
+                  [&](PeerId mate) { return active_rank[mate]; });
 }
 
 }  // namespace strat::core

@@ -10,10 +10,12 @@
 // the empty configuration. "Disorder" is the distance between the
 // current configuration and the stable one.
 //
-// For b-matchings we provide a documented generalization (DESIGN.md §6):
-// per-peer mate-rank vectors padded to b(p) with n+1, compared slotwise,
-// normalized by 2/(B(n+1)) with B = sum b(p); it coincides with the
-// paper's metric when b == 1.
+// All three functions below compute one slotwise generalization of D
+// (README, "Model notes"): peer i holds b(i) slots per configuration,
+// filled by its mates best first; slot k reads the 1-based rank of i's
+// k-th mate, or n+1 when empty. The slot ranks are compared position by
+// position and the sum is normalized by 2/(B(n+1)), with B = sum b(i).
+// With one slot per peer this is D term for term.
 #pragma once
 
 #include <vector>
@@ -23,21 +25,26 @@
 
 namespace strat::core {
 
-/// Paper metric for 1-matchings. Throws std::invalid_argument if sizes
-/// differ or either configuration has a peer with more than one mate.
+/// Paper metric for 1-matchings (one slot per peer). Throws
+/// std::invalid_argument if sizes differ or either configuration has a
+/// peer with more than one mate.
 [[nodiscard]] double disorder_1matching(const Matching& c1, const Matching& c2,
                                         const GlobalRanking& ranking);
 
-/// Generalized slotwise metric for b-matchings (see header comment).
+/// Slotwise metric for b-matchings: capacity(i) slots per peer.
 /// Requires equal sizes and equal capacity vectors.
 [[nodiscard]] double disorder_bmatching(const Matching& c1, const Matching& c2,
                                         const GlobalRanking& ranking);
 
-/// Restricted variant used under churn: compares only the peers listed
-/// in `active` (ranks are positions within the active set, best first;
-/// mates outside `active` count as unmatched).
-[[nodiscard]] double disorder_1matching_active(const Matching& c1, const Matching& c2,
-                                               const GlobalRanking& ranking,
-                                               const std::vector<PeerId>& active);
+/// Slotwise metric restricted to the peers listed in `active`, for any
+/// b (used under churn). n is active.size(), ranks are positions within
+/// the active set (best first), and a mate outside it reads as an empty
+/// slot. Peer i holds max(b1(i), b2(i)) slots, where a configuration
+/// smaller than i counts 0. Throws std::invalid_argument if an active id
+/// repeats or is outside the ranking, or a configuration is larger than
+/// the ranking.
+[[nodiscard]] double disorder_active(const Matching& c1, const Matching& c2,
+                                     const GlobalRanking& ranking,
+                                     const std::vector<PeerId>& active);
 
 }  // namespace strat::core

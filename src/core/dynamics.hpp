@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "core/acceptance.hpp"
@@ -24,12 +25,26 @@ namespace strat::core {
 struct TrajectoryPoint {
   /// Elapsed initiatives divided by n ("initiatives per peer").
   double initiatives_per_peer = 0.0;
-  /// Distance to the stable configuration (paper's 1-matching metric
-  /// when all capacities are 1, the generalized metric otherwise).
+  /// Slotwise distance to the stable configuration (disorder.hpp); it
+  /// is the paper's 1-matching metric when every capacity is 1.
   double disorder = 0.0;
   /// Fraction of initiatives since the previous sample that were active.
   double active_fraction = 0.0;
 };
+
+/// The trajectory loop behind every simulator's run(). It calls `step`
+/// (true = an active initiative) floor(units * n) times and samples
+/// `disorder()` before the first call, after every
+/// max(1, n / samples_per_unit) calls and after a partial last window.
+/// A point's initiatives_per_peer is the caller's `initiatives` counter,
+/// read at the sample, over n. Throws std::invalid_argument if
+/// samples_per_unit is 0 or units is negative, not finite or too large
+/// for a step count.
+std::vector<TrajectoryPoint> sample_trajectory(std::size_t n, double units,
+                                               std::size_t samples_per_unit,
+                                               const std::size_t& initiatives,
+                                               const std::function<bool()>& step,
+                                               const std::function<double()>& disorder);
 
 /// Drives random-peer initiatives over a fixed population.
 class DynamicsEngine {
@@ -63,6 +78,8 @@ class DynamicsEngine {
 
   /// Runs until disorder reaches zero or `max_units` elapse; returns the
   /// number of initiatives per peer consumed (== max_units on timeout).
+  /// Throws std::invalid_argument if max_units is negative, not finite or
+  /// too large for a step count.
   double run_until_stable(double max_units);
 
   /// Disorder of the current configuration.
@@ -84,7 +101,6 @@ class DynamicsEngine {
   std::vector<std::size_t> cursors_;
   std::size_t initiatives_ = 0;
   std::size_t active_ = 0;
-  bool all_unit_capacity_ = true;
 };
 
 }  // namespace strat::core

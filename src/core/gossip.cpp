@@ -1,6 +1,7 @@
 #include "core/gossip.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "core/blocking.hpp"
@@ -70,6 +71,9 @@ GossipSimulator::GossipSimulator(const GossipParams& params, graph::Rng& rng)
       matching_(params.peers, params.capacity),
       complete_stable_(stable_configuration_complete(
           std::vector<std::uint32_t>(params.peers, params.capacity))) {
+  if (!(std::isfinite(params.shuffles_per_unit) && params.shuffles_per_unit >= 0.0)) {
+    throw std::invalid_argument("GossipSimulator: shuffles_per_unit must be finite and >= 0");
+  }
   if (params.strategy == Strategy::kDecremental) {
     throw std::invalid_argument(
         "GossipSimulator: decremental scanning is undefined over mutating views; "
@@ -106,39 +110,13 @@ bool GossipSimulator::step() {
 }
 
 double GossipSimulator::disorder() const {
-  if (params_.capacity == 1) {
-    return disorder_1matching(matching_, complete_stable_, ranking_);
-  }
   return disorder_bmatching(matching_, complete_stable_, ranking_);
 }
 
 std::vector<TrajectoryPoint> GossipSimulator::run(double units, std::size_t samples_per_unit) {
-  if (samples_per_unit == 0) throw std::invalid_argument("run: samples_per_unit >= 1");
-  const std::size_t n = params_.peers;
-  const auto total = static_cast<std::size_t>(units * static_cast<double>(n));
-  const std::size_t stride = std::max<std::size_t>(1, n / samples_per_unit);
-  std::vector<TrajectoryPoint> points;
-  std::size_t window = 0;
-  std::size_t active = 0;
-  auto sample = [&]() {
-    TrajectoryPoint pt;
-    pt.initiatives_per_peer = static_cast<double>(initiatives_) / static_cast<double>(n);
-    pt.disorder = disorder();
-    pt.active_fraction =
-        window == 0 ? 0.0 : static_cast<double>(active) / static_cast<double>(window);
-    points.push_back(pt);
-  };
-  sample();
-  for (std::size_t s = 0; s < total; ++s) {
-    if (step()) ++active;
-    if (++window == stride) {
-      sample();
-      window = 0;
-      active = 0;
-    }
-  }
-  if (window != 0) sample();
-  return points;
+  return sample_trajectory(
+      params_.peers, units, samples_per_unit, initiatives_, [this] { return step(); },
+      [this] { return disorder(); });
 }
 
 }  // namespace strat::core

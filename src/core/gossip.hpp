@@ -27,7 +27,8 @@ namespace strat::core {
 struct GossipParams {
   std::size_t peers = 500;
   std::size_t view_size = 10;
-  /// Shuffle exchanges per peer per base unit (n initiatives).
+  /// Shuffle exchanges per peer per base unit (n initiatives); finite
+  /// and >= 0.
   double shuffles_per_unit = 1.0;
   Strategy strategy = Strategy::kBestMate;
   std::uint32_t capacity = 1;

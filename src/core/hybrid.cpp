@@ -21,7 +21,7 @@ std::vector<WeightedEdge> latency_edges(const graph::Graph& acceptance,
     throw std::invalid_argument("latency_edges: one coordinate per peer required");
   }
   for (double c : coordinates) {
-    if (c < 0.0 || c >= 1.0) throw std::invalid_argument("latency_edges: coordinate in [0,1)");
+    if (!(0.0 <= c && c < 1.0)) throw std::invalid_argument("latency_edges: coordinate in [0,1)");
   }
   std::vector<WeightedEdge> edges;
   edges.reserve(acceptance.size());

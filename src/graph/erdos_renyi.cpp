@@ -8,7 +8,7 @@
 namespace strat::graph {
 
 Graph erdos_renyi_gnp(std::size_t n, double p, Rng& rng) {
-  if (p < 0.0 || p > 1.0) throw std::invalid_argument("erdos_renyi_gnp: p out of [0,1]");
+  if (!(0.0 <= p && p <= 1.0)) throw std::invalid_argument("erdos_renyi_gnp: p out of [0,1]");
   Graph g(n);
   if (n < 2 || p == 0.0) return g;
   if (p >= 1.0) return complete_graph(n);
@@ -38,13 +38,13 @@ Graph erdos_renyi_gnp(std::size_t n, double p, Rng& rng) {
 
 Graph erdos_renyi_gnd(std::size_t n, double expected_degree, Rng& rng) {
   if (n < 2) {
-    if (expected_degree > 0.0) {
-      throw std::invalid_argument("erdos_renyi_gnd: need n >= 2 for positive degree");
+    if (expected_degree != 0.0) {
+      throw std::invalid_argument("erdos_renyi_gnd: need n >= 2 for a nonzero degree");
     }
     return Graph(n);
   }
   const double p = expected_degree / static_cast<double>(n - 1);
-  if (p < 0.0 || p > 1.0) {
+  if (!(0.0 <= p && p <= 1.0)) {
     throw std::invalid_argument("erdos_renyi_gnd: expected degree out of [0, n-1]");
   }
   return erdos_renyi_gnp(n, p, rng);

@@ -48,7 +48,7 @@ double OnlineStats::stddev() const noexcept { return std::sqrt(variance()); }
 
 double quantile_sorted(const std::vector<double>& sorted, double q) {
   if (sorted.empty()) throw std::invalid_argument("quantile_sorted: empty sample");
-  if (q < 0.0 || q > 1.0) throw std::invalid_argument("quantile_sorted: q out of [0,1]");
+  if (!(0.0 <= q && q <= 1.0)) throw std::invalid_argument("quantile_sorted: q out of [0,1]");
   if (sorted.size() == 1) return sorted.front();
   const double pos = q * static_cast<double>(sorted.size() - 1);
   const auto lo = static_cast<std::size_t>(pos);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "analysis/independent_matching.hpp"
 
 namespace strat::analysis {
@@ -10,6 +12,7 @@ namespace {
 TEST(ExactSmall, Validation) {
   EXPECT_THROW(ExactSmallModel(8, 0.5), std::invalid_argument);
   EXPECT_THROW(ExactSmallModel(3, -0.1), std::invalid_argument);
+  EXPECT_THROW(ExactSmallModel(3, std::numeric_limits<double>::quiet_NaN()), std::invalid_argument);
   EXPECT_THROW(ExactSmallModel(3, 0.5, 0), std::invalid_argument);
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "analysis/independent_matching.hpp"
 
 namespace strat::analysis {
@@ -17,6 +19,8 @@ BMatchingOptions base(std::size_t n, double p, std::size_t b0) {
 
 TEST(BMatching, Validation) {
   EXPECT_THROW((void)analyze_bmatching(base(10, -0.1, 2)), std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)analyze_bmatching(base(10, nan, 2)), std::invalid_argument);
   EXPECT_THROW((void)analyze_bmatching(base(10, 0.5, 0)), std::invalid_argument);
   auto opt = base(10, 0.5, 2);
   opt.capture_rows = {10};

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 namespace strat::analysis {
 namespace {
@@ -10,6 +11,8 @@ namespace {
 TEST(Independent1Matching, RejectsBadProbability) {
   EXPECT_THROW(Independent1Matching(5, -0.1), std::invalid_argument);
   EXPECT_THROW(Independent1Matching(5, 1.1), std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(Independent1Matching(5, nan), std::invalid_argument);
 }
 
 TEST(Independent1Matching, TinyCasesByHand) {
@@ -167,6 +170,8 @@ TEST(Streaming, Validation) {
   StreamingOptions opt;
   opt.n = 10;
   opt.p = 2.0;
+  EXPECT_THROW((void)independent_1matching_streaming(opt), std::invalid_argument);
+  opt.p = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW((void)independent_1matching_streaming(opt), std::invalid_argument);
   opt.p = 0.1;
   opt.capture_rows = {10};

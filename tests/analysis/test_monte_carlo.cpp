@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "analysis/exact_small.hpp"
 #include "analysis/independent_matching.hpp"
 
@@ -21,6 +23,8 @@ TEST(MonteCarlo, Validation) {
   graph::Rng rng(1);
   EXPECT_THROW((void)estimate_mate_distribution(base(1, 0.5, 1, 10), rng), std::invalid_argument);
   EXPECT_THROW((void)estimate_mate_distribution(base(10, 1.5, 1, 10), rng), std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)estimate_mate_distribution(base(10, nan, 1, 10), rng), std::invalid_argument);
   EXPECT_THROW((void)estimate_mate_distribution(base(10, 0.5, 0, 10), rng), std::invalid_argument);
   auto opt = base(10, 0.5, 1, 10);
   opt.tracked = {10};

@@ -161,7 +161,7 @@ TEST(BandwidthModel, CdfIsMonotoneFromZeroToOne) {
 }
 
 TEST(BandwidthModel, SaroiuAnatomy) {
-  // Figure 10's qualitative waypoints (see DESIGN.md §5): roughly 20%
+  // Figure 10's qualitative waypoints (see README, "Model notes"): roughly 20%
   // below 100 kbps, a wide middle, >90% below 10 Mbps.
   const BandwidthModel model = BandwidthModel::saroiu2002();
   EXPECT_NEAR(model.cdf(100.0), 0.20, 0.07);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 namespace strat::bt {
 namespace {
@@ -30,6 +31,8 @@ TEST(EfficiencyCurve, Validation) {
   opt = small_options();
   opt.mean_acceptable = 1e9;
   EXPECT_THROW((void)expected_efficiency_curve(model, opt), std::invalid_argument);
+  opt.mean_acceptable = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)expected_efficiency_curve(model, opt), std::invalid_argument);
 }
 
 TEST(EfficiencyCurve, ShapeMatchesFigure11) {
@@ -47,7 +50,8 @@ TEST(EfficiencyCurve, ShapeMatchesFigure11) {
   EXPECT_GT(tail / 40.0, 1.0);
 
   // (c) Everything stays near Figure 11's plotted band (0.4 .. 2.4; our
-  // synthetic mixture has a slightly wider top tail, see DESIGN.md §5).
+  // synthetic mixture has a slightly wider top tail, see README,
+  // "Model notes").
   for (const auto& pt : curve) {
     EXPECT_GT(pt.efficiency, 0.25) << "rank " << pt.rank;
     EXPECT_LT(pt.efficiency, 3.0) << "rank " << pt.rank;

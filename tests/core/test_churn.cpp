@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace strat::core {
 namespace {
 
@@ -19,9 +21,11 @@ TEST(Churn, RejectsDegenerateParams) {
   ChurnParams p = small_params();
   p.initial_peers = 1;
   EXPECT_THROW(ChurnSimulator(p, rng), std::invalid_argument);
-  p = small_params();
-  p.churn_rate = 1.5;
-  EXPECT_THROW(ChurnSimulator(p, rng), std::invalid_argument);
+  for (const double rate : {1.5, std::numeric_limits<double>::quiet_NaN()}) {
+    p = small_params();
+    p.churn_rate = rate;
+    EXPECT_THROW(ChurnSimulator(p, rng), std::invalid_argument) << rate;
+  }
 }
 
 TEST(Churn, NoChurnConvergesToZeroDisorder) {
@@ -119,10 +123,14 @@ TEST(Churn, TrajectorySamplesInstantDisorder) {
   }
 }
 
-TEST(Churn, RunRejectsZeroSampling) {
+TEST(Churn, RunRejectsBadArguments) {
   graph::Rng rng(10);
   ChurnSimulator sim(small_params(), rng);
   EXPECT_THROW(sim.run(1.0, 0), std::invalid_argument);
+  for (const double units : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(sim.run(units), std::invalid_argument) << units;
+  }
 }
 
 }  // namespace

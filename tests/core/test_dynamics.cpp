@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "graph/erdos_renyi.hpp"
 
 namespace strat::core {
@@ -106,6 +108,21 @@ TEST(Dynamics, BMatchingConvergesToo) {
   engine.run_until_stable(100.0);
   EXPECT_DOUBLE_EQ(engine.disorder(), 0.0);
   EXPECT_NO_THROW(engine.current().validate(inst.ranking));
+}
+
+TEST(Dynamics, RunRejectsBadArguments) {
+  Instance inst(20, 5.0, 17);
+  graph::Rng rng(18);
+  DynamicsEngine engine(*inst.acc, inst.ranking, std::vector<std::uint32_t>(20, 1),
+                        Strategy::kBestMate, rng);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(engine.run(1.0, 0), std::invalid_argument);
+  for (const double units : {-1.0, nan, inf, 1e300}) {
+    EXPECT_THROW(engine.run(units), std::invalid_argument) << units;
+    EXPECT_THROW(engine.run_until_stable(units), std::invalid_argument) << units;
+  }
+  EXPECT_EQ(engine.initiatives(), 0u);
 }
 
 TEST(Dynamics, SetCurrentValidates) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 namespace strat::core {
@@ -58,11 +59,17 @@ TEST(PeerSampling, ShuffleMixesKnowledge) {
   EXPECT_GT(ever_known.size(), 30u);
 }
 
-TEST(GossipSimulator, RejectsDecrementalStrategy) {
+TEST(GossipSimulator, RejectsBadParams) {
   graph::Rng rng(5);
   GossipParams params;
   params.strategy = Strategy::kDecremental;
   EXPECT_THROW(GossipSimulator(params, rng), std::invalid_argument);
+  for (const double shuffles : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::infinity()}) {
+    params = GossipParams{};
+    params.shuffles_per_unit = shuffles;
+    EXPECT_THROW(GossipSimulator(params, rng), std::invalid_argument) << shuffles;
+  }
 }
 
 TEST(GossipSimulator, SmallSystemReachesTheCompleteKnowledgeStableState) {
@@ -152,6 +159,7 @@ TEST(GossipSimulator, TrajectoryShapes) {
     EXPECT_GE(traj[i].initiatives_per_peer, traj[i - 1].initiatives_per_peer);
   }
   EXPECT_THROW((void)sim_.run(1.0, 0), std::invalid_argument);
+  EXPECT_THROW((void)sim_.run(-1.0), std::invalid_argument);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/metrics.hpp"
 #include "core/solver.hpp"
 #include "graph/components.hpp"
@@ -36,6 +38,8 @@ TEST(LatencyEdges, Validation) {
   g.finalize();
   EXPECT_THROW((void)latency_edges(g, {0.0}), std::invalid_argument);
   EXPECT_THROW((void)latency_edges(g, {0.0, 1.0}), std::invalid_argument);  // 1.0 not in [0,1)
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)latency_edges(g, {0.0, nan}), std::invalid_argument);
 }
 
 TEST(HybridOverlay, CombinesBothMatchings) {

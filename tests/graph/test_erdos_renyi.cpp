@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 
 namespace strat::graph {
@@ -12,6 +13,8 @@ TEST(ErdosRenyi, RejectsBadProbability) {
   Rng rng(1);
   EXPECT_THROW((void)erdos_renyi_gnp(10, -0.1, rng), std::invalid_argument);
   EXPECT_THROW((void)erdos_renyi_gnp(10, 1.1, rng), std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)erdos_renyi_gnp(10, nan, rng), std::invalid_argument);
 }
 
 TEST(ErdosRenyi, ZeroProbabilityIsEdgeless) {
@@ -78,6 +81,8 @@ TEST(ErdosRenyi, GndRejectsExcessDegree) {
   Rng rng(8);
   EXPECT_THROW((void)erdos_renyi_gnd(10, 9.5, rng), std::invalid_argument);
   EXPECT_THROW((void)erdos_renyi_gnd(10, -1.0, rng), std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)erdos_renyi_gnd(10, nan, rng), std::invalid_argument);
 }
 
 TEST(ErdosRenyi, GndTinyPopulation) {
@@ -85,6 +90,9 @@ TEST(ErdosRenyi, GndTinyPopulation) {
   const Graph g = erdos_renyi_gnd(1, 0.0, rng);
   EXPECT_EQ(g.order(), 1u);
   EXPECT_THROW((void)erdos_renyi_gnd(1, 1.0, rng), std::invalid_argument);
+  EXPECT_THROW((void)erdos_renyi_gnd(1, -1.0, rng), std::invalid_argument);
+  EXPECT_THROW((void)erdos_renyi_gnd(1, std::numeric_limits<double>::quiet_NaN(), rng),
+               std::invalid_argument);
 }
 
 TEST(CompleteGraph, AllPairsPresent) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 namespace strat::sim {
@@ -72,6 +73,8 @@ TEST(Quantile, ThrowsOnEmptyAndBadQ) {
   EXPECT_THROW((void)quantile_sorted({}, 0.5), std::invalid_argument);
   EXPECT_THROW((void)quantile_sorted({1.0}, -0.1), std::invalid_argument);
   EXPECT_THROW((void)quantile_sorted({1.0}, 1.1), std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)quantile_sorted({1.0}, nan), std::invalid_argument);
 }
 
 TEST(Quantile, InterpolatesLinearly) {
