@@ -13,9 +13,15 @@
 # same digest. Every driver writes banners and timings to stderr under
 # --csv, so stdout depends only on the flags and no column is filtered.
 #
-# A moved digest is a changed figure. Re-pin by copying the digest the
-# failing entry prints (ctest -L figures --output-on-failure) and say
-# why the figure moved in CHANGES.md.
+# bench/figures/<driver>.csv holds the pinned reduced-size output (its
+# SHA-256 is DIGEST, checked at configure time), so a moved figure names
+# the first line and column that moved, old against new, and leaves its
+# new CSV at <build>/bench/figures/<driver>.csv.
+#
+# A moved digest is a changed figure. Re-pin by copying the new CSV over
+# bench/figures/<driver>.csv and the digest the failing entry prints
+# (ctest -L figures --output-on-failure) into DIGEST, and say why the
+# figure moved in CHANGES.md.
 
 set(STRAT_FIGURE_CHECK ${PROJECT_SOURCE_DIR}/cmake/StratFigureCheck.cmake)
 set(STRAT_PINNED_FIGURES "")
@@ -26,9 +32,20 @@ function(strat_figure driver)
   if(pin_THREADS)
     set(threads "1 4")
   endif()
+  set(pinned_csv ${CMAKE_CURRENT_SOURCE_DIR}/figures/${driver}.csv)
+  if(NOT EXISTS ${pinned_csv})
+    message(SEND_ERROR "strat: bench/figures/${driver}.csv is missing: commit the pinned output")
+  else()
+    file(SHA256 ${pinned_csv} pinned_digest)
+    if(NOT pinned_digest STREQUAL pin_DIGEST)
+      message(SEND_ERROR "strat: bench/figures/${driver}.csv does not hash to its DIGEST")
+    endif()
+  endif()
   add_test(NAME figure_${driver}
     COMMAND ${CMAKE_COMMAND} -DDRIVER=$<TARGET_FILE:${driver}> "-DARGS=${pin_FLAGS}"
-            "-DTHREADS=${threads}" -DDIGEST=${pin_DIGEST} -P ${STRAT_FIGURE_CHECK})
+            "-DTHREADS=${threads}" -DDIGEST=${pin_DIGEST} -DPINNED_CSV=${pinned_csv}
+            -DGOT_CSV=${CMAKE_CURRENT_BINARY_DIR}/figures/${driver}.csv
+            -P ${STRAT_FIGURE_CHECK})
   set_tests_properties(figure_${driver} PROPERTIES LABELS figures TIMEOUT 120)
   if(pin_FULL_DIGEST)
     add_test(NAME figure_${driver}_full
@@ -90,7 +107,7 @@ strat_figure(fig04_05_clusters
   FLAGS "--n 7"
   DIGEST 63887a4b6815f654ec6c4947e325e39815d93989ff08d76c91b27089008f3a5b
   FULL_DIGEST 583f36ac034bdd5d2112c3613ae0a1efa93ced972c1fd716964a14783f1c87a0)
-strat_figure(fig06_sigma_sweep
+strat_figure(fig06_sigma_sweep THREADS
   FLAGS "--n 6000 --seeds 1"
   DIGEST 638ba8c392d81eac4011b1af0027144fb7bdaa69f11e30e23086ed36409aabaf
   FULL_DIGEST 496ad2b601785574d92489a5437533b5ef639ffc3bea269fd7d71da9cefac2b3)
@@ -146,7 +163,7 @@ strat_figure(swarm_stratification
   FLAGS "--peers 80 --burnin 8 --window 10"
   DIGEST bdb0f69e3c29b9c27067e0cc49d731fbee316339d39f8dda334bb83ac40ce7a7
   FULL_DIGEST 9ddc15c118bd28e7465c990cec2c09b3eacab5eab97348551eafe82dd7baafb9)
-strat_figure(tab1_clustering
+strat_figure(tab1_clustering THREADS
   FLAGS "--scale 0.1 --seeds 1"
   DIGEST e38a378c9a4db197b89943fc646240b7cea98a4e18011c28078dfffbfcd6cb17
   FULL_DIGEST b98d1cb03f8a2a9d56259efcb10d6772d8525ec20e0254f1dbf2c4ac3544f073)

@@ -25,6 +25,8 @@
 #include <optional>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include "bittorrent/bandwidth.hpp"
 #include "bittorrent/piece_picker.hpp"
 #include "bittorrent/reference_swarm.hpp"
@@ -37,6 +39,13 @@
 namespace {
 
 using namespace strat;
+
+/// Minor page faults of this process so far.
+std::uint64_t minor_faults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<std::uint64_t>(usage.ru_minflt);
+}
 
 bt::SwarmConfig round_config(std::size_t peers) {
   bt::SwarmConfig cfg;
@@ -210,20 +219,21 @@ BENCHMARK(BM_SwarmChurnRound)->Arg(1)->Arg(5)->Arg(20)->Unit(benchmark::kMillise
 // model-sampled arrival capacities. The dense peer-table compaction
 // keeps the data plane and round time O(live), so both must be flat
 // (±10%) across the two swarms, where the pre-compaction plane grew
-// linearly with arrivals-ever. Both swarms run the same number of
-// simulated rounds (so the end-state probe compares same-age swarms) and
-// differ only in replacement rate, i.e. in how many peers ever churned
-// through. Then 15 pairs of probe rounds, churn excluded, are timed,
-// alternating which swarm goes first, so the host's speed drift lands on
-// both sides of every pair: `flatness`, the median per-pair ratio of the
-// 10^6 round over the 10^5 round, decides the bar in one run, and
-// end_round_ms_1e5/_1e6 are each swarm's median probe round. What does
-// grow with the churn is counted apart: id_index_mb (the id map, 4 bytes
-// per arrival) and retired_mb (the departed-peer archive and retired pair
-// history). The benchmark's own time is the whole run.
+// linearly with arrivals-ever. Both swarms churn at one replacement rate
+// (500 of the 5000 live peers per round) and differ only in how long
+// they ramp: each runs until it reaches its arrival target, ~200 rounds
+// for 10^5 and ~2000 for 10^6, so the probe compares one churn regime at
+// two archive sizes. Then 15 pairs of probe rounds, churn excluded, are
+// timed, alternating which swarm goes first, so the host's speed drift
+// lands on both sides of every pair: `flatness`, the median per-pair
+// ratio of the 10^6 round over the 10^5 round, decides the bar in one
+// run, and end_round_ms_1e5/_1e6 are each swarm's median probe round.
+// What does grow with the churn is counted apart: id_index_mb (the id
+// map, 4 bytes per arrival) and retired_mb (the departed-peer archive and
+// retired pair history). The benchmark's own time is the whole run.
 void BM_SwarmLongChurn(benchmark::State& state) {
   constexpr std::size_t kPeers = 5000;
-  constexpr std::size_t kRounds = 200;
+  constexpr double kReplacementRate = 500.0;  // peers replaced per round, both swarms
   constexpr std::size_t kProbePairs = 15;
   constexpr std::array<std::size_t, 2> kArrivals{100000, 1000000};
   const std::array<std::string, 2> tags{"_1e5", "_1e6"};
@@ -235,8 +245,7 @@ void BM_SwarmLongChurn(benchmark::State& state) {
     std::array<std::optional<bt::Swarm>, 2> swarms;
     for (std::size_t side = 0; side < 2; ++side) {
       bt::ChurnSpec spec;
-      spec.replacement_rate =
-          static_cast<double>(kArrivals[side]) / static_cast<double>(kRounds);
+      spec.replacement_rate = kReplacementRate;
       spec.arrival_completion = 0.5;
       spec.reannounce_interval = 10;
       spec.arrival_model = model;
@@ -244,7 +253,7 @@ void BM_SwarmLongChurn(benchmark::State& state) {
           swarms[side].emplace(cfg, model.representative_sample(kPeers), rngs[side]);
       bt::ChurnDriver<bt::Swarm> churn(spec, cfg, {}, rngs[side]);
       churn.attach(swarm);
-      for (std::size_t r = 0; r < kRounds || swarm.arrivals() < kArrivals[side]; ++r) {
+      while (swarm.arrivals() < kArrivals[side]) {
         churn.before_round(swarm);
         swarm.run_round();
       }
@@ -345,6 +354,9 @@ BENCHMARK(BM_ChurnScenarioReplications)
 // show up here before they show up in disk quotas). round_ms, the
 // denominator, is the median of 5 timed rounds: a single round read 31
 // and 60 ms at 10^4 peers in two runs of one build on a 4-vCPU Xeon.
+// save_minor_faults and load_minor_faults are the process's minor page
+// faults per trip (getrusage ru_minflt) around the save and the resume:
+// buffers advised onto huge pages fault in 2 MB at a time, not 4 KB.
 void BM_SwarmSnapshot(benchmark::State& state) {
   const auto peers = static_cast<std::size_t>(state.range(0));
   const bt::BandwidthModel model = bt::BandwidthModel::saroiu2002();
@@ -361,16 +373,23 @@ void BM_SwarmSnapshot(benchmark::State& state) {
   const double round_s = rounds_s[2];
   double save_s = 0.0;
   double load_s = 0.0;
+  std::uint64_t save_faults = 0;
+  std::uint64_t load_faults = 0;
   std::size_t snapshot_bytes = 0;
   double trips = 0.0;
   for (auto _ : state) {
+    const std::uint64_t f0 = minor_faults();
     const auto s0 = std::chrono::steady_clock::now();
     const std::string snap = bt::save_to_string(swarm);
     const auto s1 = std::chrono::steady_clock::now();
+    const std::uint64_t f1 = minor_faults();
     bt::ResumedSwarm resumed = bt::resume_from_string(snap);
     const auto s2 = std::chrono::steady_clock::now();
+    const std::uint64_t f2 = minor_faults();
     save_s += std::chrono::duration<double>(s1 - s0).count();
     load_s += std::chrono::duration<double>(s2 - s1).count();
+    save_faults += f1 - f0;
+    load_faults += f2 - f1;
     snapshot_bytes = snap.size();
     trips += 1.0;
     benchmark::DoNotOptimize(resumed.swarm().live_peer_count());
@@ -378,6 +397,8 @@ void BM_SwarmSnapshot(benchmark::State& state) {
   state.counters["snapshot_mb"] = static_cast<double>(snapshot_bytes) / (1024.0 * 1024.0);
   state.counters["save_ms"] = save_s * 1000.0 / trips;
   state.counters["load_ms"] = load_s * 1000.0 / trips;
+  state.counters["save_minor_faults"] = static_cast<double>(save_faults) / trips;
+  state.counters["load_minor_faults"] = static_cast<double>(load_faults) / trips;
   state.counters["round_ms"] = round_s * 1000.0;
   state.counters["save_load_vs_round"] = (save_s + load_s) / trips / round_s;
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

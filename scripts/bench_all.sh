@@ -30,12 +30,13 @@ done
 # 10^2..10^4 peers, the retained map-based plane at the same sizes,
 # churned rounds at 5000 peers (dynamic-overlay cost), the static +
 # churned replication throughput, the long-churn scale gate
-# (BM_SwarmLongChurn: two swarms with a fixed 5000-peer live population
-# that absorbed 10^5 and 10^6 cumulative arrivals, one run of ~30 s;
-# end-state round time and data-plane MB per swarm, with `flatness`, the
-# median ratio of 15 alternating 10^6/10^5 probe-round pairs, near 1.0
-# when the peer-table compaction works, plus id_index_mb and retired_mb,
-# which grow with the departed-peer archive), and the intra-round
+# (BM_SwarmLongChurn: two swarms with a fixed 5000-peer live population,
+# both replacing 500 peers per round, ramped to 10^5 and 10^6 cumulative
+# arrivals (~200 and ~2000 rounds), one run of ~90 s; end-state round
+# time and data-plane MB per swarm, with `flatness`, the median ratio of
+# 15 alternating 10^6/10^5 probe-round pairs, near 1.0 when the
+# peer-table compaction works, plus id_index_mb and retired_mb, which
+# grow with the departed-peer archive), and the intra-round
 # thread-scaling sweep (BM_SwarmRoundThreads at 10^5 peers x threads
 # 1/2/4/8, each repetition a 3-round window resumed from one post-warm-up
 # snapshot, as perfbench's swarm_1e5 windows are:
@@ -45,7 +46,9 @@ done
 # speculative-plan conflict rate — is thread-count invariant;
 # bitwise-identical results per seed), and the checkpoint
 # cost (BM_SwarmSnapshot at 10^4/10^5 peers: snapshot_mb plus save/
-# load ms, with save_load_vs_round < 1.0 as the affordability bar; the
+# load ms and save_minor_faults/load_minor_faults, the minor page faults
+# per trip, which fall where the buffers land on huge pages, with
+# save_load_vs_round < 1.0 as the affordability bar; the
 # bar failed until the loader read in-memory snapshots in place — on a
 # 4-vCPU Xeon host it read 1.26-1.54 at 10^4 and 1.12-1.50 at 10^5
 # peers before, 0.70-0.84 and 0.67-0.78 after),

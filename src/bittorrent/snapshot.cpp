@@ -8,6 +8,10 @@
 #include <istream>
 #include <limits>
 
+#if __has_include(<sys/mman.h>)
+#include <sys/mman.h>
+#endif
+
 #include "bittorrent/peer_table.hpp"
 #include "bittorrent/piece_picker.hpp"
 
@@ -20,6 +24,18 @@ namespace {
 constexpr std::uint64_t kHashBasis = 0xCBF29CE484222325ULL;  // FNV-64 offset
 
 }  // namespace
+
+void advise_huge_pages(void* p, std::size_t bytes) noexcept {
+#ifdef MADV_HUGEPAGE
+  const HugePageSpan span = huge_page_interior(reinterpret_cast<std::uintptr_t>(p), bytes);
+  if (span.bytes == 0) return;
+  // Advice only: a kernel without THP refuses it and THP `never` ignores it.
+  static_cast<void>(madvise(reinterpret_cast<void*>(span.begin), span.bytes, MADV_HUGEPAGE));
+#else
+  static_cast<void>(p);
+  static_cast<void>(bytes);
+#endif
+}
 
 Writer::Writer(std::string& sink) : sink_(sink), hash_(kHashBasis) {}
 
@@ -344,6 +360,9 @@ void Swarm::save(std::string& out) const {
   snapshot_detail::Sizer size;
   save_impl(size);
   out.reserve(out.size() + size.size());
+  // The tail is written once, front to back: back it with huge pages
+  // before the first touch.
+  snapshot_detail::advise_huge_pages(out.data() + out.size(), out.capacity() - out.size());
   Writer w(out);
   save_impl(w);
 }
@@ -432,8 +451,11 @@ Swarm Swarm::resume(Reader& r, graph::Rng& rng, const SwarmConfig* override_conf
         s.mutual_rounds_.size() != pool) {
       throw SnapshotError("snapshot: slot-pool array size mismatch");
     }
-    s.now_in_.assign(pool, 0.0);
-    s.now_out_.assign(pool, 0.0);
+    for (std::vector<double>* now : {&s.now_in_, &s.now_out_}) {
+      now->reserve(pool);
+      snapshot_detail::advise_huge_pages(now->data(), pool * sizeof(double));
+      now->assign(pool, 0.0);
+    }
 
     r.expect_tag(kTagPeers, "peers");
     if (static_cast<std::size_t>(r.u64()) != rows) {

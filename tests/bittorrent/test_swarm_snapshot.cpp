@@ -178,12 +178,13 @@ EndState continue_from(const UninterruptedRun& run, const SwarmConfig& cfg, std:
 }
 
 /// The oracle never checkpoints: a straight ReferenceSwarm run.
-EndState run_reference(const SwarmConfig& cfg, std::size_t peers, bool churned) {
+EndState run_reference(const SwarmConfig& cfg, std::size_t peers, bool churned,
+                       std::size_t rounds = kRounds) {
   graph::Rng rng(kSeed);
   ReferenceSwarm swarm(cfg, capacities(peers), rng);
   ChurnDriver<ReferenceSwarm> churn(churny_spec(), cfg, capacities(peers), rng);
   if (churned) churn.attach(swarm);
-  for (std::size_t r = 0; r < kRounds; ++r) {
+  for (std::size_t r = 0; r < rounds; ++r) {
     if (churned) churn.before_round(swarm);
     swarm.run_round();
   }
@@ -193,13 +194,31 @@ EndState run_reference(const SwarmConfig& cfg, std::size_t peers, bool churned) 
 // --- resume equivalence ---------------------------------------------------
 
 TEST(SwarmSnapshot, StaticRunResumesBitwiseIdentically) {
-  constexpr std::size_t kPeers = 200;
-  const SwarmConfig cfg = base_config(kPeers);
-  const UninterruptedRun run = run_with_checkpoint(cfg, kPeers, /*churned=*/false, 15);
-  const EndState resumed = continue_from(run, cfg, kPeers, /*churned=*/false);
-  expect_bitwise_equal(run.end, resumed, "resumed vs uninterrupted (static)");
-  expect_bitwise_equal(run.end, run_reference(cfg, kPeers, /*churned=*/false),
-                       "reference vs uninterrupted (static)");
+  struct Input {
+    std::size_t peers;
+    double degree;
+    std::size_t save_round;
+    std::size_t rounds;
+    std::size_t min_rate_bytes;  // floor on each double slot array's size
+  };
+  // The second input packs ~5.5 x 10^5 slots into few peers, so its
+  // double slot arrays (rates, in-round sums) span two huge pages: a
+  // whole huge page lies inside each wherever it lands, and the loader's
+  // advice reaches the kernel. A dense overlay over few peers keeps it
+  // cheap.
+  for (const Input& in : {Input{200, 14.0, 15, kRounds, 0},
+                          Input{1250, 440.0, 2, 4, 2 * snapshot_detail::kHugePage}}) {
+    SwarmConfig cfg = base_config(in.peers);
+    cfg.neighbor_degree = in.degree;
+    const UninterruptedRun run =
+        run_with_checkpoint(cfg, in.peers, /*churned=*/false, in.save_round, in.rounds);
+    EXPECT_GE(resume_from_string(run.swarm_snapshot).swarm().edge_slot_capacity() * sizeof(double),
+              in.min_rate_bytes);
+    const EndState resumed = continue_from(run, cfg, in.peers, /*churned=*/false, in.rounds);
+    expect_bitwise_equal(run.end, resumed, "resumed vs uninterrupted (static)");
+    expect_bitwise_equal(run.end, run_reference(cfg, in.peers, /*churned=*/false, in.rounds),
+                         "reference vs uninterrupted (static)");
+  }
 }
 
 TEST(SwarmSnapshot, ChurnedRunResumesBitwiseIdentically) {
@@ -351,6 +370,51 @@ TEST(SwarmSnapshot, LoadedIdIndexHasZeroCapacitySlack) {
   EXPECT_GT(table.id_space(), kPeers + 2) << "churn should have grown the id space";
   EXPECT_EQ(table.id_map_bytes(), table.id_space() * sizeof(PeerTable::Row))
       << "loaded id->row index must carry zero capacity slack";
+}
+
+// --- huge-page advice ------------------------------------------------------
+
+TEST(SnapshotHugePages, InteriorRoundsInward) {
+  using snapshot_detail::huge_page_interior;
+  constexpr std::size_t kPage = snapshot_detail::kHugePage;
+  constexpr std::uintptr_t kBoundary = std::uintptr_t{256} * kPage;
+  constexpr std::uintptr_t kUnaligned = kBoundary + 4096 + 16;  // a malloc'd block's start
+  constexpr std::size_t kMiB = std::size_t{1} << 20;
+  // Nothing to advise: an empty range, and ranges shorter than a huge page.
+  EXPECT_EQ(huge_page_interior(kUnaligned, 0).bytes, 0u);
+  EXPECT_EQ(huge_page_interior(kBoundary, 0).bytes, 0u);
+  EXPECT_EQ(huge_page_interior(kBoundary, kPage - 1).bytes, 0u);
+  EXPECT_EQ(huge_page_interior(kUnaligned, kMiB).bytes, 0u);
+  // An unaligned 5 MiB range: the start rounds up past its first partial
+  // page and the end rounds down, leaving one whole huge page.
+  const auto five = huge_page_interior(kUnaligned, 5 * kMiB);
+  EXPECT_EQ(five.begin, kBoundary + kPage);
+  EXPECT_EQ(five.bytes, kPage);
+  // Aligned, the same 5 MiB hold two.
+  EXPECT_EQ(huge_page_interior(kBoundary, 5 * kMiB).bytes, 2 * kPage);
+  // A range that ends exactly on a boundary keeps its last page.
+  const auto ends_aligned = huge_page_interior(kBoundary + 16, 2 * kPage - 16);
+  EXPECT_EQ(ends_aligned.begin, kBoundary + kPage);
+  EXPECT_EQ(ends_aligned.begin + ends_aligned.bytes, kBoundary + 2 * kPage);
+  EXPECT_EQ(huge_page_interior(kBoundary, kPage).bytes, kPage);
+}
+
+TEST(SnapshotHugePages, AdviceLeavesFilledBytesUnchanged) {
+  // Three huge pages' worth holds at least two whole ones wherever the
+  // buffer lands, so the advice reaches the kernel.
+  constexpr std::size_t kBytes = 3 * snapshot_detail::kHugePage;
+  std::vector<std::uint64_t> buffer(kBytes / sizeof(std::uint64_t));
+  for (std::size_t i = 0; i < buffer.size(); ++i) buffer[i] = i * snapshot_detail::kFoldMul;
+  const std::vector<std::uint64_t> before = buffer;
+  ASSERT_GT(
+      snapshot_detail::huge_page_interior(reinterpret_cast<std::uintptr_t>(buffer.data()), kBytes)
+          .bytes,
+      0u);
+  snapshot_detail::advise_huge_pages(buffer.data(), kBytes);
+  snapshot_detail::advise_huge_pages(buffer.data() + 1, kBytes - 3 * sizeof(std::uint64_t));
+  snapshot_detail::advise_huge_pages(buffer.data(), 0);
+  snapshot_detail::advise_huge_pages(nullptr, 0);
+  EXPECT_EQ(buffer, before);
 }
 
 // --- robustness ------------------------------------------------------------
