@@ -47,7 +47,9 @@ done
 # bitwise-identical results per seed), and the checkpoint
 # cost (BM_SwarmSnapshot at 10^4/10^5 peers: snapshot_mb plus save/
 # load ms and save_minor_faults/load_minor_faults, the minor page faults
-# per trip, which fall where the buffers land on huge pages, with
+# per trip, which fall where the buffers land on huge pages, all over
+# steady-state trips after one warm-up trip reported apart as
+# first_save_ms/first_load_ms, with
 # save_load_vs_round < 1.0 as the affordability bar; the
 # bar failed until the loader read in-memory snapshots in place — on a
 # 4-vCPU Xeon host it read 1.26-1.54 at 10^4 and 1.12-1.50 at 10^5

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <stdexcept>
+#include <utility>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #include <immintrin.h>
@@ -91,6 +92,12 @@ PiecePicker::PiecePicker(std::size_t num_pieces)
     : availability_(num_pieces, 0),
       width_((num_pieces + 63) / 64),
       tail_mask_(detail::last_word_mask(num_pieces)) {}
+
+PiecePicker PiecePicker::from_availability(std::vector<std::uint32_t> availability) {
+  PiecePicker picker(availability.size());
+  picker.availability_ = std::move(availability);
+  return picker;
+}
 
 void PiecePicker::add_availability(PieceId piece) { ++availability_.at(piece); }
 

@@ -209,6 +209,11 @@ class PiecePicker {
 
   explicit PiecePicker(std::size_t num_pieces);
 
+  /// A picker over availability.size() pieces holding `availability`
+  /// as its counts, unchecked: the snapshot loader places the stored
+  /// counts here, and Swarm::audit() recounts them from the bitfields.
+  [[nodiscard]] static PiecePicker from_availability(std::vector<std::uint32_t> availability);
+
   /// Registers that one more peer holds `piece`.
   void add_availability(PieceId piece);
 

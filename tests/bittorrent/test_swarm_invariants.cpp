@@ -1,25 +1,27 @@
 // Swarm conservation/invariant suite guarding the edge-slot data
-// plane: byte conservation every round, availability counters that
-// track exactly the pieces held by non-departed peers, no leaked edge
-// slots under churn, bitwise determinism for a fixed seed, and bitwise
-// equivalence between the flat data plane (Swarm) and the retained
-// map-based implementation (ReferenceSwarm) — on static and churned
-// (join/leave/re-announce) runs alike.
+// plane: byte conservation every round, Swarm::audit()'s structural
+// invariants (availability counters that track exactly the pieces held
+// by non-departed peers, no leaked edge slots, live sorted adjacency)
+// under departures and churn, bitwise determinism for a fixed seed, and
+// bitwise equivalence between the flat data plane (Swarm) and the
+// retained map-based implementation (ReferenceSwarm) — on static and
+// churned (join/leave/re-announce) runs alike, compared through
+// same_run() (run_state.hpp).
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <sstream>
+#include <string>
 
 #include "bittorrent/bandwidth.hpp"
 #include "bittorrent/reference_swarm.hpp"
 #include "bittorrent/scenario.hpp"
 #include "bittorrent/swarm.hpp"
+#include "run_state.hpp"
 
 namespace strat::bt {
 namespace {
-
-std::vector<double> bandwidths(std::size_t n, double base = 400.0) {
-  std::vector<double> out(n);
-  for (std::size_t i = 0; i < n; ++i) out[i] = base * (1.0 + 0.001 * static_cast<double>(i));
-  return out;
-}
 
 TEST(SwarmInvariants, ConservationHoldsEveryRound) {
   graph::Rng rng(31);
@@ -56,13 +58,7 @@ TEST(SwarmInvariants, AvailabilityEqualsHoldingsUnderDepartures) {
   Swarm swarm(cfg, bandwidths(40, 800.0), rng);
   for (std::size_t r = 0; r < 150; ++r) {
     swarm.run_round();
-    std::size_t held = 0;
-    for (core::PeerId p = 0; p < swarm.peer_count(); ++p) {
-      if (!swarm.departed(p)) held += swarm.stats(p).pieces;
-    }
-    const double copies =
-        swarm.availability_stats().mean * static_cast<double>(cfg.num_pieces);
-    ASSERT_NEAR(copies, static_cast<double>(held), 1e-6) << "round " << r;
+    ASSERT_NO_THROW(swarm.audit()) << "round " << r;
   }
   EXPECT_GT(swarm.completed_leechers(), 20u);
 }
@@ -74,31 +70,49 @@ TEST(SwarmInvariants, FixedSeedRunsAreBitwiseIdentical) {
   cfg.num_pieces = 64;
   cfg.piece_kb = 64.0;
   cfg.neighbor_degree = 12.0;
-  struct Snapshot {
-    std::vector<PeerStats> stats;
-    StratificationReport strat;
-  };
   auto run_once = [&](std::uint64_t seed) {
     graph::Rng rng(seed);
     Swarm swarm(cfg, bandwidths(40), rng);
     swarm.run(25);
-    Snapshot snap;
-    for (core::PeerId p = 0; p < swarm.peer_count(); ++p) snap.stats.push_back(swarm.stats(p));
-    snap.strat = swarm.stratification();
-    return snap;
+    return run_state_of(swarm, rng, /*draws=*/4);
   };
-  const Snapshot a = run_once(99);
-  const Snapshot b = run_once(99);
-  ASSERT_EQ(a.stats.size(), b.stats.size());
-  for (std::size_t p = 0; p < a.stats.size(); ++p) {
-    EXPECT_EQ(a.stats[p].uploaded_kb, b.stats[p].uploaded_kb) << "peer " << p;
-    EXPECT_EQ(a.stats[p].downloaded_kb, b.stats[p].downloaded_kb) << "peer " << p;
-    EXPECT_EQ(a.stats[p].pieces, b.stats[p].pieces) << "peer " << p;
-    EXPECT_EQ(a.stats[p].completion_round, b.stats[p].completion_round) << "peer " << p;
-  }
-  EXPECT_EQ(a.strat.reciprocated_pairs, b.strat.reciprocated_pairs);
-  EXPECT_EQ(a.strat.mean_normalized_offset, b.strat.mean_normalized_offset);
-  EXPECT_EQ(a.strat.partner_rank_correlation, b.strat.partner_rank_correlation);
+  EXPECT_TRUE(same_run(run_once(99), run_once(99)));
+}
+
+TEST(SwarmInvariants, SameRunNamesTheFirstDifferingPeerAndField) {
+  SwarmConfig cfg;
+  cfg.num_peers = 20;
+  cfg.num_pieces = 16;
+  cfg.neighbor_degree = 6.0;
+  graph::Rng rng(98);
+  Swarm swarm(cfg, bandwidths(20), rng);
+  swarm.run(5);
+  const RunState want = run_state_of(swarm, rng, /*draws=*/2);
+  ASSERT_TRUE(same_run(want, want));
+  // A double one ulp off is named with both values in hexfloat, and a
+  // later difference does not mask it.
+  RunState got = want;
+  double& kb = got.peers[3].stats.uploaded_kb;
+  kb = std::nextafter(kb, 1e300);
+  got.peers[7].degree += 1;
+  std::ostringstream named;
+  named << "peer 3 uploaded_kb: want " << std::hexfloat << want.peers[3].stats.uploaded_kb
+        << ", got " << kb;
+  EXPECT_EQ(std::string(same_run(want, got).message()), named.str());
+  // Integers print in decimal; swarm-wide fields and draws by name.
+  got = want;
+  got.peers[7].degree += 1;
+  EXPECT_EQ(std::string(same_run(want, got).message()),
+            "peer 7 degree: want " + std::to_string(want.peers[7].degree) + ", got " +
+                std::to_string(got.peers[7].degree));
+  got = want;
+  got.lost_lanes += 1;
+  EXPECT_EQ(std::string(same_run(want, got).message()), "faults.lost_lanes: want 0, got 1");
+  got = want;
+  got.draws[1] ^= 1;
+  EXPECT_EQ(std::string(same_run(want, got).message()),
+            "draw 1: want " + std::to_string(want.draws[1]) + ", got " +
+                std::to_string(got.draws[1]));
 }
 
 /// Runs Swarm and ReferenceSwarm from the same seed/config and demands
@@ -117,27 +131,9 @@ void expect_equivalent(const SwarmConfig& cfg, const std::vector<double>& bw,
     const std::size_t step = std::min(stride, rounds - done);
     flat.run(step);
     ref.run(step);
-    for (core::PeerId p = 0; p < flat.peer_count(); ++p) {
-      ASSERT_EQ(flat.stats(p).uploaded_kb, ref.stats(p).uploaded_kb)
-          << "peer " << p << " after " << flat.rounds_elapsed() << " rounds";
-      ASSERT_EQ(flat.stats(p).downloaded_kb, ref.stats(p).downloaded_kb) << "peer " << p;
-      ASSERT_EQ(flat.stats(p).pieces, ref.stats(p).pieces) << "peer " << p;
-      ASSERT_EQ(flat.stats(p).completion_round, ref.stats(p).completion_round)
-          << "peer " << p;
-      ASSERT_EQ(flat.departed(p), ref.departed(p)) << "peer " << p;
-    }
+    ASSERT_TRUE(same_run(run_state_of(ref, rng_ref), run_state_of(flat, rng_flat)))
+        << "after " << flat.rounds_elapsed() << " rounds";
   }
-  const auto availability_flat = flat.availability_stats();
-  const auto availability_ref = ref.availability_stats();
-  EXPECT_EQ(availability_flat.mean, availability_ref.mean);
-  EXPECT_EQ(availability_flat.min, availability_ref.min);
-  EXPECT_EQ(availability_flat.max, availability_ref.max);
-  const auto strat_flat = flat.stratification();
-  const auto strat_ref = ref.stratification();
-  EXPECT_EQ(strat_flat.reciprocated_pairs, strat_ref.reciprocated_pairs);
-  EXPECT_EQ(strat_flat.mean_normalized_offset, strat_ref.mean_normalized_offset);
-  EXPECT_EQ(strat_flat.partner_rank_correlation, strat_ref.partner_rank_correlation);
-  EXPECT_EQ(flat.completed_leechers(), ref.completed_leechers());
 }
 
 TEST(SwarmInvariants, FlatPlaneMatchesReferenceOnChurnyEndgame) {
@@ -206,35 +202,9 @@ void expect_equivalent_churned(const SwarmConfig& cfg, const ChurnSpec& spec,
     churn_ref.before_round(ref);
     flat.run_round();
     ref.run_round();
-    ASSERT_EQ(flat.peer_count(), ref.peer_count()) << "round " << r;
-    ASSERT_EQ(flat.arrivals(), ref.arrivals()) << "round " << r;
-    ASSERT_EQ(flat.departures(), ref.departures()) << "round " << r;
-    ASSERT_EQ(flat.live_peer_count(), ref.live_peer_count()) << "round " << r;
-    for (core::PeerId p = 0; p < flat.peer_count(); ++p) {
-      ASSERT_EQ(flat.stats(p).uploaded_kb, ref.stats(p).uploaded_kb)
-          << "peer " << p << " round " << r;
-      ASSERT_EQ(flat.stats(p).downloaded_kb, ref.stats(p).downloaded_kb)
-          << "peer " << p << " round " << r;
-      ASSERT_EQ(flat.stats(p).pieces, ref.stats(p).pieces) << "peer " << p << " round " << r;
-      ASSERT_EQ(flat.stats(p).completion_round, ref.stats(p).completion_round)
-          << "peer " << p << " round " << r;
-      ASSERT_EQ(flat.stats(p).join_round, ref.stats(p).join_round) << "peer " << p;
-      ASSERT_EQ(flat.stats(p).leave_round, ref.stats(p).leave_round) << "peer " << p;
-      ASSERT_EQ(flat.departed(p), ref.departed(p)) << "peer " << p << " round " << r;
-      ASSERT_EQ(flat.degree(p), ref.degree(p)) << "peer " << p << " round " << r;
-    }
+    ASSERT_TRUE(same_run(run_state_of(ref, rng_ref), run_state_of(flat, rng_flat)))
+        << "round " << r;
   }
-  const auto availability_flat = flat.availability_stats();
-  const auto availability_ref = ref.availability_stats();
-  EXPECT_EQ(availability_flat.mean, availability_ref.mean);
-  EXPECT_EQ(availability_flat.min, availability_ref.min);
-  EXPECT_EQ(availability_flat.max, availability_ref.max);
-  const auto strat_flat = flat.stratification();
-  const auto strat_ref = ref.stratification();
-  EXPECT_EQ(strat_flat.reciprocated_pairs, strat_ref.reciprocated_pairs);
-  EXPECT_EQ(strat_flat.mean_normalized_offset, strat_ref.mean_normalized_offset);
-  EXPECT_EQ(strat_flat.partner_rank_correlation, strat_ref.partner_rank_correlation);
-  EXPECT_EQ(flat.completed_leechers(), ref.completed_leechers());
 }
 
 TEST(SwarmInvariants, FlatPlaneMatchesReferenceUnderReplacementChurn) {
@@ -338,27 +308,9 @@ TEST(SwarmInvariants, ChurnedRunConservesAndLeaksNoSlots) {
       downloaded += swarm.stats(p).downloaded_kb;
     }
     ASSERT_NEAR(uploaded, downloaded, 1e-6) << "round " << r;
-    // Availability counters == pieces held by live peers.
-    std::size_t held = 0;
-    for (core::PeerId p = 0; p < swarm.peer_count(); ++p) {
-      if (!swarm.departed(p)) held += swarm.stats(p).pieces;
-    }
-    const double copies =
-        swarm.availability_stats().mean * static_cast<double>(cfg.num_pieces);
-    ASSERT_NEAR(copies, static_cast<double>(held), 1e-6) << "round " << r;
-    // Slot pool: no slot leaked or double-booked — live + free ==
-    // capacity, and live slots match the overlay degree sum.
-    std::size_t degree_sum = 0;
-    for (core::PeerId p = 0; p < swarm.peer_count(); ++p) degree_sum += swarm.degree(p);
-    ASSERT_EQ(swarm.live_edge_slots(), degree_sum) << "round " << r;
-    ASSERT_EQ(swarm.live_edge_slots() + swarm.free_edge_slots(), swarm.edge_slot_capacity())
-        << "round " << r;
-    // Adjacency rows never name departed peers.
-    for (core::PeerId p = 0; p < swarm.peer_count(); ++p) {
-      for (const core::PeerId q : swarm.neighbors(p)) {
-        ASSERT_FALSE(swarm.departed(q)) << "round " << r << " edge " << p << "-" << q;
-      }
-    }
+    // Availability counters == pieces held by live peers, no slot
+    // leaked or double-booked, adjacency live and sorted.
+    ASSERT_NO_THROW(swarm.audit()) << "round " << r;
   }
   EXPECT_GT(swarm.arrivals(), 0u);
   EXPECT_GT(swarm.departures(), 0u);

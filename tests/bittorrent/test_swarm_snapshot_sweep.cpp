@@ -12,10 +12,10 @@
 #include <string>
 #include <vector>
 
-#include "bittorrent/bandwidth.hpp"
 #include "bittorrent/scenario.hpp"
 #include "bittorrent/snapshot.hpp"
 #include "bittorrent/swarm.hpp"
+#include "run_state.hpp"
 
 namespace strat::bt {
 namespace {
@@ -23,10 +23,6 @@ namespace {
 constexpr std::uint64_t kSeed = 90;
 constexpr std::size_t kPeers = 5000;
 constexpr std::size_t kRounds = 30;
-
-std::vector<double> capacities() {
-  return BandwidthModel::saroiu2002().representative_sample(kPeers);
-}
 
 SwarmConfig sweep_config() {
   SwarmConfig cfg;
@@ -53,45 +49,6 @@ ChurnSpec sweep_spec() {
   return spec;
 }
 
-struct EndState {
-  std::vector<PeerStats> stats;
-  std::size_t arrivals = 0;
-  std::size_t departures = 0;
-  std::size_t live = 0;
-  std::uint64_t next_draw = 0;
-};
-
-EndState end_state_of(const Swarm& swarm, graph::Rng& rng) {
-  EndState end;
-  for (core::PeerId p = 0; p < swarm.peer_count(); ++p) end.stats.push_back(swarm.stats(p));
-  end.arrivals = swarm.arrivals();
-  end.departures = swarm.departures();
-  end.live = swarm.live_peer_count();
-  end.next_draw = rng();
-  return end;
-}
-
-void expect_bitwise_equal(const EndState& a, const EndState& b, std::size_t save_round,
-                          std::size_t threads) {
-  ASSERT_EQ(a.stats.size(), b.stats.size()) << "save round " << save_round;
-  for (std::size_t p = 0; p < a.stats.size(); ++p) {
-    ASSERT_EQ(a.stats[p].uploaded_kb, b.stats[p].uploaded_kb)
-        << "save round " << save_round << " threads " << threads << " peer " << p;
-    ASSERT_EQ(a.stats[p].downloaded_kb, b.stats[p].downloaded_kb)
-        << "save round " << save_round << " threads " << threads << " peer " << p;
-    ASSERT_EQ(a.stats[p].pieces, b.stats[p].pieces)
-        << "save round " << save_round << " threads " << threads << " peer " << p;
-    ASSERT_EQ(a.stats[p].completion_round, b.stats[p].completion_round)
-        << "save round " << save_round << " threads " << threads << " peer " << p;
-    ASSERT_EQ(a.stats[p].leave_round, b.stats[p].leave_round)
-        << "save round " << save_round << " threads " << threads << " peer " << p;
-  }
-  ASSERT_EQ(a.arrivals, b.arrivals) << "save round " << save_round << " threads " << threads;
-  ASSERT_EQ(a.departures, b.departures) << "save round " << save_round << " threads " << threads;
-  ASSERT_EQ(a.live, b.live) << "save round " << save_round << " threads " << threads;
-  ASSERT_EQ(a.next_draw, b.next_draw) << "save round " << save_round << " threads " << threads;
-}
-
 TEST(SwarmSnapshotSweep, EveryRoundEveryThreadCountResumesIdentically) {
   const SwarmConfig cfg = sweep_config();
 
@@ -100,8 +57,8 @@ TEST(SwarmSnapshotSweep, EveryRoundEveryThreadCountResumesIdentically) {
   std::vector<std::string> swarm_snaps;
   std::vector<std::string> churn_snaps;
   graph::Rng rng(kSeed);
-  Swarm swarm(cfg, capacities(), rng);
-  ChurnDriver<Swarm> churn(sweep_spec(), cfg, capacities(), rng);
+  Swarm swarm(cfg, capacities(kPeers), rng);
+  ChurnDriver<Swarm> churn(sweep_spec(), cfg, capacities(kPeers), rng);
   churn.attach(swarm);
   auto checkpoint = [&] {
     swarm_snaps.push_back(save_to_string(swarm));
@@ -113,7 +70,7 @@ TEST(SwarmSnapshotSweep, EveryRoundEveryThreadCountResumesIdentically) {
     swarm.run_round();
     checkpoint();
   }
-  const EndState expected = end_state_of(swarm, rng);
+  const RunState expected = run_state_of(swarm, rng, /*draws=*/1);
 
   for (std::size_t save_round = 0; save_round <= kRounds; ++save_round) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
@@ -123,14 +80,15 @@ TEST(SwarmSnapshotSweep, EveryRoundEveryThreadCountResumesIdentically) {
       snapshot_detail::Reader in(swarm_snaps[save_round]);
       Swarm resumed = Swarm::resume(in, resumed_rng, &resumed_cfg);
       ASSERT_EQ(resumed.rounds_elapsed(), save_round);
-      ChurnDriver<Swarm> resumed_churn(sweep_spec(), cfg, capacities(), resumed_rng);
+      ChurnDriver<Swarm> resumed_churn(sweep_spec(), cfg, capacities(kPeers), resumed_rng);
       snapshot_detail::Reader churn_in(churn_snaps[save_round]);
       restore_churn_driver(churn_in, resumed_churn);
       for (std::size_t r = save_round; r < kRounds; ++r) {
         resumed_churn.before_round(resumed);
         resumed.run_round();
       }
-      expect_bitwise_equal(expected, end_state_of(resumed, resumed_rng), save_round, threads);
+      ASSERT_TRUE(same_run(expected, run_state_of(resumed, resumed_rng, /*draws=*/1)))
+          << "save round " << save_round << " threads " << threads;
     }
   }
 }

@@ -17,20 +17,16 @@
 #include <type_traits>
 #include <vector>
 
-#include "bittorrent/bandwidth.hpp"
 #include "bittorrent/reference_swarm.hpp"
 #include "bittorrent/scenario.hpp"
 #include "bittorrent/swarm.hpp"
+#include "run_state.hpp"
 
 namespace strat::bt {
 namespace {
 
 constexpr std::uint64_t kSeed = 90;
 constexpr std::size_t kRounds = 40;
-
-std::vector<double> capacities(std::size_t n) {
-  return BandwidthModel::saroiu2002().representative_sample(n);
-}
 
 SwarmConfig base_config(std::size_t peers) {
   SwarmConfig cfg;
@@ -73,30 +69,8 @@ ChurnSpec heavy_churn_spec() {
   return spec;
 }
 
-/// Everything a run exposes, for bitwise comparison.
-struct Snapshot {
-  std::vector<PeerStats> stats;
-  StratificationReport strat;
-  std::size_t arrivals = 0;
-  std::size_t departures = 0;
-  std::size_t live = 0;
-  std::size_t completed = 0;
-};
-
 template <typename SwarmT>
-Snapshot snapshot_of(const SwarmT& swarm) {
-  Snapshot snap;
-  for (core::PeerId p = 0; p < swarm.peer_count(); ++p) snap.stats.push_back(swarm.stats(p));
-  snap.strat = swarm.stratification();
-  snap.arrivals = swarm.arrivals();
-  snap.departures = swarm.departures();
-  snap.live = swarm.live_peer_count();
-  snap.completed = swarm.completed_leechers();
-  return snap;
-}
-
-template <typename SwarmT>
-Snapshot run_plane_spec(const SwarmConfig& cfg, std::size_t peers, const ChurnSpec* spec,
+RunState run_plane_spec(const SwarmConfig& cfg, std::size_t peers, const ChurnSpec* spec,
                         Swarm::PhaseProfile* profile = nullptr) {
   graph::Rng rng(kSeed);
   SwarmT swarm(cfg, capacities(peers), rng);
@@ -113,53 +87,30 @@ Snapshot run_plane_spec(const SwarmConfig& cfg, std::size_t peers, const ChurnSp
   if constexpr (std::is_same_v<SwarmT, Swarm>) {
     if (profile != nullptr) *profile = swarm.phase_profile();
   }
-  return snapshot_of(swarm);
+  return run_state_of(swarm, rng);
 }
 
 template <typename SwarmT>
-Snapshot run_plane(const SwarmConfig& cfg, std::size_t peers, bool churned) {
+RunState run_plane(const SwarmConfig& cfg, std::size_t peers, bool churned) {
   const ChurnSpec spec = churny_spec();
   return run_plane_spec<SwarmT>(cfg, peers, churned ? &spec : nullptr);
-}
-
-void expect_bitwise_equal(const Snapshot& a, const Snapshot& b, const char* what) {
-  ASSERT_EQ(a.stats.size(), b.stats.size()) << what;
-  for (std::size_t p = 0; p < a.stats.size(); ++p) {
-    ASSERT_EQ(a.stats[p].upload_kbps, b.stats[p].upload_kbps) << what << " peer " << p;
-    ASSERT_EQ(a.stats[p].uploaded_kb, b.stats[p].uploaded_kb) << what << " peer " << p;
-    ASSERT_EQ(a.stats[p].downloaded_kb, b.stats[p].downloaded_kb) << what << " peer " << p;
-    ASSERT_EQ(a.stats[p].pieces, b.stats[p].pieces) << what << " peer " << p;
-    ASSERT_EQ(a.stats[p].completion_round, b.stats[p].completion_round)
-        << what << " peer " << p;
-    ASSERT_EQ(a.stats[p].join_round, b.stats[p].join_round) << what << " peer " << p;
-    ASSERT_EQ(a.stats[p].leave_round, b.stats[p].leave_round) << what << " peer " << p;
-    ASSERT_EQ(a.stats[p].seed, b.stats[p].seed) << what << " peer " << p;
-  }
-  EXPECT_EQ(a.strat.reciprocated_pairs, b.strat.reciprocated_pairs) << what;
-  EXPECT_EQ(a.strat.mean_normalized_offset, b.strat.mean_normalized_offset) << what;
-  EXPECT_EQ(a.strat.partner_rank_correlation, b.strat.partner_rank_correlation) << what;
-  EXPECT_EQ(a.arrivals, b.arrivals) << what;
-  EXPECT_EQ(a.departures, b.departures) << what;
-  EXPECT_EQ(a.live, b.live) << what;
-  EXPECT_EQ(a.completed, b.completed) << what;
 }
 
 void expect_thread_invariant(bool churned) {
   constexpr std::size_t kPeers = 600;
   SwarmConfig cfg = base_config(kPeers);
   cfg.threads = 1;
-  const Snapshot serial = run_plane<Swarm>(cfg, kPeers, churned);
+  const RunState serial = run_plane<Swarm>(cfg, kPeers, churned);
   for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
     cfg.threads = threads;
-    const Snapshot threaded = run_plane<Swarm>(cfg, kPeers, churned);
-    expect_bitwise_equal(serial, threaded,
-                         threads == 2 ? "threads=2 vs 1" : "threads=8 vs 1");
+    const RunState threaded = run_plane<Swarm>(cfg, kPeers, churned);
+    EXPECT_TRUE(same_run(serial, threaded)) << "threads=" << threads << " vs 1";
   }
   // The always-serial oracle accepts (and ignores) the threads knob
   // and must still match bitwise.
   cfg.threads = 8;
-  const Snapshot oracle = run_plane<ReferenceSwarm>(cfg, kPeers, churned);
-  expect_bitwise_equal(serial, oracle, "reference vs flat");
+  const RunState oracle = run_plane<ReferenceSwarm>(cfg, kPeers, churned);
+  EXPECT_TRUE(same_run(serial, oracle)) << "reference vs flat";
 }
 
 TEST(SwarmThreads, StaticEndgameRunIsThreadCountInvariant) {
@@ -175,10 +126,10 @@ TEST(SwarmThreads, AutoThreadsMatchesSerial) {
   constexpr std::size_t kPeers = 300;
   SwarmConfig cfg = base_config(kPeers);
   cfg.threads = 1;
-  const Snapshot serial = run_plane<Swarm>(cfg, kPeers, /*churned=*/true);
+  const RunState serial = run_plane<Swarm>(cfg, kPeers, /*churned=*/true);
   cfg.threads = 0;
-  const Snapshot autod = run_plane<Swarm>(cfg, kPeers, /*churned=*/true);
-  expect_bitwise_equal(serial, autod, "threads=auto vs 1");
+  const RunState autod = run_plane<Swarm>(cfg, kPeers, /*churned=*/true);
+  EXPECT_TRUE(same_run(serial, autod)) << "threads=auto vs 1";
 }
 
 TEST(SwarmThreads, HeavyChurnRunIsThreadCountInvariant) {
@@ -190,15 +141,15 @@ TEST(SwarmThreads, HeavyChurnRunIsThreadCountInvariant) {
   SwarmConfig cfg = base_config(kPeers);
   const ChurnSpec spec = heavy_churn_spec();
   cfg.threads = 1;
-  const Snapshot serial = run_plane_spec<Swarm>(cfg, kPeers, &spec);
+  const RunState serial = run_plane_spec<Swarm>(cfg, kPeers, &spec);
   for (const std::size_t threads : {std::size_t{2}, std::size_t{8}, std::size_t{0}}) {
     cfg.threads = threads;
-    const Snapshot threaded = run_plane_spec<Swarm>(cfg, kPeers, &spec);
-    expect_bitwise_equal(serial, threaded, "heavy churn threads vs 1");
+    const RunState threaded = run_plane_spec<Swarm>(cfg, kPeers, &spec);
+    EXPECT_TRUE(same_run(serial, threaded)) << "heavy churn threads vs 1";
   }
   cfg.threads = 8;
-  const Snapshot oracle = run_plane_spec<ReferenceSwarm>(cfg, kPeers, &spec);
-  expect_bitwise_equal(serial, oracle, "heavy churn reference vs flat");
+  const RunState oracle = run_plane_spec<ReferenceSwarm>(cfg, kPeers, &spec);
+  EXPECT_TRUE(same_run(serial, oracle)) << "heavy churn reference vs flat";
 }
 
 TEST(SwarmThreads, CompletionWaveDeparturesAreThreadCountInvariant) {
@@ -212,15 +163,15 @@ TEST(SwarmThreads, CompletionWaveDeparturesAreThreadCountInvariant) {
   cfg.num_pieces = 32;
   cfg.initial_completion = 0.9;
   cfg.threads = 1;
-  const Snapshot serial = run_plane_spec<Swarm>(cfg, kPeers, nullptr);
+  const RunState serial = run_plane_spec<Swarm>(cfg, kPeers, nullptr);
   for (const std::size_t threads : {std::size_t{2}, std::size_t{8}, std::size_t{0}}) {
     cfg.threads = threads;
-    const Snapshot threaded = run_plane_spec<Swarm>(cfg, kPeers, nullptr);
-    expect_bitwise_equal(serial, threaded, "completion wave threads vs 1");
+    const RunState threaded = run_plane_spec<Swarm>(cfg, kPeers, nullptr);
+    EXPECT_TRUE(same_run(serial, threaded)) << "completion wave threads vs 1";
   }
   cfg.threads = 8;
-  const Snapshot oracle = run_plane_spec<ReferenceSwarm>(cfg, kPeers, nullptr);
-  expect_bitwise_equal(serial, oracle, "completion wave reference vs flat");
+  const RunState oracle = run_plane_spec<ReferenceSwarm>(cfg, kPeers, nullptr);
+  EXPECT_TRUE(same_run(serial, oracle)) << "completion wave reference vs flat";
 }
 
 TEST(SwarmThreads, ConflictRerunCountersAreThreadCountInvariant) {

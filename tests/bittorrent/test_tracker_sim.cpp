@@ -30,6 +30,7 @@
 #include "bittorrent/swarm.hpp"
 #include "bittorrent/tracker_sim.hpp"
 #include "graph/rng.hpp"
+#include "run_state.hpp"
 
 namespace strat::bt {
 namespace {
@@ -307,13 +308,8 @@ TEST(TrackerSim, SaveBytesMatchPinnedDigest) {
   TrackerSim tracker = churned_tracker(1, 4, 12, 21);
   tracker.run(6);
   const std::string bytes = save_bytes(tracker);
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ULL;
-  }
   EXPECT_EQ(bytes.size(), 30738u);
-  EXPECT_EQ(h, 0xf60f8c78a9049e00ULL);
+  EXPECT_EQ(fnv1a(bytes), 0xf60f8c78a9049e00ULL);
 }
 
 // The loader applies the constructor's capacity rule (finite, > 0) to
